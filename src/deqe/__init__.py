@@ -25,6 +25,7 @@ from .analysis import (
     render_histogram_svg,
 )
 from .corpus import (
+    CorpusFiles,
     SegmentPair,
     ThresholdCount,
     TokenizerConfig,
@@ -73,6 +74,7 @@ __all__ = [
     "BucketRow",
     "BucketSpec",
     "CooccurrenceMatrix",
+    "CorpusFiles",
     "CorrelationResult",
     "DEFAULT_BUCKETS",
     "DataError",

@@ -29,11 +29,10 @@ from .analysis import (
     render_histogram_svg,
 )
 from .corpus import (
-    SegmentPair,
+    CorpusFiles,
     TokenizerConfig,
     build_parallel_vocabularies,
     load_parallel_corpus,
-    load_tsv_corpus,
     tokenize,
     vocab_stats,
 )
@@ -66,14 +65,25 @@ class _StderrLogHandler(logging.Handler):
         sys.stderr.write(self.format(record) + "\n")
 
 
-def _setup_logging(quiet: bool) -> None:
+@contextlib.contextmanager
+def _logging_to_stderr(quiet: bool) -> Iterator[None]:
+    """Send the package's log records to stderr for one invocation.
+
+    The handler and level are removed again on exit, so library callers and
+    later invocations in the same process see the logger as it was.
+    """
     logger = logging.getLogger("deqe")
-    logger.setLevel(logging.WARNING if quiet else logging.INFO)
-    if not logger.handlers:
-        handler = _StderrLogHandler()
-        handler.setFormatter(logging.Formatter(f"{PROG}: %(message)s"))
-        logger.addHandler(handler)
-    logger.propagate = False
+    level = logging.WARNING if quiet else logging.INFO
+    handler = _StderrLogHandler()
+    handler.setFormatter(logging.Formatter(f"{PROG}: %(message)s"))
+    saved_level = logger.level
+    logger.setLevel(level)
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(saved_level)
 
 
 def _format_param(value: object) -> str:
@@ -115,18 +125,33 @@ def _write_report(fh: TextIO, args: argparse.Namespace, rows: Iterable[str]) -> 
         fh.write(row + "\n")
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _resolve_threads(value: int | None) -> int:
+    """--threads, else DE_QE_THREADS, else the usable CPUs; a request for
+    more than the usable CPUs is clamped to them with a warning."""
+    usable = _usable_cpus()
     if value is None:
         env = os.environ.get(THREADS_ENV_VAR)
-        if env:
-            try:
-                value = int(env)
-            except ValueError:
-                raise UsageError(f"invalid {THREADS_ENV_VAR} value: {env!r}") from None
-        else:
-            value = os.cpu_count() or 1
+        if not env:
+            return usable
+        try:
+            value = int(env)
+        except ValueError:
+            raise UsageError(f"invalid {THREADS_ENV_VAR} value: {env!r}") from None
     if value < 1:
         raise UsageError("--threads must be >= 1")
+    if value > usable:
+        log.warning(
+            "%d threads requested, but only %d CPUs are usable; using %d", value, usable, usable
+        )
+        return usable
     return value
 
 
@@ -134,14 +159,15 @@ def _tokenizer(args: argparse.Namespace) -> TokenizerConfig:
     return TokenizerConfig(lowercase=args.lowercase, strip_punct=args.strip_punct)
 
 
-def _open_corpus(args: argparse.Namespace) -> Iterator[SegmentPair]:
+def _corpus_files(args: argparse.Namespace) -> CorpusFiles:
+    tokenizer = _tokenizer(args)
     if args.tsv is not None:
         if args.source or args.target:
             raise UsageError("--tsv cannot be combined with --source/--target")
-        return load_tsv_corpus(args.tsv)
+        return CorpusFiles((args.tsv,), tsv=True, tokenizer=tokenizer)
     if not args.source or not args.target:
         raise UsageError("either --tsv or both --source and --target are required")
-    return load_parallel_corpus(args.source, args.target)
+    return CorpusFiles((args.source, args.target), tokenizer=tokenizer)
 
 
 def _read_lines(path) -> list[str]:
@@ -243,8 +269,10 @@ def _bucket_list(text: str) -> list[BucketSpec]:
 
 
 def cmd_vocab_stats(args: argparse.Namespace) -> int:
-    tokenizer = _tokenizer(args)
-    source_vocab, target_vocab, n = build_parallel_vocabularies(_open_corpus(args), tokenizer)
+    corpus = _corpus_files(args)
+    source_vocab, target_vocab, n = build_parallel_vocabularies(
+        corpus.segments(), corpus.tokenizer
+    )
     log.info("vocab-stats: %d segments read", n)
     rows = []
     for vocab in (source_vocab, target_vocab):
@@ -276,15 +304,17 @@ def cmd_vocab_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_build_wcm(args: argparse.Namespace) -> int:
-    tokenizer = _tokenizer(args)
     threads = _resolve_threads(args.threads)
+    corpus = _corpus_files(args)
     config = WcmConfig(
         min_cooccurrence=args.min_cooc,
         hifreq_cutoff=args.hifreq_cutoff,
         count_mode=args.count_mode,
     )
     log.info("build-wcm: pass 1, building vocabularies")
-    source_vocab, target_vocab, n = build_parallel_vocabularies(_open_corpus(args), tokenizer)
+    source_vocab, target_vocab, n = build_parallel_vocabularies(
+        corpus.segments(), corpus.tokenizer
+    )
     log.info(
         "build-wcm: %d segments, %d source types, %d target types",
         n,
@@ -292,11 +322,7 @@ def cmd_build_wcm(args: argparse.Namespace) -> int:
         len(target_vocab),
     )
     log.info("build-wcm: pass 2, counting co-occurrences (threads=%d)", threads)
-    pairs = (
-        (tokenize(p.source, tokenizer), tokenize(p.target, tokenizer))
-        for p in _open_corpus(args)
-    )
-    matrix = build_wcm(pairs, source_vocab, target_vocab, config, threads=threads)
+    matrix = build_wcm(corpus, source_vocab, target_vocab, config, threads=threads)
     save_wcm(matrix, args.out)
     log.info(
         "build-wcm: wrote %d entries to %s (excluded %d source / %d target types)",
@@ -453,7 +479,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
         )
         for decision in iter_filter(
             matrix,
-            _open_corpus(args),
+            _corpus_files(args).segments(),
             args.min_de,
             tokenizer=tokenizer,
             by_type=args.by_type,
@@ -629,9 +655,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except SystemExit as exc:  # argparse --help / --version
         return int(exc.code or 0)
-    _setup_logging(quiet=args.quiet)
     try:
-        return args.handler(args)
+        with _logging_to_stderr(args.quiet):
+            return args.handler(args)
     except UsageError as err:
         usage = err.usage or getattr(args, "parser", parser).format_usage()
         sys.stderr.write(usage)

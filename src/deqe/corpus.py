@@ -127,6 +127,31 @@ def load_tsv_corpus(path) -> Iterator[SegmentPair]:
         yield SegmentPair(index, fields[0], fields[1])
 
 
+@dataclass(frozen=True)
+class CorpusFiles:
+    """A parallel corpus on disk, read with one tokenizer.
+
+    ``paths`` is (source, target), or (tsv,) with ``tsv`` set. Iterating
+    yields tokenized (source, target) pairs and may be repeated; the object
+    is small and picklable, so worker processes can each read the corpus
+    themselves.
+    """
+
+    paths: tuple[str, ...]
+    tsv: bool = False
+    tokenizer: TokenizerConfig = _DEFAULT_TOKENIZER
+
+    def segments(self) -> Iterator[SegmentPair]:
+        if self.tsv:
+            return load_tsv_corpus(*self.paths)
+        return load_parallel_corpus(*self.paths)
+
+    def __iter__(self) -> Iterator[tuple[list[str], list[str]]]:
+        config = self.tokenizer
+        for pair in self.segments():
+            yield tokenize(pair.source, config), tokenize(pair.target, config)
+
+
 class Vocabulary:
     """Dense token<->id mapping with raw corpus frequencies for one side.
 
@@ -204,9 +229,8 @@ class Vocabulary:
         return sum(self._freqs)
 
     def items(self) -> Iterator[tuple[str, int, int]]:
-        """Yield (token, id, frequency) in id order."""
-        for i, (tok, f) in enumerate(zip(self._tokens, self._freqs)):
-            yield tok, i, f
+        """Iterate (token, id, frequency) in id order."""
+        return zip(self._tokens, range(len(self._tokens)), self._freqs)
 
 
 def build_vocabulary(segments: Iterable[list[str]], side: str = "source") -> Vocabulary:

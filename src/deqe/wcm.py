@@ -3,8 +3,8 @@ co-occurrence matrix.
 
 A cell (i, j) counts how often source word i and target word j appear in
 the same aligned segment pair. Cells below the minimum co-occurrence
-threshold are pruned when the build finalizes, so the mere presence of an
-entry is the strong-evidence predicate used by scoring.
+threshold are pruned as each partition of the build finishes, so the mere
+presence of an entry is the strong-evidence predicate used by scoring.
 """
 
 from __future__ import annotations
@@ -12,9 +12,10 @@ from __future__ import annotations
 import itertools
 import logging
 import multiprocessing
+import os
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NoReturn
 
 from .corpus import Vocabulary
 from .errors import VocabularyMismatchError, WcmFormatError
@@ -28,7 +29,6 @@ COUNT_MODES = (COUNT_MODE_BINARY, COUNT_MODE_PRODUCT)
 
 PROGRESS_EVERY = 100_000
 LONG_SEGMENT_TOKENS = 1_000
-CHUNK_SEGMENTS = 65_536
 
 
 @dataclass(frozen=True)
@@ -184,147 +184,148 @@ def evidence_lookup(
 
 @dataclass(frozen=True)
 class _BuildState:
-    """Everything a counting worker needs; must stay picklable."""
+    """Everything a counting partition needs; must stay picklable.
+
+    ``*_ids`` are the whole vocabularies, which every token is checked
+    against; ``counted_*`` keep only the types a surviving cell can involve.
+    """
 
     source_ids: dict[str, int]
     target_ids: dict[str, int]
-    excluded_source: frozenset[int]
-    excluded_target: frozenset[int]
+    counted_source: dict[str, int]
+    counted_target: dict[str, int]
     width: int
     count_mode: str
+    min_cooccurrence: int
 
 
 def _excluded_ids(vocab: Vocabulary, cutoff: int) -> frozenset[int]:
     return frozenset(i for _, i, f in vocab.items() if f > cutoff)
 
 
-def _map_side(tokens: list[str], ids: dict[str, int], index: int, side: str) -> set[int]:
-    try:
-        return {ids[t] for t in tokens}
-    except KeyError as exc:
-        raise VocabularyMismatchError(
-            f"{side} token {exc.args[0]!r} in segment {index} is not in the "
-            f"{side} vocabulary; rebuild vocabularies from this corpus"
-        ) from None
+def _counted_ids(vocab: Vocabulary, config: WcmConfig) -> dict[str, int]:
+    """Token -> id of the types that are neither excluded for high frequency
+    nor, in binary mode, rare: a binary count never exceeds either type's
+    corpus frequency, so a type rarer than ``min_cooccurrence`` has no cell
+    that survives pruning."""
+    floor = config.min_cooccurrence if config.count_mode == COUNT_MODE_BINARY else 0
+    return {tok: i for tok, i, f in vocab.items() if floor <= f <= config.hifreq_cutoff}
 
 
-def _count_segment(
-    counts: Counter, src_tokens: list[str], tgt_tokens: list[str], index: int, state: _BuildState
-) -> None:
-    if len(src_tokens) > LONG_SEGMENT_TOKENS or len(tgt_tokens) > LONG_SEGMENT_TOKENS:
-        log.warning(
-            "segment %d is very long (%d/%d tokens); pair counting is quadratic",
-            index,
-            len(src_tokens),
-            len(tgt_tokens),
-        )
+def _build_state(
+    source_vocab: Vocabulary, target_vocab: Vocabulary, config: WcmConfig
+) -> _BuildState:
+    return _BuildState(
+        source_ids=source_vocab.token_ids,
+        target_ids=target_vocab.token_ids,
+        counted_source=_counted_ids(source_vocab, config),
+        counted_target=_counted_ids(target_vocab, config),
+        width=max(1, len(target_vocab)),
+        count_mode=config.count_mode,
+        min_cooccurrence=config.min_cooccurrence,
+    )
+
+
+def _raise_mismatch(tokens: list[str], ids: dict[str, int], index: int, side: str) -> NoReturn:
+    token = next(t for t in tokens if t not in ids)
+    raise VocabularyMismatchError(
+        f"{side} token {token!r} in segment {index} is not in the "
+        f"{side} vocabulary; rebuild vocabularies from this corpus"
+    )
+
+
+def _count_partition(
+    pairs: Iterable[tuple[list[str], list[str]]],
+    state: _BuildState,
+    part: int,
+    n_parts: int,
+    progress_every: int = 0,
+) -> dict[int, dict[int, int]]:
+    """Count the cells whose source id ``sid`` has ``sid % n_parts == part``
+    and return those that survive pruning, as {sid: {tid: count}}.
+
+    Both sides of every segment are checked against the vocabularies, so
+    every partition raises the same VocabularyMismatchError. Only partition
+    0 logs.
+    """
     width = state.width
-    if state.count_mode == COUNT_MODE_BINARY:
-        # Map both sides before filtering so a vocabulary mismatch is always
-        # detected, even when one side is entirely excluded.
-        s_ids = _map_side(src_tokens, state.source_ids, index, "source")
-        t_ids = _map_side(tgt_tokens, state.target_ids, index, "target")
-        s_ids -= state.excluded_source
-        t_ids -= state.excluded_target
-        if s_ids and t_ids:
-            counts.update([sid * width + tid for sid in s_ids for tid in t_ids])
-    else:
-        s_items = [
-            (sid, c)
-            for tok, c in Counter(src_tokens).items()
-            if (sid := _map_one(tok, state.source_ids, index, "source"))
-            not in state.excluded_source
-        ]
-        t_items = [
-            (tid, c)
-            for tok, c in Counter(tgt_tokens).items()
-            if (tid := _map_one(tok, state.target_ids, index, "target"))
-            not in state.excluded_target
-        ]
-        for sid, ci in s_items:
-            base = sid * width
-            for tid, cj in t_items:
-                counts[base + tid] += ci * cj
-
-
-def _map_one(token: str, ids: dict[str, int], index: int, side: str) -> int:
-    tid = ids.get(token)
-    if tid is None:
-        raise VocabularyMismatchError(
-            f"{side} token {token!r} in segment {index} is not in the "
-            f"{side} vocabulary; rebuild vocabularies from this corpus"
-        )
-    return tid
-
-
-def _count_sequential(
-    pairs: Iterable[tuple[list[str], list[str]]],
-    state: _BuildState,
-    progress_every: int,
-) -> Counter:
+    # Token -> its share of the cell key sid * width + tid.
+    source_keys = {
+        tok: sid * width for tok, sid in state.counted_source.items() if sid % n_parts == part
+    }
+    target_keys = state.counted_target
+    binary = state.count_mode == COUNT_MODE_BINARY
+    logs = part == 0
     counts: Counter = Counter()
-    n = 0
-    for src_tokens, tgt_tokens in pairs:
-        _count_segment(counts, src_tokens, tgt_tokens, n, state)
-        n += 1
-        if progress_every and n % progress_every == 0:
-            log.info("build-wcm: %d segments counted", n)
-    return counts
+    for index, (src_tokens, tgt_tokens) in enumerate(pairs):
+        if logs and max(len(src_tokens), len(tgt_tokens)) > LONG_SEGMENT_TOKENS:
+            log.warning(
+                "segment %d is very long (%d/%d tokens); pair counting is quadratic",
+                index,
+                len(src_tokens),
+                len(tgt_tokens),
+            )
+        src_types = set(src_tokens)
+        tgt_types = set(tgt_tokens)
+        if not state.source_ids.keys() >= src_types:
+            _raise_mismatch(src_tokens, state.source_ids, index, "source")
+        if not state.target_ids.keys() >= tgt_types:
+            _raise_mismatch(tgt_tokens, state.target_ids, index, "target")
+        if binary:
+            s_keys = [source_keys[t] for t in source_keys.keys() & src_types]
+            if s_keys:
+                t_keys = [target_keys[t] for t in target_keys.keys() & tgt_types]
+                counts.update([s + t for s in s_keys for t in t_keys])
+        else:
+            t_items = [
+                (target_keys[tok], c)
+                for tok, c in Counter(tgt_tokens).items()
+                if tok in target_keys
+            ]
+            for tok, ci in Counter(src_tokens).items():
+                if tok in source_keys:
+                    for t, cj in t_items:
+                        counts[source_keys[tok] + t] += ci * cj
+        if logs and progress_every and (index + 1) % progress_every == 0:
+            log.info("build-wcm: %d segments counted", index + 1)
+    rows: dict[int, dict[int, int]] = {}
+    for key, c in counts.items():
+        if c >= state.min_cooccurrence:
+            sid, tid = divmod(key, width)
+            rows.setdefault(sid, {})[tid] = c
+    return rows
 
 
-_worker_state: _BuildState | None = None
+# Every argument of _count_partition except the partition number, set in
+# each worker process by its initializer. Under the fork start method (the
+# Linux default) workers inherit them, so an in-memory ``pairs`` is not
+# pickled.
+_worker_args: tuple = ()
 
 
-def _pool_init(state: _BuildState) -> None:
-    global _worker_state
-    _worker_state = state
+def _init_worker(*args) -> None:
+    global _worker_args
+    _worker_args = args
 
 
-def _count_chunk(task: tuple[int, list[tuple[list[str], list[str]]]]) -> tuple[int, Counter]:
-    base_index, chunk = task
-    counts: Counter = Counter()
-    state = _worker_state
-    assert state is not None
-    for offset, (src_tokens, tgt_tokens) in enumerate(chunk):
-        _count_segment(counts, src_tokens, tgt_tokens, base_index + offset, state)
-    return len(chunk), counts
+def _count_worker_partition(part: int) -> dict[int, dict[int, int]]:
+    pairs, state, n_parts, progress_every = _worker_args
+    _place_on_cpu(part)
+    return _count_partition(pairs, state, part, n_parts, progress_every)
 
 
-def _chunk_tasks(
-    pairs: Iterable[tuple[list[str], list[str]]], size: int
-) -> Iterator[tuple[int, list[tuple[list[str], list[str]]]]]:
-    it = iter(pairs)
-    base = 0
-    while True:
-        chunk = list(itertools.islice(it, size))
-        if not chunk:
-            return
-        yield base, chunk
-        base += len(chunk)
+def _place_on_cpu(part: int) -> None:
+    """Move the worker counting ``part`` onto its own usable CPU, round robin.
 
-
-def _count_parallel(
-    pairs: Iterable[tuple[list[str], list[str]]],
-    state: _BuildState,
-    threads: int,
-    progress_every: int,
-) -> Counter:
-    # Per-shard partial maps merged by summation: associative and
-    # commutative, so the result is independent of scheduling.
-    merged: Counter = Counter()
-    processed = 0
-    next_tick = progress_every if progress_every else 0
-    ctx = multiprocessing.get_context()
-    with ctx.Pool(threads, initializer=_pool_init, initargs=(state,)) as pool:
-        for n_items, partial in pool.imap_unordered(
-            _count_chunk, _chunk_tasks(pairs, CHUNK_SEGMENTS)
-        ):
-            merged.update(partial)
-            processed += n_items
-            if next_tick and processed >= next_tick:
-                log.info("build-wcm: %d segments counted", processed)
-                next_tick += progress_every
-    return merged
+    Linux does not always move a forked worker off the CPU its parent ran
+    on, and two partitions left there share that CPU for their whole run.
+    The full CPU set is restored at once, so the scheduler stays free to
+    move the worker later.
+    """
+    if hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpus[part % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
 
 
 def build_wcm(
@@ -339,46 +340,42 @@ def build_wcm(
     """Count co-occurrences over a stream of tokenized segment pairs.
 
     Types whose raw frequency exceeds ``config.hifreq_cutoff`` on their own
-    side are skipped entirely; after accumulation, cells below
-    ``config.min_cooccurrence`` are pruned. A token missing from its
-    vocabulary raises VocabularyMismatchError (the vocabularies must come
-    from this corpus or a superset).
+    side are skipped and recorded as exclusions, and cells below
+    ``config.min_cooccurrence`` are pruned. In binary mode, types rarer than
+    ``config.min_cooccurrence`` are skipped too; that is exact, and they are
+    not exclusions. The vocabularies must come from this corpus or a
+    superset of it; a token missing from them raises
+    VocabularyMismatchError.
 
-    With ``threads > 1`` the stream is sharded into chunks counted by a
-    process pool; partial counts merge by summation, so the resulting
-    matrix is identical regardless of thread count.
+    The cells are split into ``threads`` partitions by source id. Each reads
+    the whole stream and counts and prunes only its own cells, in a worker
+    process when ``threads > 1``; the survivors are disjoint, so the matrix
+    is the same for every thread count. Several partitions need ``pairs``
+    picklable and re-iterable, such as a list or a ``CorpusFiles``; a
+    one-shot iterator is counted in process as one partition.
     """
     if config is None:
         config = WcmConfig()
-    state = _BuildState(
-        source_ids=source_vocab.token_ids,
-        target_ids=target_vocab.token_ids,
-        excluded_source=_excluded_ids(source_vocab, config.hifreq_cutoff),
-        excluded_target=_excluded_ids(target_vocab, config.hifreq_cutoff),
-        width=max(1, len(target_vocab)),
-        count_mode=config.count_mode,
-    )
-    if threads > 1:
-        counts = _count_parallel(pairs, state, threads, progress_every)
+    state = _build_state(source_vocab, target_vocab, config)
+    if threads > 1 and iter(pairs) is not pairs:
+        # Imported here, as importing it costs every CLI command start-up time.
+        from concurrent.futures import ProcessPoolExecutor
+
+        rows: dict[int, dict[int, int]] = {}
+        job = (pairs, state, threads, progress_every)
+        ctx = multiprocessing.get_context()
+        with ProcessPoolExecutor(threads, ctx, _init_worker, job) as pool:
+            for part_rows in pool.map(_count_worker_partition, range(threads)):
+                rows.update(part_rows)
     else:
-        counts = _count_sequential(pairs, state, progress_every)
-    rows: dict[int, dict[int, int]] = {}
-    min_cooc = config.min_cooccurrence
-    width = state.width
-    for key, c in counts.items():
-        if c >= min_cooc:
-            sid, tid = divmod(key, width)
-            row = rows.get(sid)
-            if row is None:
-                rows[sid] = row = {}
-            row[tid] = c
+        rows = _count_partition(pairs, state, 0, 1, progress_every)
     return CooccurrenceMatrix(
         source_vocab,
         target_vocab,
         config,
         rows,
-        state.excluded_source,
-        state.excluded_target,
+        _excluded_ids(source_vocab, config.hifreq_cutoff),
+        _excluded_ids(target_vocab, config.hifreq_cutoff),
     )
 
 

@@ -81,6 +81,25 @@ def random_corpus(
     return pairs
 
 
+def zipf_corpus(
+    rng: random.Random,
+    n_segments: int = 300,
+    n_types: int = 200,
+    max_len: int = 10,
+) -> list[tuple[list[str], list[str]]]:
+    """Random segment pairs whose source words follow Zipf weights 1/r, so
+    that frequent and rare types both occur. The target is the
+    word-for-word translation in shuffled order plus one random word."""
+    weights = [1.0 / r for r in range(1, n_types + 1)]
+    pairs = []
+    for _ in range(n_segments):
+        ranks = rng.choices(range(n_types), weights, k=rng.randint(1, max_len))
+        tgt = [f"t{r}" for r in ranks] + [f"t{rng.randrange(n_types)}"]
+        rng.shuffle(tgt)
+        pairs.append(([f"s{r}" for r in ranks], tgt))
+    return pairs
+
+
 def random_matrix(rng: random.Random, max_vocab: int = 12) -> CooccurrenceMatrix:
     """A structurally valid random matrix built directly (not via counting)."""
     min_cooc = rng.randint(1, 30)

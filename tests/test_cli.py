@@ -1,9 +1,13 @@
+import itertools
+import logging
 import os
 
 import pytest
 
 from deqe import cli
 from deqe.cli import main
+from deqe.corpus import build_vocabulary
+from deqe.wcm import WcmConfig, build_wcm
 
 from helpers import write_lines
 
@@ -170,7 +174,9 @@ def test_build_wcm_writes_valid_artifact(toy_wcm):
     assert "a\tx\t10" in text
 
 
-def test_build_wcm_byte_identical_across_threads(tmp_path, toy_corpus):
+def test_build_wcm_byte_identical_across_threads(tmp_path, toy_corpus, monkeypatch):
+    # four partitions in four workers, whatever this machine's CPU count
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     src, tgt = toy_corpus
     outs = []
     for threads in ("1", "4"):
@@ -189,6 +195,73 @@ def test_build_wcm_byte_identical_across_threads(tmp_path, toy_corpus):
         assert rc == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_vocabulary_mismatch_exit_2_in_worker_and_in_process(tmp_path, monkeypatch, capsys):
+    # Pass 1 sees only the first three segments, so counting meets "novel".
+    src, tgt = tmp_path / "m.src", tmp_path / "m.tgt"
+    write_lines(src, ["a b"] * 3 + ["a novel"])
+    write_lines(tgt, ["x y"] * 3 + ["x z"])
+    vocabularies = cli.build_parallel_vocabularies
+    monkeypatch.setattr(
+        cli,
+        "build_parallel_vocabularies",
+        lambda segments, tokenizer: vocabularies(itertools.islice(segments, 3), tokenizer),
+    )
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    outcomes = []
+    for threads in ("1", "2"):
+        args = ["build-wcm", "--source", str(src), "--target", str(tgt),
+                "--out", str(tmp_path / "m.wcm"), "--threads", threads, "--quiet"]
+        outcomes.append((main(args), capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1]
+    rc, err = outcomes[0]
+    assert rc == 2
+    assert "'novel' in segment 3" in err
+
+
+# The golden bytes below are what the build and the score report were before
+# binary builds skipped rare types: "rare" occurs once, under --min-cooc 5.
+RARE_WCM = """#wcm v1
+#min_cooccurrence 5
+#hifreq_cutoff 10000
+#count_mode binary
+#entries 4
+#excluded_source
+#excluded_target
+a\tx\t7
+a\ty\t6
+b\tx\t6
+b\ty\t6
+"""
+RARE_SCORES = """# de-qe score
+# by_type=false
+# hypothesis=test.hyp
+# lowercase=false
+# reverse=true
+# source=test.src
+# strip_punct=false
+# wcm=r.wcm
+# columns: index de eligible evidenced reverse_de
+0\t50.000000\t2\t1\t50.000000
+1\t0.000000\t1\t0\t0.000000
+2\t33.333333\t3\t1\t100.000000
+"""
+
+
+def test_rare_source_word_stays_eligible(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_lines("train.src", ["a b"] * 6 + ["a rare"])
+    write_lines("train.tgt", ["x y"] * 6 + ["x z"])
+    write_lines("test.src", ["a rare", "rare", "rare rare b"])
+    write_lines("test.hyp", ["x z", "z", "y"])
+    for threads in ("1", "2"):
+        assert main(["build-wcm", "--source", "train.src", "--target", "train.tgt",
+                     "--out", "r.wcm", "--min-cooc", "5", "--threads", threads, "--quiet"]) == 0
+        assert (tmp_path / "r.wcm").read_text() == RARE_WCM
+    assert main(["score", "--wcm", "r.wcm", "--source", "test.src", "--hypothesis", "test.hyp",
+                 "--reverse", "--out", "s.tsv", "--quiet"]) == 0
+    assert (tmp_path / "s.tsv").read_text() == RARE_SCORES
 
 
 def test_score_report(tmp_path, toy_corpus, toy_wcm, capsys):
@@ -434,13 +507,27 @@ def test_filter_outputs(tmp_path, toy_wcm, capsys):
 
 def test_threads_env_fallback(monkeypatch):
     monkeypatch.delenv(cli.THREADS_ENV_VAR, raising=False)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
     assert cli._resolve_threads(3) == 3
-    assert cli._resolve_threads(None) == (os.cpu_count() or 1)
+    assert cli._resolve_threads(None) == 8
     monkeypatch.setenv(cli.THREADS_ENV_VAR, "7")
     assert cli._resolve_threads(None) == 7
     monkeypatch.setenv(cli.THREADS_ENV_VAR, "junk")
     with pytest.raises(Exception):
         cli._resolve_threads(None)
+
+
+def test_usable_cpus_follow_affinity():
+    assert cli._usable_cpus() == len(os.sched_getaffinity(0))
+
+
+def test_threads_clamped_to_usable_cpus(monkeypatch, caplog):
+    usable = cli._usable_cpus()
+    with caplog.at_level(logging.WARNING, logger="deqe.cli"):
+        assert cli._resolve_threads(1_000_000) == usable
+    assert any("1000000 threads requested" in rec.getMessage() for rec in caplog.records)
+    monkeypatch.setenv(cli.THREADS_ENV_VAR, "1000000")
+    assert cli._resolve_threads(None) == usable
 
 
 def test_threads_env_invalid_exit_1(tmp_path, toy_corpus, monkeypatch, capsys):
@@ -474,3 +561,25 @@ def test_report_header_excludes_execution_knobs(tmp_path, toy_corpus, toy_wcm):
     header = [l for l in out.read_text().splitlines() if l.startswith("#")]
     assert not any("threads" in line or "quiet" in line for line in header)
     assert any("lowercase=false" in line for line in header)
+
+
+# ---------------------------------------------------------------------------
+# logging set-up
+
+
+def test_main_leaves_library_logging_alone(tmp_path, toy_corpus, capsys, caplog):
+    logger = logging.getLogger("deqe")
+    before = (logger.level, list(logger.handlers), logger.propagate)
+    src, tgt = toy_corpus
+    rc = main(["vocab-stats", "--source", str(src), "--target", str(tgt),
+               "--out", str(tmp_path / "v.tsv")])
+    assert rc == 0
+    assert "de-qe: vocab-stats: 10 segments read" in capsys.readouterr().err
+    assert (logger.level, list(logger.handlers), logger.propagate) == before
+    # a library warning after main() still reaches the root logger
+    pairs = [(["a"] * 1001, ["x"])]
+    sv = build_vocabulary([p[0] for p in pairs], "source")
+    tv = build_vocabulary([p[1] for p in pairs], "target")
+    with caplog.at_level(logging.WARNING):
+        build_wcm(pairs, sv, tv, WcmConfig(1, 10**9, "binary"))
+    assert any("very long" in rec.getMessage() for rec in caplog.records)

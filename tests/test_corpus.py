@@ -1,8 +1,10 @@
+import pickle
 import random
 
 import pytest
 
 from deqe.corpus import (
+    CorpusFiles,
     SegmentPair,
     TokenizerConfig,
     Vocabulary,
@@ -132,6 +134,19 @@ def test_load_tsv(tmp_path):
     write_lines(tmp_path / "c.tsv", ["a b\tx y", "c\tz"])
     pairs = list(load_tsv_corpus(tmp_path / "c.tsv"))
     assert pairs == [SegmentPair(0, "a b", "x y"), SegmentPair(1, "c", "z")]
+
+
+def test_corpus_files_reiterable_and_picklable(tmp_path):
+    write_lines(tmp_path / "c.src", ["The cat", "A dog"])
+    write_lines(tmp_path / "c.tgt", ["le Chat", "un chien"])
+    write_lines(tmp_path / "c.tsv", ["The cat\tle Chat", "A dog\tun chien"])
+    config = TokenizerConfig(lowercase=True)
+    expected = [(["the", "cat"], ["le", "chat"]), (["a", "dog"], ["un", "chien"])]
+    files = CorpusFiles((str(tmp_path / "c.src"), str(tmp_path / "c.tgt")), tokenizer=config)
+    tsv = CorpusFiles((str(tmp_path / "c.tsv"),), tsv=True, tokenizer=config)
+    for corpus in (files, tsv, pickle.loads(pickle.dumps(files))):
+        assert list(corpus) == list(corpus) == expected
+    assert [p.source for p in tsv.segments()] == ["The cat", "A dog"]
 
 
 @pytest.mark.parametrize("line,ntabs", [("no tabs here", 0), ("a\tb\tc", 2)])

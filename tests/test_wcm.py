@@ -15,7 +15,7 @@ from deqe.wcm import (
 )
 
 import deqe.wcm
-from helpers import build_from_raw, make_matrix, random_corpus, random_matrix
+from helpers import build_from_raw, make_matrix, random_corpus, random_matrix, zipf_corpus
 from oracles import brute_force_excluded, brute_force_wcm
 
 TOY = [("a b", "x y"), ("a c", "x z")]
@@ -108,18 +108,90 @@ def test_oracle_equivalence_random():
             assert matrix.excluded_target_tokens() == excl_t
 
 
-def test_deterministic_across_threads_and_chunking(monkeypatch):
+def test_deterministic_across_threads_and_partitions():
     rng = random.Random(9)
     pairs = random_corpus(rng, max_segments=400, max_vocab=15, max_len=8)
     source_vocab = build_vocabulary([p[0] for p in pairs], "source")
     target_vocab = build_vocabulary([p[1] for p in pairs], "target")
+    # the most frequent source type is excluded
+    cutoff = max(f for _, _, f in source_vocab.items()) - 1
+    for mode in ("binary", "product"):
+        config = WcmConfig(2, cutoff, mode)
+        base = build_wcm(pairs, source_vocab, target_vocab, config, threads=1)
+        assert base.excluded_source
+        assert base.entries_by_token() == brute_force_wcm(pairs, 2, cutoff, mode)
+        state = deqe.wcm._build_state(source_vocab, target_vocab, config)
+        for n_parts in (1, 2, 3, 7):
+            rows: dict = {}
+            for part in range(n_parts):
+                part_rows = deqe.wcm._count_partition(pairs, state, part, n_parts)
+                assert all(sid % n_parts == part for sid in part_rows)
+                rows.update(part_rows)
+            union = CooccurrenceMatrix(
+                source_vocab, target_vocab, config, rows,
+                base.excluded_source, base.excluded_target,
+            )
+            assert union == base
+        for threads in (2, 4):
+            assert build_wcm(pairs, source_vocab, target_vocab, config, threads=threads) == base
+
+
+def test_one_shot_iterator_with_threads_matches_list():
+    rng = random.Random(10)
+    pairs = random_corpus(rng, max_segments=200, max_vocab=12, max_len=8)
+    source_vocab = build_vocabulary([p[0] for p in pairs], "source")
+    target_vocab = build_vocabulary([p[1] for p in pairs], "target")
     config = WcmConfig(2, 10**9, "binary")
-    base = build_wcm(pairs, source_vocab, target_vocab, config, threads=1)
-    monkeypatch.setattr(deqe.wcm, "CHUNK_SEGMENTS", 37)
-    chunked = build_wcm(pairs, source_vocab, target_vocab, config, threads=2)
-    monkeypatch.setattr(deqe.wcm, "CHUNK_SEGMENTS", 111)
-    rechunked = build_wcm(pairs, source_vocab, target_vocab, config, threads=4)
-    assert base == chunked == rechunked
+    from_list = build_wcm(pairs, source_vocab, target_vocab, config, threads=2)
+    from_generator = build_wcm(
+        (p for p in pairs), source_vocab, target_vocab, config, threads=2
+    )
+    assert from_generator == from_list
+    assert from_list.entries_by_token() == brute_force_wcm(pairs, 2, 10**9, "binary")
+
+
+def test_vocabulary_mismatch_raised_in_worker():
+    source_vocab = build_vocabulary([["a"]], "source")
+    target_vocab = build_vocabulary([["x"]], "target")
+    bad = [(["a"], ["x"]), (["a", "new"], ["x"])]
+    messages = []
+    for threads in (1, 2):
+        with pytest.raises(VocabularyMismatchError) as err:
+            build_wcm(bad, source_vocab, target_vocab, WcmConfig(1, 10, "binary"), threads=threads)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert "'new' in segment 1" in messages[0]
+
+
+@pytest.mark.parametrize("min_cooc", [1, 2, 5, 20])
+def test_rare_type_prefilter_is_exact(min_cooc):
+    rng = random.Random(500 + min_cooc)
+    for _ in range(5):
+        pairs = zipf_corpus(rng)
+        cutoff = rng.choice([60, 10**9])
+        source_vocab = build_vocabulary([p[0] for p in pairs], "source")
+        target_vocab = build_vocabulary([p[1] for p in pairs], "target")
+        rare_source = {tok for tok, _, f in source_vocab.items() if f < min_cooc}
+        rare_target = {tok for tok, _, f in target_vocab.items() if f < min_cooc}
+        assert min_cooc == 1 or rare_source and rare_target
+        for mode in ("binary", "product"):
+            matrix = build_wcm(
+                pairs, source_vocab, target_vocab, WcmConfig(min_cooc, cutoff, mode)
+            )
+            assert matrix.entries_by_token() == brute_force_wcm(pairs, min_cooc, cutoff, mode)
+            excl_s, excl_t = brute_force_excluded(pairs, cutoff)
+            assert matrix.excluded_source_tokens() == excl_s
+            assert matrix.excluded_target_tokens() == excl_t
+            assert not rare_source & matrix.excluded_source_tokens()
+            assert not rare_target & matrix.excluded_target_tokens()
+
+
+def test_product_mode_keeps_rare_types():
+    # "a" occurs once, yet its product count with "x" reaches the threshold
+    matrix = build_from_raw(
+        [("a", " ".join(["x"] * 20))], min_cooccurrence=20, count_mode="product"
+    )
+    assert matrix.entries_by_token() == {("a", "x"): 20}
 
 
 def test_pruning_monotone():
