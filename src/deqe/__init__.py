@@ -61,7 +61,6 @@ from .wcm import (
     CooccurrenceMatrix,
     WcmConfig,
     build_wcm,
-    evidence_lookup,
     load_wcm,
     save_wcm,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "corpus_bleu",
     "correlate_de_bleu",
     "de_score",
-    "evidence_lookup",
     "filter_corpus",
     "histogram",
     "iter_filter",

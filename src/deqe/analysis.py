@@ -3,14 +3,27 @@ correlation, and DE-based corpus filtering."""
 
 from __future__ import annotations
 
+import logging
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .corpus import SegmentPair, TokenizerConfig, load_parallel_corpus, tokenize
+from .corpus import SegmentPair, TokenizerConfig, tokenize
 from .errors import UndefinedCorrelationError
-from .metrics import BleuResult, CorrelationResult, corpus_bleu, pearson, sentence_bleu
+from .metrics import (
+    BleuResult,
+    CorrelationResult,
+    bleu_stats,
+    pearson,
+    pooled_bleu,
+    sentence_bleu,
+)
 from .scoring import DeScore, de_score
 from .wcm import CooccurrenceMatrix
+
+log = logging.getLogger(__name__)
+
+PROGRESS_EVERY = 100_000
 
 KIND_BELOW = "below"
 KIND_AT_OR_ABOVE = "at_or_above"
@@ -77,22 +90,21 @@ def bucket_eval(
 ) -> BucketReport:
     """Corpus BLEU over the segments falling in each DE bucket.
 
-    Degenerate (no eligible token) segments participate at value 0 and are
-    counted separately in the report. An empty bucket reports no BLEU.
+    Each segment's BLEU statistics are counted once and summed per bucket,
+    so overlapping buckets cost no extra n-gram counting. Degenerate (no
+    eligible token) segments participate at value 0 and are counted
+    separately in the report. An empty bucket reports no BLEU.
     """
     if not (len(scores) == len(hypotheses) == len(references)):
         raise ValueError(
             f"misaligned inputs: {len(scores)} scores, {len(hypotheses)} hypotheses, "
             f"{len(references)} references"
         )
+    stats = [bleu_stats(h, r) for h, r in zip(hypotheses, references)]
     rows = []
     for spec in buckets:
-        members = [i for i, s in enumerate(scores) if spec.contains(s.value)]
-        bleu = None
-        if members:
-            bleu = corpus_bleu(
-                [hypotheses[i] for i in members], [references[i] for i in members]
-            )
+        members = [st for s, st in zip(scores, stats) if spec.contains(s.value)]
+        bleu = pooled_bleu(members) if members else None
         rows.append(BucketRow(spec, len(members), bleu))
     degenerate = sum(1 for s in scores if s.degenerate)
     return BucketReport(tuple(rows), len(scores), degenerate)
@@ -232,41 +244,40 @@ def iter_filter(
 
 def filter_corpus(
     matrix: CooccurrenceMatrix,
-    source_path,
-    target_path,
+    pairs: Iterable[SegmentPair],
     min_de: float,
     *,
+    keep: Callable[[SegmentPair], object],
+    drop: Callable[[SegmentPair], object],
     tokenizer: TokenizerConfig = TokenizerConfig(),
     by_type: bool = False,
     bin_width: float = 5.0,
-) -> tuple[list[SegmentPair], list[SegmentPair], FilterSummary]:
-    """Split an aligned corpus into kept/dropped by DE score.
+) -> FilterSummary:
+    """Route each pair of an aligned stream to ``keep`` or ``drop`` by DE.
 
-    Returns (kept pairs, dropped pairs, summary); the two lists partition
-    the input and each preserves input order. The summary carries the DE
-    histogram of the whole input.
+    Pairs are scored and passed on one at a time in input order, so the two
+    sinks partition the input and each sees it in order. The summary carries
+    the counts and the DE histogram of the whole input.
     """
-    kept: list[SegmentPair] = []
-    dropped: list[SegmentPair] = []
-    values: list[float] = []
-    degenerate = 0
-    for decision in iter_filter(
-        matrix,
-        load_parallel_corpus(source_path, target_path),
-        min_de,
-        tokenizer=tokenizer,
-        by_type=by_type,
-    ):
-        values.append(decision.de.value)
-        if decision.de.degenerate:
-            degenerate += 1
-        (kept if decision.kept else dropped).append(decision.pair)
-    summary = FilterSummary(
-        total=len(values),
-        kept=len(kept),
-        dropped=len(dropped),
-        degenerate=degenerate,
+    tally: Counter[str] = Counter()
+
+    def routed() -> Iterator[DeScore]:
+        for n, decision in enumerate(
+            iter_filter(matrix, pairs, min_de, tokenizer=tokenizer, by_type=by_type), start=1
+        ):
+            (keep if decision.kept else drop)(decision.pair)
+            tally["kept" if decision.kept else "dropped"] += 1
+            tally["degenerate"] += decision.de.degenerate
+            if n % PROGRESS_EVERY == 0:
+                log.info("filter: %d segments scored", n)
+            yield decision.de
+
+    report = histogram(routed(), bin_width)
+    return FilterSummary(
+        total=report.total,
+        kept=tally["kept"],
+        dropped=tally["dropped"],
+        degenerate=tally["degenerate"],
         min_de=min_de,
-        histogram=histogram(values, bin_width),
+        histogram=report,
     )
-    return kept, dropped, summary

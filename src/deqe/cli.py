@@ -15,7 +15,7 @@ import contextlib
 import logging
 import os
 import sys
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import __version__
 from .analysis import (
@@ -24,14 +24,17 @@ from .analysis import (
     HistogramReport,
     _bin_count,
     bucket_eval,
+    filter_corpus,
     histogram,
-    iter_filter,
     render_histogram_svg,
 )
 from .corpus import (
     CorpusFiles,
+    SegmentPair,
     TokenizerConfig,
     build_parallel_vocabularies,
+    iter_aligned,
+    iter_lines,
     load_parallel_corpus,
     tokenize,
     vocab_stats,
@@ -45,7 +48,6 @@ log = logging.getLogger(__name__)
 
 PROG = "de-qe"
 THREADS_ENV_VAR = "DE_QE_THREADS"
-PROGRESS_EVERY = 100_000
 
 # Namespace entries that configure execution rather than the computation;
 # they are excluded from report headers so identical analyses emit
@@ -170,15 +172,9 @@ def _corpus_files(args: argparse.Namespace) -> CorpusFiles:
     return CorpusFiles((args.source, args.target), tokenizer=tokenizer)
 
 
-def _read_lines(path) -> list[str]:
-    from .corpus import _iter_lines
-
-    return list(_iter_lines(path))
-
-
 def _read_reals(path) -> list[float]:
     values = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(iter_lines(path), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -193,7 +189,7 @@ def _read_scores_column(path) -> list[float]:
     """Read DE values from a score report (column 2) or a bare
     one-real-per-line file; '#' comment lines are skipped."""
     values = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(iter_lines(path), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.rstrip("\n").split("\t")
@@ -412,21 +408,14 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 def cmd_bucket_eval(args: argparse.Namespace) -> int:
     matrix = load_wcm(args.wcm)
     tokenizer = _tokenizer(args)
-    sources = _read_lines(args.source)
-    hypotheses = _read_lines(args.hypothesis)
-    references = _read_lines(args.reference)
-    if not (len(sources) == len(hypotheses) == len(references)):
-        raise AlignmentError(
-            f"line count mismatch: {args.source} has {len(sources)} lines, "
-            f"{args.hypothesis} has {len(hypotheses)} lines, "
-            f"{args.reference} has {len(references)} lines"
-        )
-    hyp_tokens = [tokenize(h, tokenizer) for h in hypotheses]
-    ref_tokens = [tokenize(r, tokenizer) for r in references]
-    scores = [
-        de_score(matrix, tokenize(s, tokenizer), h, by_type=args.by_type)
-        for s, h in zip(sources, hyp_tokens)
-    ]
+    scores, hyp_tokens, ref_tokens = [], [], []
+    for source, hypothesis, reference in iter_aligned(
+        args.source, args.hypothesis, args.reference
+    ):
+        hyp = tokenize(hypothesis, tokenizer)
+        scores.append(de_score(matrix, tokenize(source, tokenizer), hyp, by_type=args.by_type))
+        hyp_tokens.append(hyp)
+        ref_tokens.append(tokenize(reference, tokenizer))
     report = bucket_eval(scores, hyp_tokens, ref_tokens, args.buckets)
     rows = [
         f"# total_segments={report.total_segments}",
@@ -459,59 +448,46 @@ def cmd_histogram(args: argparse.Namespace) -> int:
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
+    corpus = _corpus_files(args)
     matrix = load_wcm(args.wcm)
-    tokenizer = _tokenizer(args)
-    kept = dropped = degenerate = total = 0
-    n_bins = _bin_count(args.bin_width)
-    counts = [0] * n_bins
     with contextlib.ExitStack() as stack:
-        kept_src = stack.enter_context(
-            open(f"{args.kept_prefix}.source", "w", encoding="utf-8", newline="\n")
-        )
-        kept_tgt = stack.enter_context(
-            open(f"{args.kept_prefix}.target", "w", encoding="utf-8", newline="\n")
-        )
-        drop_src = stack.enter_context(
-            open(f"{args.dropped_prefix}.source", "w", encoding="utf-8", newline="\n")
-        )
-        drop_tgt = stack.enter_context(
-            open(f"{args.dropped_prefix}.target", "w", encoding="utf-8", newline="\n")
-        )
-        for decision in iter_filter(
+        kept = _pair_sink(stack, args.kept_prefix)
+        dropped = _pair_sink(stack, args.dropped_prefix)
+        summary = filter_corpus(
             matrix,
-            _corpus_files(args).segments(),
+            corpus.segments(),
             args.min_de,
-            tokenizer=tokenizer,
+            keep=kept,
+            drop=dropped,
+            tokenizer=corpus.tokenizer,
             by_type=args.by_type,
-        ):
-            total += 1
-            counts[min(int(decision.de.value // args.bin_width), n_bins - 1)] += 1
-            if decision.de.degenerate:
-                degenerate += 1
-            if decision.kept:
-                kept += 1
-                kept_src.write(decision.pair.source + "\n")
-                kept_tgt.write(decision.pair.target + "\n")
-            else:
-                dropped += 1
-                drop_src.write(decision.pair.source + "\n")
-                drop_tgt.write(decision.pair.target + "\n")
-            if total % PROGRESS_EVERY == 0:
-                log.info("filter: %d segments scored", total)
-    bins = tuple((i * args.bin_width, c) for i, c in enumerate(counts))
-    report = HistogramReport(args.bin_width, bins)
+            bin_width=args.bin_width,
+        )
     rows = [
         "# columns: stat value",
-        f"total\t{total}",
-        f"kept\t{kept}",
-        f"dropped\t{dropped}",
-        f"degenerate\t{degenerate}",
+        f"total\t{summary.total}",
+        f"kept\t{summary.kept}",
+        f"dropped\t{summary.dropped}",
+        f"degenerate\t{summary.degenerate}",
         "# columns: bin bin_lower count",
     ]
-    rows += [f"bin\t{lower:g}\t{count}" for lower, count in report.bins]
+    rows += [f"bin\t{lower:g}\t{count}" for lower, count in summary.histogram.bins]
     with _open_out(args.out) as fh:
         _write_report(fh, args, rows)
     return 0
+
+
+def _pair_sink(stack: contextlib.ExitStack, prefix: str) -> Callable[[SegmentPair], None]:
+    """Open ``prefix.source`` and ``prefix.target`` on ``stack``; the
+    returned function appends one pair to them."""
+    source = stack.enter_context(open(f"{prefix}.source", "w", encoding="utf-8", newline="\n"))
+    target = stack.enter_context(open(f"{prefix}.target", "w", encoding="utf-8", newline="\n"))
+
+    def write(pair: SegmentPair) -> None:
+        source.write(pair.source + "\n")
+        target.write(pair.target + "\n")
+
+    return write
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -62,7 +63,7 @@ class SegmentPair:
     target: str
 
 
-def _iter_lines(path) -> Iterator[str]:
+def iter_lines(path) -> Iterator[str]:
     """Yield decoded lines without their line terminator.
 
     Reads in binary so an invalid byte can be reported with its line
@@ -86,38 +87,41 @@ def _iter_lines(path) -> Iterator[str]:
             yield line
 
 
-def _drain(lines: Iterator[str]) -> int:
-    return sum(1 for _ in lines)
+def iter_aligned(*paths) -> Iterator[tuple[str, ...]]:
+    """Stream the lines of several one-segment-per-line files in step, one
+    tuple per line number.
+
+    Raises AlignmentError naming every file's line count if the files
+    disagree in length (the remainder of each longer file is consumed to
+    count it).
+    """
+    readers = [iter_lines(path) for path in paths]
+    for index, lines in enumerate(itertools.zip_longest(*readers)):
+        if None in lines:
+            counts = (
+                index + (line is not None) + sum(1 for _ in reader)
+                for line, reader in zip(lines, readers)
+            )
+            raise AlignmentError(
+                "line count mismatch: "
+                + ", ".join(f"{path} has {n} lines" for path, n in zip(paths, counts))
+            )
+        yield lines
 
 
 def load_parallel_corpus(source_path, target_path) -> Iterator[SegmentPair]:
     """Stream aligned segment pairs from two one-segment-per-line files.
 
     Raises AlignmentError naming both line counts if the files disagree
-    in length (the remainder of the longer file is consumed to count it).
+    in length.
     """
-    source_lines = _iter_lines(source_path)
-    target_lines = _iter_lines(target_path)
-    index = 0
-    while True:
-        src = next(source_lines, None)
-        tgt = next(target_lines, None)
-        if src is None or tgt is None:
-            if src is None and tgt is None:
-                return
-            n_source = index + (0 if src is None else 1 + _drain(source_lines))
-            n_target = index + (0 if tgt is None else 1 + _drain(target_lines))
-            raise AlignmentError(
-                f"line count mismatch: {source_path} has {n_source} lines, "
-                f"{target_path} has {n_target} lines"
-            )
+    for index, (src, tgt) in enumerate(iter_aligned(source_path, target_path)):
         yield SegmentPair(index, src, tgt)
-        index += 1
 
 
 def load_tsv_corpus(path) -> Iterator[SegmentPair]:
     """Stream segment pairs from a single TSV file (source TAB target)."""
-    for index, line in enumerate(_iter_lines(path)):
+    for index, line in enumerate(iter_lines(path)):
         fields = line.split("\t")
         if len(fields) != 2:
             raise DataError(
@@ -177,30 +181,6 @@ class Vocabulary:
         # Counter preserves first-insertion order, i.e. first occurrence.
         return cls(side, list(counts.keys()), list(counts.values()))
 
-    @classmethod
-    def merge(cls, parts: Sequence["Vocabulary"], side: str | None = None) -> "Vocabulary":
-        """Merge shard vocabularies built over consecutive corpus chunks.
-
-        Equivalent to building over the concatenated shards: ids follow
-        first occurrence across shards in order, frequencies sum. The
-        result is independent of how the corpus was split.
-        """
-        tokens: list[str] = []
-        freqs: list[int] = []
-        ids: dict[str, int] = {}
-        for part in parts:
-            for tok, f in zip(part._tokens, part._freqs):
-                i = ids.get(tok)
-                if i is None:
-                    ids[tok] = len(tokens)
-                    tokens.append(tok)
-                    freqs.append(f)
-                else:
-                    freqs[i] += f
-        if side is None:
-            side = parts[0].side if parts else "source"
-        return cls(side, tokens, freqs)
-
     def id_of(self, token: str) -> int | None:
         return self._ids.get(token)
 
@@ -210,9 +190,6 @@ class Vocabulary:
     def frequency(self, token: str) -> int:
         i = self._ids.get(token)
         return 0 if i is None else self._freqs[i]
-
-    def frequency_of_id(self, token_id: int) -> int:
-        return self._freqs[token_id]
 
     @property
     def token_ids(self) -> dict[str, int]:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import UndefinedCorrelationError
 
@@ -28,8 +28,23 @@ class BleuResult:
     reference_length: int
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def bleu_stats(hypothesis: Sequence[str], reference: Sequence[str]) -> tuple[int, ...]:
+    """BLEU sufficient statistics of one segment pair.
+
+    Returns (hyp_len, ref_len, matches[1..4], totals[1..4]) as one flat
+    tuple of ints, where matches[n] counts the hypothesis n-grams clipped by
+    their count in the reference and totals[n] all hypothesis n-grams. The
+    statistics of a set of segments are the element-wise sums of theirs.
+    """
+    hyp_len = len(hypothesis)
+    matches = [0] * MAX_ORDER
+    totals = [0] * MAX_ORDER
+    for n in range(1, min(hyp_len, MAX_ORDER) + 1):
+        hyp_counts = Counter(zip(*(hypothesis[i:] for i in range(n))))
+        ref_counts = Counter(zip(*(reference[i:] for i in range(n))))
+        matches[n - 1] = sum((hyp_counts & ref_counts).values())
+        totals[n - 1] = hyp_len - n + 1
+    return (hyp_len, len(reference), *matches, *totals)
 
 
 def _brevity_penalty(hyp_len: int, ref_len: int) -> float:
@@ -62,20 +77,15 @@ def corpus_bleu(
         )
     if not hypotheses:
         raise ValueError("corpus_bleu requires at least one segment")
-    matches = [0] * MAX_ORDER
-    totals = [0] * MAX_ORDER
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hypotheses, references):
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for n in range(1, MAX_ORDER + 1):
-            if len(hyp) < n:
-                break
-            hyp_counts = _ngram_counts(hyp, n)
-            ref_counts = _ngram_counts(ref, n)
-            totals[n - 1] += sum(hyp_counts.values())
-            matches[n - 1] += sum((hyp_counts & ref_counts).values())
+    return pooled_bleu(map(bleu_stats, hypotheses, references))
+
+
+def pooled_bleu(per_segment: Iterable[tuple[int, ...]]) -> BleuResult:
+    """Unsmoothed BLEU-4 of the summed statistics of one or more segments
+    (see ``bleu_stats``); all sums are of ints, so the result does not
+    depend on how or in what order the segments were grouped."""
+    hyp_len, ref_len, *counts = map(sum, zip(*per_segment))
+    matches, totals = counts[:MAX_ORDER], counts[MAX_ORDER:]
     precisions = tuple(m / t if t else 0.0 for m, t in zip(matches, totals))
     bp = _brevity_penalty(hyp_len, ref_len)
     return BleuResult(_geometric_score(precisions, bp), precisions, bp, hyp_len, ref_len)
@@ -90,24 +100,15 @@ def sentence_bleu(hypothesis: list[str], reference: list[str]) -> BleuResult:
     precision of (0+1)/(0+1) = 1. An empty hypothesis scores 0 with a
     brevity penalty of 0 by convention.
     """
-    hyp_len = len(hypothesis)
-    ref_len = len(reference)
+    hyp_len, ref_len, *counts = bleu_stats(hypothesis, reference)
     if hyp_len == 0:
         return BleuResult(0.0, (0.0, 0.0, 0.0, 0.0), 0.0, 0, ref_len)
-    precisions = []
-    for n in range(1, MAX_ORDER + 1):
-        hyp_counts = _ngram_counts(hypothesis, n)
-        ref_counts = _ngram_counts(reference, n)
-        total = sum(hyp_counts.values())
-        match = sum((hyp_counts & ref_counts).values())
-        if n == 1:
-            precisions.append(match / total)
-        else:
-            precisions.append((match + 1) / (total + 1))
-    bp = _brevity_penalty(hyp_len, ref_len)
-    return BleuResult(
-        _geometric_score(precisions, bp), tuple(precisions), bp, hyp_len, ref_len
+    matches, totals = counts[:MAX_ORDER], counts[MAX_ORDER:]
+    precisions = (matches[0] / totals[0],) + tuple(
+        (m + 1) / (t + 1) for m, t in zip(matches[1:], totals[1:])
     )
+    bp = _brevity_penalty(hyp_len, ref_len)
+    return BleuResult(_geometric_score(precisions, bp), precisions, bp, hyp_len, ref_len)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 The forward score is the percentage of eligible source tokens that have a
 strong co-occurrence link to at least one hypothesis token; the reverse
-score mirrors it from the hypothesis side and flags unsupported extra
-words in the translation.
+score is the same computation on the transposed matrix, from the
+hypothesis side, and flags unsupported extra words in the translation.
 """
 
 from __future__ import annotations
@@ -91,31 +91,10 @@ def reverse_de_score(
     *,
     by_type: bool = False,
 ) -> DeScore:
-    """Reverse (target-to-source) DE score: the fraction of non-excluded
-    hypothesis tokens that co-occur with any source type. Low values signal
-    hypothesis words unsupported by the source."""
-    source_ids = matrix.source_vocab.token_ids
-    src_rows = [
-        row
-        for tok in set(source_tokens)
-        if (sid := source_ids.get(tok)) is not None and (row := matrix.row(sid))
-    ]
-    target_ids = matrix.target_vocab.token_ids
-    excluded = matrix.excluded_target
-    eligible = 0
-    evidenced = 0
-    for tok, mult in Counter(hypothesis_tokens).items():
-        if by_type:
-            mult = 1
-        tid = target_ids.get(tok)
-        if tid is not None and tid in excluded:
-            continue
-        eligible += mult
-        if tid is None:
-            continue
-        if any(tid in row for row in src_rows):
-            evidenced += mult
-    return DeScore.from_counts(eligible, evidenced)
+    """Reverse (target-to-source) DE score: forward DE on the transposed
+    matrix, with the hypothesis as the side whose tokens need evidence. Low
+    values signal hypothesis words unsupported by the source."""
+    return de_score(matrix.transposed(), hypothesis_tokens, source_tokens, by_type=by_type)
 
 
 def score_file(

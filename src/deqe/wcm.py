@@ -88,30 +88,6 @@ class CooccurrenceMatrix:
         """Target-id -> count map for one source id, or None."""
         return self._rows.get(source_id)
 
-    def count(self, source_token: str, target_token: str) -> int:
-        sid = self.source_vocab.id_of(source_token)
-        tid = self.target_vocab.id_of(target_token)
-        if sid is None or tid is None:
-            return 0
-        row = self._rows.get(sid)
-        return 0 if row is None else row.get(tid, 0)
-
-    def evidence(self, source_token: str, target_tokens: Iterable[str]) -> bool:
-        """True iff the source token has a surviving entry with at least
-        one of the target tokens. Unknown tokens never match."""
-        sid = self.source_vocab.id_of(source_token)
-        if sid is None:
-            return False
-        row = self._rows.get(sid)
-        if not row:
-            return False
-        id_of = self.target_vocab.id_of
-        for tok in target_tokens:
-            tid = id_of(tok)
-            if tid is not None and tid in row:
-                return True
-        return False
-
     def entries(self) -> Iterator[tuple[str, str, int]]:
         """Yield (source token, target token, count) in unspecified order."""
         s_tok = self.source_vocab.token_of
@@ -172,14 +148,6 @@ class CooccurrenceMatrix:
             f"min_cooccurrence={self.config.min_cooccurrence}, "
             f"count_mode={self.config.count_mode})"
         )
-
-
-def evidence_lookup(
-    matrix: CooccurrenceMatrix, source_token: str, target_tokens: Iterable[str]
-) -> bool:
-    """Strong-evidence check: does the source token co-occur (at or above
-    the build threshold) with any of the given target tokens?"""
-    return matrix.evidence(source_token, target_tokens)
 
 
 @dataclass(frozen=True)

@@ -357,7 +357,14 @@ def test_criterion_8_filter_corpus(tmp_path, synth_train):
         noisy_tokens, source_vocab, target_vocab, WcmConfig(min_cooccurrence=20)
     )
 
-    kept, dropped, summary = filter_corpus(matrix, src_path, tgt_path, 50.0)
+    kept, dropped = [], []
+    summary = filter_corpus(
+        matrix,
+        load_parallel_corpus(src_path, tgt_path),
+        50.0,
+        keep=kept.append,
+        drop=dropped.append,
+    )
     dropped_idx = {p.index for p in dropped}
     n_corrupted = len(corrupted)
     n_clean = len(train) - n_corrupted

@@ -12,7 +12,7 @@ from deqe.analysis import (
     iter_filter,
     render_histogram_svg,
 )
-from deqe.corpus import SegmentPair
+from deqe.corpus import SegmentPair, load_parallel_corpus
 from deqe.errors import UndefinedCorrelationError
 from deqe.metrics import corpus_bleu
 from deqe.scoring import DeScore
@@ -211,7 +211,10 @@ def toy_filter_setup(tmp_path):
 
 def test_filter_min_de_zero_keeps_all(toy_filter_setup):
     matrix, src, tgt, raw = toy_filter_setup
-    kept, dropped, summary = filter_corpus(matrix, src, tgt, 0.0)
+    kept, dropped = [], []
+    summary = filter_corpus(
+        matrix, load_parallel_corpus(src, tgt), 0.0, keep=kept.append, drop=dropped.append
+    )
     assert len(kept) == len(raw)
     assert dropped == []
     assert summary.total == len(raw)
@@ -220,7 +223,10 @@ def test_filter_min_de_zero_keeps_all(toy_filter_setup):
 
 def test_filter_drops_mismatched_pair(toy_filter_setup):
     matrix, src, tgt, raw = toy_filter_setup
-    kept, dropped, summary = filter_corpus(matrix, src, tgt, 50.0)
+    kept, dropped = [], []
+    summary = filter_corpus(
+        matrix, load_parallel_corpus(src, tgt), 50.0, keep=kept.append, drop=dropped.append
+    )
     assert [p.index for p in dropped] == [10]
     assert len(kept) == 10
     assert summary.dropped == 1
@@ -229,7 +235,10 @@ def test_filter_drops_mismatched_pair(toy_filter_setup):
 
 def test_filter_partition_preserves_order(toy_filter_setup):
     matrix, src, tgt, raw = toy_filter_setup
-    kept, dropped, summary = filter_corpus(matrix, src, tgt, 50.0)
+    kept, dropped = [], []
+    summary = filter_corpus(
+        matrix, load_parallel_corpus(src, tgt), 50.0, keep=kept.append, drop=dropped.append
+    )
     merged = sorted(kept + dropped, key=lambda p: p.index)
     assert [p.index for p in merged] == list(range(len(raw)))
     assert [p.index for p in kept] == sorted(p.index for p in kept)
@@ -242,4 +251,6 @@ def test_filter_min_de_out_of_range(toy_filter_setup):
         with pytest.raises(ValueError):
             list(iter_filter(matrix, [SegmentPair(0, "a", "x")], bad))
         with pytest.raises(ValueError):
-            filter_corpus(matrix, src, tgt, bad)
+            filter_corpus(
+                matrix, load_parallel_corpus(src, tgt), bad, keep=[].append, drop=[].append
+            )

@@ -501,6 +501,24 @@ def test_filter_outputs(tmp_path, toy_wcm, capsys):
     assert sum(int(r.split("\t")[2]) for r in bin_rows) == 3
 
 
+def test_filter_usage_error_leaves_outputs_untouched(tmp_path, toy_wcm, capsys):
+    for name in ("kept.source", "kept.target", "dropped.source", "dropped.target"):
+        (tmp_path / name).write_text(f"earlier {name}\n")
+    rc = main(
+        [
+            "filter",
+            "--wcm", str(toy_wcm),
+            "--min-de", "50",
+            "--kept-prefix", str(tmp_path / "kept"),
+            "--dropped-prefix", str(tmp_path / "dropped"),
+        ]
+    )
+    assert rc == 1
+    assert "--tsv" in capsys.readouterr().err
+    for name in ("kept.source", "kept.target", "dropped.source", "dropped.target"):
+        assert (tmp_path / name).read_text() == f"earlier {name}\n"
+
+
 # ---------------------------------------------------------------------------
 # threads resolution
 

@@ -9,6 +9,7 @@ from deqe.corpus import (
     TokenizerConfig,
     Vocabulary,
     build_vocabulary,
+    iter_aligned,
     load_parallel_corpus,
     load_tsv_corpus,
     tokenize,
@@ -96,6 +97,22 @@ def test_load_mismatch_other_direction(tmp_path):
     with pytest.raises(AlignmentError) as err:
         list(load_parallel_corpus(tmp_path / "s", tmp_path / "t"))
     assert "5" in str(err.value) and "1" in str(err.value)
+
+
+def test_iter_aligned_names_every_line_count(tmp_path):
+    paths = [str(tmp_path / name) for name in ("a", "b", "c")]
+    for lengths in ((2, 2, 2), (0, 0, 0), (3, 2, 2), (2, 3, 2), (2, 2, 3), (1, 3, 0)):
+        for path, n in zip(paths, lengths):
+            write_lines(path, [f"{path} {i}" for i in range(n)])
+        stream = iter_aligned(*paths)
+        if len(set(lengths)) == 1:
+            assert list(stream) == [tuple(f"{p} {i}" for p in paths) for i in range(lengths[0])]
+            continue
+        with pytest.raises(AlignmentError) as err:
+            list(stream)
+        assert str(err.value) == "line count mismatch: " + ", ".join(
+            f"{p} has {n} lines" for p, n in zip(paths, lengths)
+        )
 
 
 def test_load_crlf_and_missing_final_newline(tmp_path):
@@ -202,20 +219,6 @@ def test_vocabulary_streaming_matches_list():
     from_list = build_vocabulary(segments)
     from_stream = build_vocabulary(iter(segments))
     assert list(from_list.items()) == list(from_stream.items())
-
-
-def test_vocabulary_merge_independent_of_shard_count():
-    rng = random.Random(11)
-    segments = [[rng.choice("pqrst") for _ in range(rng.randint(0, 5))] for _ in range(40)]
-    whole = build_vocabulary(segments)
-    for n_shards in (1, 2, 3, 7):
-        size = -(-len(segments) // n_shards)
-        parts = [
-            build_vocabulary(segments[i : i + size])
-            for i in range(0, len(segments), size)
-        ]
-        merged = Vocabulary.merge(parts)
-        assert list(merged.items()) == list(whole.items())
 
 
 def test_vocabulary_rejects_ragged_input():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from deqe.analysis import DEFAULT_BUCKETS, BucketSpec, bucket_eval
 from deqe.errors import UndefinedCorrelationError
 from deqe.metrics import (
     corpus_bleu,
@@ -10,6 +11,7 @@ from deqe.metrics import (
     sentence_bleu,
     student_t_two_tailed,
 )
+from deqe.scoring import DeScore
 
 from oracles import naive_corpus_bleu
 
@@ -91,18 +93,37 @@ def test_corpus_bleu_permutation_invariant():
 
 
 def test_corpus_bleu_matches_naive_oracle():
+    """Corpus BLEU against the naive oracle, over whole random corpora and
+    over the members of every DE bucket; each bucket_eval row must equal
+    corpus BLEU of its members exactly."""
     rng = random.Random(15)
+    buckets = [*DEFAULT_BUCKETS, BucketSpec.parse("<0")]
     for _ in range(40):
         refs = _random_segments(rng)
         hyps = _random_segments(rng)
         n = min(len(refs), len(hyps))
         refs, hyps = refs[:n], hyps[:n]
-        result = corpus_bleu(hyps, refs)
-        score, precisions, bp = naive_corpus_bleu(hyps, refs)
-        assert result.score == pytest.approx(score, abs=1e-9)
-        assert result.brevity_penalty == pytest.approx(bp, abs=1e-12)
-        for got, want in zip(result.precisions, precisions):
-            assert got == pytest.approx(want, abs=1e-12)
+        # eligible == 0 makes a degenerate segment, at DE 0
+        eligible = [rng.randint(0, 4) for _ in range(n)]
+        scores = [DeScore.from_counts(e, rng.randint(0, e)) for e in eligible]
+        report = bucket_eval(scores, hyps, refs, buckets)
+        cases = [(hyps, refs, corpus_bleu(hyps, refs))]
+        for row in report.rows:
+            members = [i for i, s in enumerate(scores) if row.spec.contains(s.value)]
+            assert row.segment_count == len(members)
+            if not members:
+                assert row.bleu is None
+                continue
+            member_hyps = [hyps[i] for i in members]
+            member_refs = [refs[i] for i in members]
+            assert row.bleu == corpus_bleu(member_hyps, member_refs)
+            cases.append((member_hyps, member_refs, row.bleu))
+        for case_hyps, case_refs, result in cases:
+            score, precisions, bp = naive_corpus_bleu(case_hyps, case_refs)
+            assert result.score == pytest.approx(score, abs=1e-9)
+            assert result.brevity_penalty == pytest.approx(bp, abs=1e-12)
+            for got, want in zip(result.precisions, precisions):
+                assert got == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,10 @@ def test_reverse_hand_cases():
     assert reverse_de_score(matrix, ["a"], ["x"]).value == 100.0
     assert reverse_de_score(matrix, ["a"], ["x", "q"]) == DeScore(50.0, 2, 1, False)
     assert reverse_de_score(matrix, ["a"], []).degenerate
+    assert reverse_de_score(matrix, ["a"], ["x", "x", "q"]) == DeScore(200 / 3, 3, 2, False)
+    assert reverse_de_score(matrix, ["a"], ["x", "x", "q"], by_type=True) == DeScore(
+        50.0, 2, 1, False
+    )
 
 
 def test_reverse_uses_target_exclusions():

@@ -9,7 +9,6 @@ from deqe.wcm import (
     CooccurrenceMatrix,
     WcmConfig,
     build_wcm,
-    evidence_lookup,
     load_wcm,
     save_wcm,
 )
@@ -235,16 +234,6 @@ def test_transposed_view():
     }
     assert flipped.transposed() is matrix
     assert flipped.excluded_source_tokens() == matrix.excluded_target_tokens()
-
-
-def test_evidence_lookup():
-    matrix = make_matrix({("a", "x"): 20})
-    assert evidence_lookup(matrix, "a", {"x", "q"}) is True
-    assert evidence_lookup(matrix, "a", {"q"}) is False
-    assert evidence_lookup(matrix, "unknown_word", {"x"}) is False
-    assert evidence_lookup(matrix, "a", set()) is False
-    assert matrix.count("a", "x") == 20
-    assert matrix.count("a", "q") == 0
 
 
 def test_long_segment_warned(caplog):
