@@ -1,11 +1,13 @@
 """Command-line interface: one binary, eight subcommands.
 
 Exit codes: 0 success, 1 usage error (usage text on stderr), 2 data error
-(mismatched files, format violations). Diagnostics go to stderr; report
-data goes to stdout or --out. Every report starts with '#' comment lines
-echoing the resolved run configuration, so a run can be reproduced from
-its output; execution-only knobs (--threads, --quiet, --out) are left out
-so thread count and destination never change report bytes.
+(mismatched files, format violations, files that cannot be read or
+written). Diagnostics go to stderr; report data goes to stdout or --out.
+Output files are replaced only when the command succeeds. Every report
+starts with '#' comment lines echoing the resolved run configuration, so a
+run can be reproduced from its output; execution-only knobs (--threads,
+--quiet, --out) are left out so thread count and destination never change
+report bytes.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .corpus import (
     CorpusFiles,
     SegmentPair,
     TokenizerConfig,
+    atomic_write,
     build_parallel_vocabularies,
     iter_aligned,
     iter_lines,
@@ -116,7 +119,7 @@ def _open_out(path: str | None) -> Iterator[TextIO]:
     if path is None:
         yield sys.stdout
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(path) as fh:
             yield fh
 
 
@@ -439,20 +442,25 @@ def _histogram_rows(report: HistogramReport) -> list[str]:
 def cmd_histogram(args: argparse.Namespace) -> int:
     values = _read_scores_column(args.scores)
     report = histogram(values, args.bin_width)
-    with _open_out(args.out) as fh:
+    # One stack, so a failure before the end replaces neither file.
+    with contextlib.ExitStack() as stack:
+        fh = stack.enter_context(_open_out(args.out))
+        chart = stack.enter_context(atomic_write(args.chart)) if args.chart else None
         _write_report(fh, args, _histogram_rows(report))
-    if args.chart:
-        with open(args.chart, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render_histogram_svg(report))
+        if chart is not None:
+            chart.write(render_histogram_svg(report))
     return 0
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
     corpus = _corpus_files(args)
     matrix = load_wcm(args.wcm)
+    # One stack, so a failure before the end replaces none of the side files
+    # and not the report.
     with contextlib.ExitStack() as stack:
         kept = _pair_sink(stack, args.kept_prefix)
         dropped = _pair_sink(stack, args.dropped_prefix)
+        fh = stack.enter_context(_open_out(args.out))
         summary = filter_corpus(
             matrix,
             corpus.segments(),
@@ -463,25 +471,26 @@ def cmd_filter(args: argparse.Namespace) -> int:
             by_type=args.by_type,
             bin_width=args.bin_width,
         )
-    rows = [
-        "# columns: stat value",
-        f"total\t{summary.total}",
-        f"kept\t{summary.kept}",
-        f"dropped\t{summary.dropped}",
-        f"degenerate\t{summary.degenerate}",
-        "# columns: bin bin_lower count",
-    ]
-    rows += [f"bin\t{lower:g}\t{count}" for lower, count in summary.histogram.bins]
-    with _open_out(args.out) as fh:
+        rows = [
+            "# columns: stat value",
+            f"total\t{summary.total}",
+            f"kept\t{summary.kept}",
+            f"dropped\t{summary.dropped}",
+            f"degenerate\t{summary.degenerate}",
+            "# columns: bin bin_lower count",
+        ]
+        rows += [f"bin\t{lower:g}\t{count}" for lower, count in summary.histogram.bins]
         _write_report(fh, args, rows)
     return 0
 
 
 def _pair_sink(stack: contextlib.ExitStack, prefix: str) -> Callable[[SegmentPair], None]:
-    """Open ``prefix.source`` and ``prefix.target`` on ``stack``; the
-    returned function appends one pair to them."""
-    source = stack.enter_context(open(f"{prefix}.source", "w", encoding="utf-8", newline="\n"))
-    target = stack.enter_context(open(f"{prefix}.target", "w", encoding="utf-8", newline="\n"))
+    """Open ``prefix.source`` and ``prefix.target`` on ``stack`` with
+    ``atomic_write``, so they replace earlier files only when the stack
+    closes without an exception; the returned function appends one pair to
+    them."""
+    source = stack.enter_context(atomic_write(f"{prefix}.source"))
+    target = stack.enter_context(atomic_write(f"{prefix}.target"))
 
     def write(pair: SegmentPair) -> None:
         source.write(pair.source + "\n")
@@ -641,6 +650,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except DataError as err:
         sys.stderr.write(f"{PROG}: error: {err}\n")
+        return 2
+    except OSError as err:  # an input or output file that cannot be opened, read or written
+        where = f"{err.filename}: " if err.filename is not None else ""
+        sys.stderr.write(f"{PROG}: error: {where}{err.strerror or err}\n")
         return 2
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import os
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import AlignmentError, DataError, EncodingError
 
@@ -85,6 +87,29 @@ def iter_lines(path) -> Iterator[str]:
             if lineno == 1 and line.startswith("\ufeff"):
                 line = line[1:]
             yield line
+
+
+@contextlib.contextmanager
+def atomic_write(path) -> Iterator[TextIO]:
+    """Open ``path`` for writing UTF-8 text with LF line endings, all or
+    nothing.
+
+    The text goes to ``<path>.<pid>.tmp`` in the same directory, which
+    replaces ``path`` only when the block exits normally; otherwise it is
+    deleted and ``path`` is left as it was.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            # Name the file the caller asked for, not its stand-in.
+            exc.filename, exc.filename2 = os.fspath(path), None
+        raise
 
 
 def iter_aligned(*paths) -> Iterator[tuple[str, ...]]:

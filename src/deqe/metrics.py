@@ -3,6 +3,7 @@ correlation with two-tailed significance."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -36,15 +37,23 @@ def bleu_stats(hypothesis: Sequence[str], reference: Sequence[str]) -> tuple[int
     their count in the reference and totals[n] all hypothesis n-grams. The
     statistics of a set of segments are the element-wise sums of theirs.
     """
-    hyp_len = len(hypothesis)
+    hyp_counts = _ngram_counts(hypothesis)
+    ref_counts = _ngram_counts(reference)
     matches = [0] * MAX_ORDER
-    totals = [0] * MAX_ORDER
-    for n in range(1, min(hyp_len, MAX_ORDER) + 1):
-        hyp_counts = Counter(zip(*(hypothesis[i:] for i in range(n))))
-        ref_counts = Counter(zip(*(reference[i:] for i in range(n))))
-        matches[n - 1] = sum((hyp_counts & ref_counts).values())
-        totals[n - 1] = hyp_len - n + 1
+    for gram in hyp_counts.keys() & ref_counts.keys():
+        matches[len(gram) - 1] += min(hyp_counts[gram], ref_counts[gram])
+    hyp_len = len(hypothesis)
+    totals = [max(0, hyp_len - n) for n in range(MAX_ORDER)]
     return (hyp_len, len(reference), *matches, *totals)
+
+
+def _ngram_counts(tokens: Sequence[str]) -> Counter:
+    """Counts of all 1- to MAX_ORDER-grams of ``tokens`` in one Counter,
+    keyed by tuples, so an n-gram's order is its length."""
+    shifted = [tokens[i:] for i in range(MAX_ORDER)]
+    return Counter(
+        itertools.chain.from_iterable(zip(*shifted[:n]) for n in range(1, MAX_ORDER + 1))
+    )
 
 
 def _brevity_penalty(hyp_len: int, ref_len: int) -> float:

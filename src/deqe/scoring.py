@@ -64,7 +64,7 @@ def de_score(
     denominator and are simply never evidenced.
     """
     target_ids = matrix.target_vocab.token_ids
-    hyp_ids = {tid for tok in set(hypothesis_tokens) if (tid := target_ids.get(tok)) is not None}
+    hyp_ids = {target_ids[tok] for tok in target_ids.keys() & set(hypothesis_tokens)}
     source_ids = matrix.source_vocab.token_ids
     excluded = matrix.excluded_source
     eligible = 0
@@ -79,7 +79,7 @@ def de_score(
         if sid is None:
             continue
         row = matrix.row(sid)
-        if row and any(tid in row for tid in hyp_ids):
+        if row is not None and not row.keys().isdisjoint(hyp_ids):
             evidenced += mult
     return DeScore.from_counts(eligible, evidenced)
 

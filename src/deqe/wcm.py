@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import itertools
 import logging
-import multiprocessing
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NoReturn
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, atomic_write
 from .errors import VocabularyMismatchError, WcmFormatError
 
 log = logging.getLogger(__name__)
@@ -162,7 +161,6 @@ class _BuildState:
     target_ids: dict[str, int]
     counted_source: dict[str, int]
     counted_target: dict[str, int]
-    width: int
     count_mode: str
     min_cooccurrence: int
 
@@ -188,7 +186,6 @@ def _build_state(
         target_ids=target_vocab.token_ids,
         counted_source=_counted_ids(source_vocab, config),
         counted_target=_counted_ids(target_vocab, config),
-        width=max(1, len(target_vocab)),
         count_mode=config.count_mode,
         min_cooccurrence=config.min_cooccurrence,
     )
@@ -216,15 +213,14 @@ def _count_partition(
     every partition raises the same VocabularyMismatchError. Only partition
     0 logs.
     """
-    width = state.width
-    # Token -> its share of the cell key sid * width + tid.
-    source_keys = {
-        tok: sid * width for tok, sid in state.counted_source.items() if sid % n_parts == part
-    }
-    target_keys = state.counted_target
+    # Counted source tokens of this partition -> their id.
+    source_part = {tok: sid for tok, sid in state.counted_source.items() if sid % n_parts == part}
+    target_ids = state.counted_target
     binary = state.count_mode == COUNT_MODE_BINARY
     logs = part == 0
-    counts: Counter = Counter()
+    # One Counter of target ids per source id: its keys are the vocabulary's
+    # own id objects, so a counted cell costs one dict slot.
+    rows: defaultdict[int, Counter] = defaultdict(Counter)
     for index, (src_tokens, tgt_tokens) in enumerate(pairs):
         if logs and max(len(src_tokens), len(tgt_tokens)) > LONG_SEGMENT_TOKENS:
             log.warning(
@@ -240,28 +236,29 @@ def _count_partition(
         if not state.target_ids.keys() >= tgt_types:
             _raise_mismatch(tgt_tokens, state.target_ids, index, "target")
         if binary:
-            s_keys = [source_keys[t] for t in source_keys.keys() & src_types]
-            if s_keys:
-                t_keys = [target_keys[t] for t in target_keys.keys() & tgt_types]
-                counts.update([s + t for s in s_keys for t in t_keys])
+            s_toks = source_part.keys() & src_types
+            if s_toks:
+                t_ids = [target_ids[t] for t in target_ids.keys() & tgt_types]
+                for tok in s_toks:
+                    rows[source_part[tok]].update(t_ids)
         else:
             t_items = [
-                (target_keys[tok], c)
-                for tok, c in Counter(tgt_tokens).items()
-                if tok in target_keys
+                (target_ids[tok], c) for tok, c in Counter(tgt_tokens).items() if tok in target_ids
             ]
             for tok, ci in Counter(src_tokens).items():
-                if tok in source_keys:
-                    for t, cj in t_items:
-                        counts[source_keys[tok] + t] += ci * cj
+                if tok in source_part:
+                    row = rows[source_part[tok]]
+                    for tid, cj in t_items:
+                        row[tid] += ci * cj
         if logs and progress_every and (index + 1) % progress_every == 0:
             log.info("build-wcm: %d segments counted", index + 1)
-    rows: dict[int, dict[int, int]] = {}
-    for key, c in counts.items():
-        if c >= state.min_cooccurrence:
-            sid, tid = divmod(key, width)
-            rows.setdefault(sid, {})[tid] = c
-    return rows
+    floor = state.min_cooccurrence
+    survivors: dict[int, dict[int, int]] = {}
+    for sid, row in rows.items():
+        kept = {tid: c for tid, c in row.items() if c >= floor}
+        if kept:
+            survivors[sid] = kept
+    return survivors
 
 
 # Every argument of _count_partition except the partition number, set in
@@ -326,7 +323,8 @@ def build_wcm(
         config = WcmConfig()
     state = _build_state(source_vocab, target_vocab, config)
     if threads > 1 and iter(pairs) is not pairs:
-        # Imported here, as importing it costs every CLI command start-up time.
+        # Imported here, as importing them costs every CLI command start-up time.
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         rows: dict[int, dict[int, int]] = {}
@@ -351,7 +349,8 @@ def save_wcm(matrix: CooccurrenceMatrix, path) -> None:
     """Write the matrix in the v1 text format.
 
     Entries are sorted by (source token, target token) so identical
-    matrices serialize to identical bytes.
+    matrices serialize to identical bytes. The file is replaced only once it
+    is complete (see ``corpus.atomic_write``).
     """
     for vocab in (matrix.source_vocab, matrix.target_vocab):
         for tok, _, _ in vocab.items():
@@ -361,7 +360,7 @@ def save_wcm(matrix: CooccurrenceMatrix, path) -> None:
                 )
     entries = matrix.entries_sorted()
     cfg = matrix.config
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"#wcm {FORMAT_VERSION}\n")
         fh.write(f"#min_cooccurrence {cfg.min_cooccurrence}\n")
         fh.write(f"#hifreq_cutoff {cfg.hifreq_cutoff}\n")

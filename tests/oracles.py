@@ -54,20 +54,29 @@ def brute_force_excluded(
     )
 
 
+def naive_bleu_stats(hypothesis: list[str], reference: list[str]) -> tuple[int, ...]:
+    """(hyp_len, ref_len, matches[1..4], totals[1..4]) of one segment pair,
+    with each n-gram list built by slicing and clipped with list.count."""
+    matches, totals = [], []
+    for n in range(1, 5):
+        hyp_ngrams = [tuple(hypothesis[i : i + n]) for i in range(len(hypothesis) - n + 1)]
+        ref_ngrams = [tuple(reference[i : i + n]) for i in range(len(reference) - n + 1)]
+        totals.append(len(hyp_ngrams))
+        matches.append(
+            sum(min(hyp_ngrams.count(g), ref_ngrams.count(g)) for g in set(hyp_ngrams))
+        )
+    return (len(hypothesis), len(reference), *matches, *totals)
+
+
 def naive_corpus_bleu(
     hypotheses: list[list[str]], references: list[list[str]]
 ) -> tuple[float, list[float], float]:
     """Naive pooled clipped n-gram counting; returns (score, precisions, bp)."""
+    stats = [naive_bleu_stats(h, r) for h, r in zip(hypotheses, references)]
     precisions = []
-    for n in range(1, 5):
-        match = 0
-        total = 0
-        for hyp, ref in zip(hypotheses, references):
-            hyp_ngrams = [tuple(hyp[i : i + n]) for i in range(len(hyp) - n + 1)]
-            ref_ngrams = [tuple(ref[i : i + n]) for i in range(len(ref) - n + 1)]
-            total += len(hyp_ngrams)
-            for g in set(hyp_ngrams):
-                match += min(hyp_ngrams.count(g), ref_ngrams.count(g))
+    for n in range(4):
+        match = sum(s[2 + n] for s in stats)
+        total = sum(s[6 + n] for s in stats)
         precisions.append(match / total if total else 0.0)
     hyp_len = sum(len(h) for h in hypotheses)
     ref_len = sum(len(r) for r in references)
@@ -81,3 +90,29 @@ def naive_corpus_bleu(
         return 0.0, precisions, bp
     score = 100.0 * bp * math.exp(sum(math.log(p) for p in precisions) / 4.0)
     return score, precisions, bp
+
+
+def naive_de_score(
+    entries: dict[tuple[str, str], int],
+    excluded: set[str],
+    source: list[str],
+    hypothesis: list[str],
+    by_type: bool = False,
+) -> tuple[int, int]:
+    """(eligible, evidenced) of a source segment against a hypothesis, by a
+    walk over the source positions and, for each, over the hypothesis.
+
+    ``entries`` maps (source token, target token) to its surviving count;
+    ``excluded`` holds the source side's high-frequency tokens. For the
+    reverse score pass the swapped entries and the target exclusions.
+    """
+    eligible = evidenced = 0
+    seen: set[str] = set()
+    for word in source:
+        if word in excluded or (by_type and word in seen):
+            continue
+        seen.add(word)
+        eligible += 1
+        if any((word, h) in entries for h in hypothesis):
+            evidenced += 1
+    return eligible, evidenced

@@ -1,6 +1,8 @@
 import itertools
 import logging
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -108,6 +110,29 @@ def test_bad_wcm_file_exit_2(tmp_path, toy_corpus, capsys):
     )
     assert rc == 2
     assert "v9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["score", "--wcm", "{tmp}/missing.wcm", "--source", "{src}", "--hypothesis", "{tgt}"],
+         "{tmp}/missing.wcm"),
+        (["build-wcm", "--source", "{tmp}/nope.src", "--target", "{tgt}", "--out", "{tmp}/o.wcm",
+          "--threads", "1"],
+         "{tmp}/nope.src"),
+        (["bleu", "--hypothesis", "{tmp}", "--reference", "{tgt}"], "{tmp}"),
+        (["bleu", "--hypothesis", "{src}", "--reference", "{tgt}", "--out", "{tmp}/no/out.tsv"],
+         "{tmp}/no/out.tsv"),
+    ],
+    ids=["missing-wcm", "missing-source", "directory-as-input", "output-in-missing-directory"],
+)
+def test_unopenable_file_is_one_line_data_error(tmp_path, toy_corpus, argv, named, capsys):
+    src, tgt = toy_corpus
+    fill = {"tmp": tmp_path, "src": src, "tgt": tgt}
+    assert main([a.format(**fill) for a in argv] + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"de-qe: error: {named.format(**fill)}: ")
 
 
 def test_invalid_flag_values_exit_1(tmp_path, capsys):
@@ -517,6 +542,68 @@ def test_filter_usage_error_leaves_outputs_untouched(tmp_path, toy_wcm, capsys):
     assert "--tsv" in capsys.readouterr().err
     for name in ("kept.source", "kept.target", "dropped.source", "dropped.target"):
         assert (tmp_path / name).read_text() == f"earlier {name}\n"
+
+
+def test_failed_filter_leaves_earlier_outputs_untouched(tmp_path, toy_wcm):
+    outputs = ("kept.source", "kept.target", "dropped.source", "dropped.target", "filter.tsv")
+    for name in outputs:
+        (tmp_path / name).write_text(f"earlier {name}\n")
+    write_lines(tmp_path / "mis.src", ["a b", "a c", "nope at all"])
+    write_lines(tmp_path / "mis.tgt", ["x y"])
+    before = sorted(p.name for p in tmp_path.iterdir())
+    rc = main(
+        [
+            "filter",
+            "--wcm", str(toy_wcm),
+            "--source", str(tmp_path / "mis.src"),
+            "--target", str(tmp_path / "mis.tgt"),
+            "--min-de", "50",
+            "--kept-prefix", str(tmp_path / "kept"),
+            "--dropped-prefix", str(tmp_path / "dropped"),
+            "--out", str(tmp_path / "filter.tsv"),
+            "--quiet",
+        ]
+    )
+    assert rc == 2
+    for name in outputs:
+        assert (tmp_path / name).read_bytes() == f"earlier {name}\n".encode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_failed_chart_leaves_earlier_report_untouched(tmp_path):
+    write_lines(tmp_path / "v.txt", ["10", "20"])
+    (tmp_path / "h.tsv").write_text("earlier report\n")
+    rc = main(
+        [
+            "histogram",
+            "--scores", str(tmp_path / "v.txt"),
+            "--out", str(tmp_path / "h.tsv"),
+            "--chart", str(tmp_path / "no" / "c.svg"),
+        ]
+    )
+    assert rc == 2
+    assert (tmp_path / "h.tsv").read_text() == "earlier report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.tsv", "v.txt"]
+
+
+def test_cli_import_loads_no_pool_or_tempfile_modules():
+    """Start-up cost: only a multi-worker build needs the process pool.
+    ``-S`` keeps ``site``, which can import ``tempfile`` itself, out."""
+    src_dir = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        "import sys, deqe.cli; "
+        "print(*(m for m in ('multiprocessing', 'concurrent.futures', 'tempfile')"
+        " if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src_dir},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.split() == []
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from deqe.corpus import (
     SegmentPair,
     TokenizerConfig,
     Vocabulary,
+    atomic_write,
     build_vocabulary,
     iter_aligned,
     load_parallel_corpus,
@@ -145,6 +146,21 @@ def test_load_strips_bom(tmp_path):
     write_lines(tmp_path / "t", ["x", "y"])
     pairs = list(load_parallel_corpus(tmp_path / "s", tmp_path / "t"))
     assert pairs[0].source == "a b"
+
+
+def test_atomic_write_replaces_only_on_success(tmp_path):
+    target = tmp_path / "out.txt"
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_write(target) as fh:
+            fh.write("partial")
+            raise RuntimeError("interrupted")
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    with atomic_write(target) as fh:
+        fh.write("new\n")
+    assert target.read_bytes() == b"new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def test_load_tsv(tmp_path):

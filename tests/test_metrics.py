@@ -6,6 +6,7 @@ import pytest
 from deqe.analysis import DEFAULT_BUCKETS, BucketSpec, bucket_eval
 from deqe.errors import UndefinedCorrelationError
 from deqe.metrics import (
+    bleu_stats,
     corpus_bleu,
     pearson,
     sentence_bleu,
@@ -13,7 +14,7 @@ from deqe.metrics import (
 )
 from deqe.scoring import DeScore
 
-from oracles import naive_corpus_bleu
+from oracles import naive_bleu_stats, naive_corpus_bleu
 
 
 def _random_segments(rng, n_max=10, vocab=8, len_max=12, allow_empty=True):
@@ -124,6 +125,21 @@ def test_corpus_bleu_matches_naive_oracle():
             assert result.brevity_penalty == pytest.approx(bp, abs=1e-12)
             for got, want in zip(result.precisions, precisions):
                 assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_bleu_stats_matches_naive_oracle():
+    """Per-segment statistics against the list.count oracle: sides shorter
+    than 4 tokens and empty sides, and a 2- or 3-word alphabet so that
+    n-grams repeat and clipping matters."""
+    rng = random.Random(16)
+    cases = [([], []), ([], ["a"]), (["a"], []), (["a", "a", "a", "a", "a"], ["a", "a"])]
+    for _ in range(3000):
+        alphabet = "abc"[: rng.randint(1, 3)] if rng.random() < 0.5 else "abcdefgh"
+        hyp = [rng.choice(alphabet) for _ in range(rng.randint(0, rng.choice((4, 12))))]
+        ref = [rng.choice(alphabet) for _ in range(rng.randint(0, rng.choice((4, 12))))]
+        cases.append((hyp, ref))
+    for hyp, ref in cases:
+        assert bleu_stats(hyp, ref) == naive_bleu_stats(hyp, ref), (hyp, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from deqe.scoring import DeScore, de_score, reverse_de_score, score_file
 from deqe.wcm import CooccurrenceMatrix
 
 from helpers import make_matrix, random_matrix, write_lines
+from oracles import naive_de_score
 
 
 def test_de_score_hand_case():
@@ -137,6 +138,33 @@ def test_property_transpose_duality():
         assert reverse_de_score(matrix, src, hyp) == de_score(
             matrix.transposed(), hyp, src
         )
+
+
+def test_de_score_matches_naive_oracle():
+    """Forward and reverse DE, by token and by type, against the oracle on
+    random matrices with exclusions on both sides, vocabulary types without
+    a row and segments with out-of-vocabulary and repeated words."""
+    rng = random.Random(53)
+    checked = 0
+    for _ in range(300):
+        matrix = random_matrix(rng)
+        entries = matrix.entries_by_token()
+        swapped = {(t, s): c for (s, t), c in entries.items()}
+        excl_s = matrix.excluded_source_tokens()
+        excl_t = matrix.excluded_target_tokens()
+        src_alpha, tgt_alpha = _segment_alphabets(matrix)
+        for _ in range(5):
+            src = _random_tokens(rng, src_alpha)
+            hyp = _random_tokens(rng, tgt_alpha)
+            for by_type in (False, True):
+                forward = naive_de_score(entries, excl_s, src, hyp, by_type)
+                reverse = naive_de_score(swapped, excl_t, hyp, src, by_type)
+                got = de_score(matrix, src, hyp, by_type=by_type)
+                assert got == DeScore.from_counts(*forward), (src, hyp, by_type)
+                got_rev = reverse_de_score(matrix, src, hyp, by_type=by_type)
+                assert got_rev == DeScore.from_counts(*reverse), (src, hyp, by_type)
+                checked += got.evidenced > 0 and got_rev.evidenced > 0
+    assert checked > 100
 
 
 def test_absent_types_score_zero():
