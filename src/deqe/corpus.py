@@ -161,9 +161,8 @@ class CorpusFiles:
     """A parallel corpus on disk, read with one tokenizer.
 
     ``paths`` is (source, target), or (tsv,) with ``tsv`` set. Iterating
-    yields tokenized (source, target) pairs and may be repeated; the object
-    is small and picklable, so worker processes can each read the corpus
-    themselves.
+    yields tokenized (source, target) pairs and may be repeated, so one
+    object serves both passes of a build: the vocabularies, then counting.
     """
 
     paths: tuple[str, ...]

@@ -2,22 +2,27 @@
 co-occurrence matrix.
 
 A cell (i, j) counts how often source word i and target word j appear in
-the same aligned segment pair. Cells below the minimum co-occurrence
-threshold are pruned as each partition of the build finishes, so the mere
+the same aligned segment pair. The build reads the corpus once, then
+counts one source word's row at a time and prunes the cells below the
+minimum co-occurrence threshold before it counts the next, so the mere
 presence of an entry is the strong-evidence predicate used by scoring.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import os
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NoReturn
+from itertools import chain, compress
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NoReturn
 
 from .corpus import Vocabulary, atomic_write
 from .errors import VocabularyMismatchError, WcmFormatError
+
+if TYPE_CHECKING:
+    from array import array
 
 log = logging.getLogger(__name__)
 
@@ -149,22 +154,6 @@ class CooccurrenceMatrix:
         )
 
 
-@dataclass(frozen=True)
-class _BuildState:
-    """Everything a counting partition needs; must stay picklable.
-
-    ``*_ids`` are the whole vocabularies, which every token is checked
-    against; ``counted_*`` keep only the types a surviving cell can involve.
-    """
-
-    source_ids: dict[str, int]
-    target_ids: dict[str, int]
-    counted_source: dict[str, int]
-    counted_target: dict[str, int]
-    count_mode: str
-    min_cooccurrence: int
-
-
 def _excluded_ids(vocab: Vocabulary, cutoff: int) -> frozenset[int]:
     return frozenset(i for _, i, f in vocab.items() if f > cutoff)
 
@@ -178,19 +167,6 @@ def _counted_ids(vocab: Vocabulary, config: WcmConfig) -> dict[str, int]:
     return {tok: i for tok, i, f in vocab.items() if floor <= f <= config.hifreq_cutoff}
 
 
-def _build_state(
-    source_vocab: Vocabulary, target_vocab: Vocabulary, config: WcmConfig
-) -> _BuildState:
-    return _BuildState(
-        source_ids=source_vocab.token_ids,
-        target_ids=target_vocab.token_ids,
-        counted_source=_counted_ids(source_vocab, config),
-        counted_target=_counted_ids(target_vocab, config),
-        count_mode=config.count_mode,
-        min_cooccurrence=config.min_cooccurrence,
-    )
-
-
 def _raise_mismatch(tokens: list[str], ids: dict[str, int], index: int, side: str) -> NoReturn:
     token = next(t for t in tokens if t not in ids)
     raise VocabularyMismatchError(
@@ -199,30 +175,40 @@ def _raise_mismatch(tokens: list[str], ids: dict[str, int], index: int, side: st
     )
 
 
-def _count_partition(
+def _encode(
     pairs: Iterable[tuple[list[str], list[str]]],
-    state: _BuildState,
-    part: int,
-    n_parts: int,
+    source_vocab: Vocabulary,
+    target_vocab: Vocabulary,
+    config: WcmConfig,
     progress_every: int = 0,
-) -> dict[int, dict[int, int]]:
-    """Count the cells whose source id ``sid`` has ``sid % n_parts == part``
-    and return those that survive pruning, as {sid: {tid: count}}.
+) -> tuple[dict[int, array], list[tuple[int, ...]], int]:
+    """Read ``pairs`` once into ``(postings, targets, pair_updates)``.
 
-    Both sides of every segment are checked against the vocabularies, so
-    every partition raises the same VocabularyMismatchError. Only partition
-    0 logs.
+    ``targets[n]`` holds the counted target ids of the n-th segment that
+    has both counted source and counted target types, and
+    ``postings[sid]`` the numbers n of the segments source id ``sid`` is
+    counted in. Binary mode keeps each type once per segment; product mode
+    keeps one entry per occurrence, so counting the targets of a row's
+    postings gives occurrences(i) * occurrences(j) summed over segments.
+    ``pair_updates`` is the number of increments that counting takes.
+
+    Both sides of every segment are checked against the vocabularies.
     """
-    # Counted source tokens of this partition -> their id.
-    source_part = {tok: sid for tok, sid in state.counted_source.items() if sid % n_parts == part}
-    target_ids = state.counted_target
-    binary = state.count_mode == COUNT_MODE_BINARY
-    logs = part == 0
-    # One Counter of target ids per source id: its keys are the vocabulary's
-    # own id objects, so a counted cell costs one dict slot.
-    rows: defaultdict[int, Counter] = defaultdict(Counter)
+    source_ids = source_vocab.token_ids
+    target_ids = target_vocab.token_ids
+    counted_source = _counted_ids(source_vocab, config)
+    counted_target = _counted_ids(target_vocab, config)
+    binary = config.count_mode == COUNT_MODE_BINARY
+    # Imported here, as loading it costs every CLI command memory.
+    from array import array
+
+    # Segment numbers as 4-byte unsigned integers; the target ids are the
+    # vocabulary's own id objects, so a row's Counter allocates no keys.
+    postings = {tok: array("I") for tok in counted_source}
+    targets: list[tuple[int, ...]] = []
+    pair_updates = 0
     for index, (src_tokens, tgt_tokens) in enumerate(pairs):
-        if logs and max(len(src_tokens), len(tgt_tokens)) > LONG_SEGMENT_TOKENS:
+        if max(len(src_tokens), len(tgt_tokens)) > LONG_SEGMENT_TOKENS:
             log.warning(
                 "segment %d is very long (%d/%d tokens); pair counting is quadratic",
                 index,
@@ -231,40 +217,64 @@ def _count_partition(
             )
         src_types = set(src_tokens)
         tgt_types = set(tgt_tokens)
-        if not state.source_ids.keys() >= src_types:
-            _raise_mismatch(src_tokens, state.source_ids, index, "source")
-        if not state.target_ids.keys() >= tgt_types:
-            _raise_mismatch(tgt_tokens, state.target_ids, index, "target")
+        if not source_ids.keys() >= src_types:
+            _raise_mismatch(src_tokens, source_ids, index, "source")
+        if not target_ids.keys() >= tgt_types:
+            _raise_mismatch(tgt_tokens, target_ids, index, "target")
         if binary:
-            s_toks = source_part.keys() & src_types
-            if s_toks:
-                t_ids = [target_ids[t] for t in target_ids.keys() & tgt_types]
-                for tok in s_toks:
-                    rows[source_part[tok]].update(t_ids)
+            s_toks = counted_source.keys() & src_types
+            t_toks = counted_target.keys() & tgt_types
         else:
-            t_items = [
-                (target_ids[tok], c) for tok, c in Counter(tgt_tokens).items() if tok in target_ids
-            ]
-            for tok, ci in Counter(src_tokens).items():
-                if tok in source_part:
-                    row = rows[source_part[tok]]
-                    for tid, cj in t_items:
-                        row[tid] += ci * cj
-        if logs and progress_every and (index + 1) % progress_every == 0:
-            log.info("build-wcm: %d segments counted", index + 1)
-    floor = state.min_cooccurrence
+            s_toks = [tok for tok in src_tokens if tok in counted_source]
+            t_toks = [tok for tok in tgt_tokens if tok in counted_target]
+        if s_toks and t_toks:
+            seg = len(targets)
+            targets.append(tuple(map(counted_target.__getitem__, t_toks)))
+            for tok in s_toks:
+                postings[tok].append(seg)
+            pair_updates += len(s_toks) * len(t_toks)
+        if progress_every and (index + 1) % progress_every == 0:
+            log.info("build-wcm: %d segments read", index + 1)
+    by_id = {counted_source[tok]: segs for tok, segs in postings.items() if segs}
+    return by_id, targets, pair_updates
+
+
+def _count_rows(
+    postings: dict[int, array],
+    targets: list[tuple[int, ...]],
+    floor: int,
+    part: int = 0,
+    n_parts: int = 1,
+) -> dict[int, dict[int, int]]:
+    """Count and prune, one row at a time, the rows of the source ids with
+    ``sid % n_parts == part``; return the survivors as {sid: {tid: count}}.
+
+    Only one row's unpruned counts exist at a time, and a counted cell
+    costs one dict slot.
+    """
+    segment_targets = targets.__getitem__
+    at_floor = floor.__le__
     survivors: dict[int, dict[int, int]] = {}
-    for sid, row in rows.items():
-        kept = {tid: c for tid, c in row.items() if c >= floor}
-        if kept:
-            survivors[sid] = kept
+    for sid, segs in postings.items():
+        if sid % n_parts == part:
+            row = Counter(chain.from_iterable(map(segment_targets, segs)))
+            kept = dict(compress(row.items(), map(at_floor, row.values())))
+            if kept:
+                survivors[sid] = kept
     return survivors
 
 
-# Every argument of _count_partition except the partition number, set in
-# each worker process by its initializer. Under the fork start method (the
-# Linux default) workers inherit them, so an in-memory ``pairs`` is not
-# pickled.
+# Below this many pair updates a build counts in process whatever
+# ``threads`` is. Measured on a 2-vCPU VM (Python 3.11): importing the pool
+# modules took 35-50 ms, and forking two workers and collecting their rows
+# 40-80 ms more, while row counting ran at 7-12M pair updates/s. Two workers
+# save half the counting time, so they pay only once counting takes about
+# 0.2 s, some 2M pair updates.
+POOL_MIN_PAIR_UPDATES = 2_000_000
+
+# The arguments of _count_rows except the partition number, set in each
+# worker process by its initializer. Under the fork start method (the Linux
+# default) workers inherit them, so the encoded corpus is not pickled.
 _worker_args: tuple = ()
 
 
@@ -273,10 +283,10 @@ def _init_worker(*args) -> None:
     _worker_args = args
 
 
-def _count_worker_partition(part: int) -> dict[int, dict[int, int]]:
-    pairs, state, n_parts, progress_every = _worker_args
+def _count_worker_rows(part: int) -> dict[int, dict[int, int]]:
+    postings, targets, floor, n_parts = _worker_args
     _place_on_cpu(part)
-    return _count_partition(pairs, state, part, n_parts, progress_every)
+    return _count_rows(postings, targets, floor, part, n_parts)
 
 
 def _place_on_cpu(part: int) -> None:
@@ -312,29 +322,33 @@ def build_wcm(
     superset of it; a token missing from them raises
     VocabularyMismatchError.
 
-    The cells are split into ``threads`` partitions by source id. Each reads
-    the whole stream and counts and prunes only its own cells, in a worker
-    process when ``threads > 1``; the survivors are disjoint, so the matrix
-    is the same for every thread count. Several partitions need ``pairs``
-    picklable and re-iterable, such as a list or a ``CorpusFiles``; a
-    one-shot iterator is counted in process as one partition.
+    ``pairs`` may be any iterable; it is read once, in this process, into
+    each counted source word's segment numbers and each segment's counted
+    target ids. Each row is then counted and pruned on its own. With
+    ``threads > 1`` and enough pair updates to pay for the pool, the rows
+    are split by source id modulo ``threads`` among worker processes; the
+    survivors are disjoint, so the matrix is the same for every thread
+    count.
     """
     if config is None:
         config = WcmConfig()
-    state = _build_state(source_vocab, target_vocab, config)
-    if threads > 1 and iter(pairs) is not pairs:
+    postings, targets, pair_updates = _encode(
+        pairs, source_vocab, target_vocab, config, progress_every
+    )
+    floor = config.min_cooccurrence
+    if threads > 1 and pair_updates >= POOL_MIN_PAIR_UPDATES:
         # Imported here, as importing them costs every CLI command start-up time.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         rows: dict[int, dict[int, int]] = {}
-        job = (pairs, state, threads, progress_every)
+        job = (postings, targets, floor, threads)
         ctx = multiprocessing.get_context()
         with ProcessPoolExecutor(threads, ctx, _init_worker, job) as pool:
-            for part_rows in pool.map(_count_worker_partition, range(threads)):
+            for part_rows in pool.map(_count_worker_rows, range(threads)):
                 rows.update(part_rows)
     else:
-        rows = _count_partition(pairs, state, 0, 1, progress_every)
+        rows = _count_rows(postings, targets, floor)
     return CooccurrenceMatrix(
         source_vocab,
         target_vocab,
@@ -350,15 +364,20 @@ def save_wcm(matrix: CooccurrenceMatrix, path) -> None:
 
     Entries are sorted by (source token, target token) so identical
     matrices serialize to identical bytes. The file is replaced only once it
-    is complete (see ``corpus.atomic_write``).
+    is complete (see ``corpus.atomic_write``). Only the tokens the file
+    holds, those of the entries and the exclusion sets, must be free of
+    whitespace.
     """
-    for vocab in (matrix.source_vocab, matrix.target_vocab):
-        for tok, _, _ in vocab.items():
-            if any(ch.isspace() for ch in tok):
-                raise ValueError(
-                    f"token {tok!r} contains whitespace and cannot be serialized"
-                )
     entries = matrix.entries_sorted()
+    excluded_source = matrix.excluded_source_tokens()
+    excluded_target = matrix.excluded_target_tokens()
+    written = set(map(itemgetter(0), entries))
+    written.update(map(itemgetter(1), entries), excluded_source, excluded_target)
+    # One pass over every character; the offending token is looked up only
+    # once there is one.
+    if any(map(str.isspace, "".join(written))):
+        token = min(tok for tok in written if any(ch.isspace() for ch in tok))
+        raise ValueError(f"token {token!r} contains whitespace and cannot be serialized")
     cfg = matrix.config
     with atomic_write(path) as fh:
         fh.write(f"#wcm {FORMAT_VERSION}\n")
@@ -366,8 +385,8 @@ def save_wcm(matrix: CooccurrenceMatrix, path) -> None:
         fh.write(f"#hifreq_cutoff {cfg.hifreq_cutoff}\n")
         fh.write(f"#count_mode {cfg.count_mode}\n")
         fh.write(f"#entries {len(entries)}\n")
-        fh.write("#excluded_source" + _join_tokens(matrix.excluded_source_tokens()) + "\n")
-        fh.write("#excluded_target" + _join_tokens(matrix.excluded_target_tokens()) + "\n")
+        fh.write("#excluded_source" + _join_tokens(excluded_source) + "\n")
+        fh.write("#excluded_target" + _join_tokens(excluded_target) + "\n")
         for s, t, c in entries:
             fh.write(f"{s}\t{t}\t{c}\n")
 
@@ -491,5 +510,5 @@ def load_wcm(path) -> CooccurrenceMatrix:
 
 
 def _vocab_from_tokens(side: str, first: list[str], rest: Iterable[str]) -> Vocabulary:
-    ordered = list(dict.fromkeys(itertools.chain(first, rest)))
+    ordered = list(dict.fromkeys(chain(first, rest)))
     return Vocabulary(side, ordered, [0] * len(ordered))

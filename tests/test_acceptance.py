@@ -13,6 +13,7 @@ import time
 import pytest
 
 import deqe.cli
+import deqe.wcm
 from deqe.analysis import BucketSpec, bucket_eval, correlate_de_bleu, filter_corpus
 from deqe.cli import main as cli_main
 from deqe.corpus import build_parallel_vocabularies, build_vocabulary, load_parallel_corpus, tokenize
@@ -85,12 +86,14 @@ def test_criterion_2_serialization(tmp_path, monkeypatch):
         assert path.read_bytes() == repath.read_bytes()
 
     # byte-identical builds across --threads {1, 4}, with four usable CPUs
-    # assumed so that the 4-thread run genuinely counts four partitions
+    # assumed and the pool forced so that the 4-thread run genuinely counts
+    # four partitions in four workers
     rng2 = random.Random(1003)
     lexicon = make_lexicon(40)
     pairs = gen_pairs(rng2, lexicon, 2_000, min_len=2, max_len=8)
     write_corpus(pairs, tmp_path / "c.src", tmp_path / "c.tgt")
     monkeypatch.setattr(deqe.cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(deqe.wcm, "POOL_MIN_PAIR_UPDATES", 0)
     blobs = []
     for threads in ("1", "4"):
         out = tmp_path / f"threads{threads}.wcm"

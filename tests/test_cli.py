@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import deqe.wcm
 from deqe import cli
 from deqe.cli import main
 from deqe.corpus import build_vocabulary
@@ -201,7 +202,9 @@ def test_build_wcm_writes_valid_artifact(toy_wcm):
 
 def test_build_wcm_byte_identical_across_threads(tmp_path, toy_corpus, monkeypatch):
     # four partitions in four workers, whatever this machine's CPU count
+    # and however few pair updates the corpus takes
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(deqe.wcm, "POOL_MIN_PAIR_UPDATES", 0)
     src, tgt = toy_corpus
     outs = []
     for threads in ("1", "4"):
@@ -587,12 +590,14 @@ def test_failed_chart_leaves_earlier_report_untouched(tmp_path):
 
 
 def test_cli_import_loads_no_pool_or_tempfile_modules():
-    """Start-up cost: only a multi-worker build needs the process pool.
-    ``-S`` keeps ``site``, which can import ``tempfile`` itself, out."""
+    """Start-up cost: only a multi-worker build needs the process pool, and
+    only a build the ``array`` extension module (it costs every command
+    memory). ``-S`` keeps ``site``, which can import ``tempfile`` itself,
+    out."""
     src_dir = os.path.dirname(os.path.dirname(cli.__file__))
     code = (
         "import sys, deqe.cli; "
-        "print(*(m for m in ('multiprocessing', 'concurrent.futures', 'tempfile')"
+        "print(*(m for m in ('multiprocessing', 'concurrent.futures', 'tempfile', 'array')"
         " if m in sys.modules))"
     )
     result = subprocess.run(

@@ -1,9 +1,10 @@
 import logging
+import os
 import random
 
 import pytest
 
-from deqe.corpus import build_vocabulary
+from deqe.corpus import Vocabulary, build_vocabulary
 from deqe.errors import VocabularyMismatchError, WcmFormatError
 from deqe.wcm import (
     CooccurrenceMatrix,
@@ -107,7 +108,7 @@ def test_oracle_equivalence_random():
             assert matrix.excluded_target_tokens() == excl_t
 
 
-def test_deterministic_across_threads_and_partitions():
+def test_deterministic_across_threads_and_partitions(monkeypatch):
     rng = random.Random(9)
     pairs = random_corpus(rng, max_segments=400, max_vocab=15, max_len=8)
     source_vocab = build_vocabulary([p[0] for p in pairs], "source")
@@ -119,11 +120,15 @@ def test_deterministic_across_threads_and_partitions():
         base = build_wcm(pairs, source_vocab, target_vocab, config, threads=1)
         assert base.excluded_source
         assert base.entries_by_token() == brute_force_wcm(pairs, 2, cutoff, mode)
-        state = deqe.wcm._build_state(source_vocab, target_vocab, config)
+        postings, targets, pair_updates = deqe.wcm._encode(
+            pairs, source_vocab, target_vocab, config
+        )
+        # pair_updates is the number of increments the rows take
+        assert pair_updates == sum(len(targets[n]) for segs in postings.values() for n in segs)
         for n_parts in (1, 2, 3, 7):
             rows: dict = {}
             for part in range(n_parts):
-                part_rows = deqe.wcm._count_partition(pairs, state, part, n_parts)
+                part_rows = deqe.wcm._count_rows(postings, targets, 2, part, n_parts)
                 assert all(sid % n_parts == part for sid in part_rows)
                 rows.update(part_rows)
             union = CooccurrenceMatrix(
@@ -131,11 +136,72 @@ def test_deterministic_across_threads_and_partitions():
                 base.excluded_source, base.excluded_target,
             )
             assert union == base
-        for threads in (2, 4):
-            assert build_wcm(pairs, source_vocab, target_vocab, config, threads=threads) == base
+        with monkeypatch.context() as patch:
+            patch.setattr(deqe.wcm, "POOL_MIN_PAIR_UPDATES", 0)
+            for threads in (2, 4):
+                assert build_wcm(pairs, source_vocab, target_vocab, config, threads=threads) == base
 
 
-def test_one_shot_iterator_with_threads_matches_list():
+def test_pool_only_when_counting_pays(monkeypatch):
+    """A build with few pair updates counts in process even with threads."""
+    rng = random.Random(11)
+    pairs = random_corpus(rng, max_segments=200, max_vocab=12, max_len=8)
+    source_vocab = build_vocabulary([p[0] for p in pairs], "source")
+    target_vocab = build_vocabulary([p[1] for p in pairs], "target")
+    config = WcmConfig(2, 10**9, "binary")
+    count_rows = deqe.wcm._count_rows
+    calls_here = []
+
+    def counted(*args):
+        calls_here.append(args)
+        return count_rows(*args)
+
+    # Workers count in processes of their own, so only in-process
+    # counting shows up in calls_here.
+    monkeypatch.setattr(deqe.wcm, "_count_rows", counted)
+    small = build_wcm(pairs, source_vocab, target_vocab, config, threads=4)
+    assert len(calls_here) == 1
+    monkeypatch.setattr(deqe.wcm, "POOL_MIN_PAIR_UPDATES", 0)
+    pooled = build_wcm(pairs, source_vocab, target_vocab, config, threads=4)
+    assert len(calls_here) == 1
+    assert pooled == small
+    assert small.entries_by_token() == brute_force_wcm(pairs, 2, 10**9, "binary")
+
+
+class _ReadCounter:
+    """Re-iterable pairs that log each read to a file, which worker
+    processes share with this one."""
+
+    def __init__(self, pairs, log_path):
+        self.pairs = pairs
+        self.log_path = log_path
+
+    def __iter__(self):
+        with open(self.log_path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return iter(self.pairs)
+
+
+def test_build_reads_pairs_once(tmp_path, monkeypatch):
+    rng = random.Random(12)
+    pairs = random_corpus(rng, max_segments=200, max_vocab=12, max_len=8)
+    source_vocab = build_vocabulary([p[0] for p in pairs], "source")
+    target_vocab = build_vocabulary([p[1] for p in pairs], "target")
+    config = WcmConfig(2, 10**9, "binary")
+    monkeypatch.setattr(deqe.wcm, "POOL_MIN_PAIR_UPDATES", 0)
+    expected = brute_force_wcm(pairs, 2, 10**9, "binary")
+    for threads in (1, 2, 4):
+        log_path = tmp_path / f"reads{threads}.log"
+        log_path.touch()
+        matrix = build_wcm(
+            _ReadCounter(pairs, log_path), source_vocab, target_vocab, config, threads=threads
+        )
+        assert matrix.entries_by_token() == expected
+        assert log_path.read_text().split() == [str(os.getpid())]
+
+
+def test_one_shot_iterator_with_threads_matches_list(monkeypatch):
+    monkeypatch.setattr(deqe.wcm, "POOL_MIN_PAIR_UPDATES", 0)
     rng = random.Random(10)
     pairs = random_corpus(rng, max_segments=200, max_vocab=12, max_len=8)
     source_vocab = build_vocabulary([p[0] for p in pairs], "source")
@@ -149,7 +215,7 @@ def test_one_shot_iterator_with_threads_matches_list():
     assert from_list.entries_by_token() == brute_force_wcm(pairs, 2, 10**9, "binary")
 
 
-def test_vocabulary_mismatch_raised_in_worker():
+def test_vocabulary_mismatch_raised_once_while_reading():
     source_vocab = build_vocabulary([["a"]], "source")
     target_vocab = build_vocabulary([["x"]], "target")
     bad = [(["a"], ["x"]), (["a", "new"], ["x"])]
@@ -365,9 +431,26 @@ def test_load_rejects_bad_headers(tmp_path):
 
 
 def test_save_rejects_whitespace_tokens(tmp_path):
-    matrix = make_matrix({("a b", "x"): 20})
-    with pytest.raises(ValueError):
-        save_wcm(matrix, tmp_path / "bad.wcm")
+    for matrix in (
+        make_matrix({("a b", "x"): 20}),
+        make_matrix({("a", "x"): 20}, excluded_target=("le x",)),
+    ):
+        with pytest.raises(ValueError):
+            save_wcm(matrix, tmp_path / "bad.wcm")
+    assert not (tmp_path / "bad.wcm").exists()
+
+
+def test_save_ignores_whitespace_tokens_it_does_not_write(tmp_path):
+    # "b c" is in the source vocabulary, but in no entry and not excluded
+    source_vocab = Vocabulary("source", ["a", "b c"], [0, 0])
+    target_vocab = Vocabulary("target", ["x", "y z"], [0, 0])
+    matrix = CooccurrenceMatrix(
+        source_vocab, target_vocab, WcmConfig(20), {0: {0: 25}}
+    )
+    path = tmp_path / "ok.wcm"
+    save_wcm(matrix, path)
+    assert load_wcm(path) == matrix
+    assert load_wcm(path).entries_by_token() == {("a", "x"): 25}
 
 
 def test_round_trip_random_matrices(tmp_path):
