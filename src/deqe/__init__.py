@@ -61,6 +61,7 @@ from .wcm import (
     CooccurrenceMatrix,
     WcmConfig,
     build_wcm,
+    build_wcm_with_vocabularies,
     load_wcm,
     save_wcm,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "build_parallel_vocabularies",
     "build_vocabulary",
     "build_wcm",
+    "build_wcm_with_vocabularies",
     "corpus_bleu",
     "correlate_de_bleu",
     "de_score",

@@ -45,7 +45,7 @@ from .corpus import (
 from .errors import AlignmentError, DataError, UsageError
 from .metrics import corpus_bleu, pearson, sentence_bleu
 from .scoring import de_score, score_file
-from .wcm import COUNT_MODES, WcmConfig, build_wcm, load_wcm, save_wcm
+from .wcm import COUNT_MODES, WcmConfig, build_wcm_with_vocabularies, load_wcm, save_wcm
 
 log = logging.getLogger(__name__)
 
@@ -310,18 +310,7 @@ def cmd_build_wcm(args: argparse.Namespace) -> int:
         hifreq_cutoff=args.hifreq_cutoff,
         count_mode=args.count_mode,
     )
-    log.info("build-wcm: pass 1, building vocabularies")
-    source_vocab, target_vocab, n = build_parallel_vocabularies(
-        corpus.segments(), corpus.tokenizer
-    )
-    log.info(
-        "build-wcm: %d segments, %d source types, %d target types",
-        n,
-        len(source_vocab),
-        len(target_vocab),
-    )
-    log.info("build-wcm: pass 2, counting co-occurrences (threads=%d)", threads)
-    matrix = build_wcm(corpus, source_vocab, target_vocab, config, threads=threads)
+    matrix = build_wcm_with_vocabularies(corpus, config, threads=threads)
     save_wcm(matrix, args.out)
     log.info(
         "build-wcm: wrote %d entries to %s (excluded %d source / %d target types)",

@@ -6,7 +6,7 @@ import contextlib
 import itertools
 import os
 import unicodedata
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -161,8 +161,8 @@ class CorpusFiles:
     """A parallel corpus on disk, read with one tokenizer.
 
     ``paths`` is (source, target), or (tsv,) with ``tsv`` set. Iterating
-    yields tokenized (source, target) pairs and may be repeated, so one
-    object serves both passes of a build: the vocabularies, then counting.
+    yields tokenized (source, target) pairs, reading the files once per
+    iteration.
     """
 
     paths: tuple[str, ...]
@@ -180,6 +180,13 @@ class CorpusFiles:
             yield tokenize(pair.source, config), tokenize(pair.target, config)
 
 
+def token_interner() -> defaultdict[str, int]:
+    """A token -> id map that gives each unseen token looked up with ``[]``
+    the next id, so ids follow first occurrence, as ``Vocabulary`` numbers
+    them."""
+    return defaultdict(itertools.count().__next__)
+
+
 class Vocabulary:
     """Dense token<->id mapping with raw corpus frequencies for one side.
 
@@ -190,12 +197,30 @@ class Vocabulary:
     __slots__ = ("side", "_tokens", "_freqs", "_ids")
 
     def __init__(self, side: str, tokens: list[str], frequencies: list[int]):
+        self._adopt(side, {tok: i for i, tok in enumerate(tokens)}, tokens, frequencies)
+
+    def _adopt(
+        self, side: str, ids: dict[str, int], tokens: list[str], frequencies: list[int]
+    ) -> None:
         if len(tokens) != len(frequencies):
             raise ValueError("tokens and frequencies must have equal length")
         self.side = side
         self._tokens = tokens
         self._freqs = frequencies
-        self._ids = {tok: i for i, tok in enumerate(tokens)}
+        self._ids = ids
+
+    @classmethod
+    def from_interner(
+        cls, side: str, interner: defaultdict[str, int], frequencies: list[int]
+    ) -> "Vocabulary":
+        """The vocabulary of the tokens a ``token_interner()`` numbered, with
+        their frequencies in id order. It keeps the interner's map rather
+        than building a second one, and closes it: an unseen token looked up
+        with ``[]`` raises KeyError from then on."""
+        interner.default_factory = None
+        vocab = cls.__new__(cls)
+        vocab._adopt(side, interner, list(interner), frequencies)
+        return vocab
 
     @classmethod
     def from_segments(cls, segments: Iterable[list[str]], side: str = "source") -> "Vocabulary":
@@ -232,6 +257,15 @@ class Vocabulary:
     def items(self) -> Iterator[tuple[str, int, int]]:
         """Iterate (token, id, frequency) in id order."""
         return zip(self._tokens, range(len(self._tokens)), self._freqs)
+
+    def ids_with_frequency_at_least(self, frequency: int) -> Iterator[int]:
+        """Iterate, in id order, the ids of the types that occur at least
+        ``frequency`` times.
+
+        Each id is the int object the token -> id map holds, so keeping it
+        allocates nothing.
+        """
+        return itertools.compress(self._ids.values(), map(frequency.__le__, self._freqs))
 
 
 def build_vocabulary(segments: Iterable[list[str]], side: str = "source") -> Vocabulary:

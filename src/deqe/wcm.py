@@ -14,11 +14,12 @@ import logging
 import os
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, compress
-from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NoReturn
+from operator import is_not, itemgetter
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, NoReturn
 
-from .corpus import Vocabulary, atomic_write
+from .corpus import Vocabulary, atomic_write, token_interner
 from .errors import VocabularyMismatchError, WcmFormatError
 
 if TYPE_CHECKING:
@@ -155,24 +156,158 @@ class CooccurrenceMatrix:
 
 
 def _excluded_ids(vocab: Vocabulary, cutoff: int) -> frozenset[int]:
-    return frozenset(i for _, i, f in vocab.items() if f > cutoff)
+    return frozenset(vocab.ids_with_frequency_at_least(cutoff + 1))
 
 
-def _counted_ids(vocab: Vocabulary, config: WcmConfig) -> dict[str, int]:
-    """Token -> id of the types that are neither excluded for high frequency
-    nor, in binary mode, rare: a binary count never exceeds either type's
-    corpus frequency, so a type rarer than ``min_cooccurrence`` has no cell
-    that survives pruning."""
+def _counted_ids(vocab: Vocabulary, config: WcmConfig) -> list[int | None]:
+    """Indexed by id: the id itself for the types that are neither excluded
+    for high frequency nor, in binary mode, rare, and None for the rest. A
+    binary count never exceeds either type's corpus frequency, so a type
+    rarer than ``min_cooccurrence`` has no cell that survives pruning.
+
+    The ids are the vocabulary's own id objects, so keeping one allocates
+    nothing.
+    """
     floor = config.min_cooccurrence if config.count_mode == COUNT_MODE_BINARY else 0
-    return {tok: i for tok, i, f in vocab.items() if floor <= f <= config.hifreq_cutoff}
+    counted: list[int | None] = [None] * len(vocab)
+    for i in vocab.ids_with_frequency_at_least(floor):
+        counted[i] = i
+    for i in _excluded_ids(vocab, config.hifreq_cutoff):
+        counted[i] = None
+    return counted
 
 
-def _raise_mismatch(tokens: list[str], ids: dict[str, int], index: int, side: str) -> NoReturn:
+def _distinct_types(counted: list[int | None], ids: array) -> tuple[int, ...]:
+    """The counted ids among ``ids``, each once."""
+    types = set(map(counted.__getitem__, ids))
+    types.discard(None)
+    return tuple(types)
+
+
+_is_not_none = partial(is_not, None)
+
+
+def _occurrences(counted: list[int | None], ids: array) -> tuple[int, ...]:
+    """The counted ids among ``ids``, one per occurrence."""
+    return tuple(filter(_is_not_none, map(counted.__getitem__, ids)))
+
+
+class _FlatSide(NamedTuple):
+    """One side of a corpus read into integers: the token ids of every
+    segment back to back, and where each segment ends."""
+
+    ids: array
+    ends: array
+
+
+def _read(
+    pairs: Iterable[tuple[list[str], list[str]]],
+    source_ids: Mapping[str, int],
+    target_ids: Mapping[str, int],
+    progress_every: int,
+) -> tuple[_FlatSide, _FlatSide]:
+    """Read ``pairs`` once, mapping every token to its id with ``[]``.
+
+    A ``token_interner()`` numbers unseen tokens as they come; with a
+    vocabulary's closed map, the first segment that holds an unknown token
+    raises VocabularyMismatchError.
+    """
+    # Imported here, as loading it costs every CLI command memory.
+    from array import array
+
+    # Ids and offsets as 4-byte unsigned integers, which caps a side at
+    # 2**32 - 1 tokens.
+    source, target = _FlatSide(array("I"), array("I")), _FlatSide(array("I"), array("I"))
+    source_id, target_id = source_ids.__getitem__, target_ids.__getitem__
+    for index, (src_tokens, tgt_tokens) in enumerate(pairs):
+        if max(len(src_tokens), len(tgt_tokens)) > LONG_SEGMENT_TOKENS:
+            log.warning(
+                "segment %d is very long (%d/%d tokens); pair counting is quadratic",
+                index,
+                len(src_tokens),
+                len(tgt_tokens),
+            )
+        try:
+            source.ids.extend(map(source_id, src_tokens))
+            target.ids.extend(map(target_id, tgt_tokens))
+        except KeyError:
+            _raise_mismatch(index, (src_tokens, tgt_tokens), (source_ids, target_ids))
+        source.ends.append(len(source.ids))
+        target.ends.append(len(target.ids))
+        if progress_every and (index + 1) % progress_every == 0:
+            log.info("build-wcm: %d segments read", index + 1)
+    return source, target
+
+
+def _raise_mismatch(
+    index: int, segment: tuple[list[str], list[str]], maps: tuple[Mapping[str, int], ...]
+) -> NoReturn:
+    side, tokens, ids = next(
+        (side, tokens, ids)
+        for side, tokens, ids in zip(("source", "target"), segment, maps)
+        if not ids.keys() >= set(tokens)
+    )
     token = next(t for t in tokens if t not in ids)
     raise VocabularyMismatchError(
         f"{side} token {token!r} in segment {index} is not in the "
         f"{side} vocabulary; rebuild vocabularies from this corpus"
     )
+
+
+def _frequencies(side: _FlatSide, n_types: int) -> list[int]:
+    """Each id's number of occurrences, in id order."""
+    frequencies = [0] * n_types
+    for i in side.ids:
+        frequencies[i] += 1
+    return frequencies
+
+
+def _segments(side: _FlatSide) -> Iterator[array]:
+    """Each segment's ids, in order."""
+    return map(side.ids.__getitem__, map(slice, chain((0,), side.ends), side.ends))
+
+
+def _postings(
+    source: _FlatSide,
+    target: _FlatSide,
+    source_vocab: Vocabulary,
+    target_vocab: Vocabulary,
+    config: WcmConfig,
+) -> tuple[dict[int, array], list[tuple[int, ...]], int]:
+    """Derive ``(postings, targets, pair_updates)`` from the read corpus,
+    emptying each side once it is used.
+
+    ``targets[n]`` holds the counted target ids of the n-th segment that
+    has both counted source and counted target types, and
+    ``postings[sid]`` the numbers n of the segments source id ``sid`` is
+    counted in. Binary mode keeps each type once per segment; product mode
+    keeps one entry per occurrence, so counting the targets of a row's
+    postings gives occurrences(i) * occurrences(j) summed over segments.
+    ``pair_updates`` is the number of increments that counting takes.
+    """
+    from array import array
+
+    counted_source = _counted_ids(source_vocab, config)
+    counted_target = _counted_ids(target_vocab, config)
+    # Segment numbers as 4-byte unsigned integers, in source id order.
+    postings = {sid: array("I") for sid in counted_source if sid is not None}
+    types = _distinct_types if config.count_mode == COUNT_MODE_BINARY else _occurrences
+    segment_targets = [types(counted_target, ids) for ids in _segments(target)]
+    # An array emptied in place frees its buffer, whoever refers to it.
+    del target.ids[:], target.ends[:]
+    targets: list[tuple[int, ...]] = []
+    pair_updates = 0
+    for tgt, ids in zip(segment_targets, _segments(source)):
+        if tgt:
+            src = types(counted_source, ids)
+            if src:
+                seg = len(targets)
+                targets.append(tgt)
+                for sid in src:
+                    postings[sid].append(seg)
+                pair_updates += len(src) * len(tgt)
+    del source.ids[:], source.ends[:]
+    return {sid: segs for sid, segs in postings.items() if segs}, targets, pair_updates
 
 
 def _encode(
@@ -182,61 +317,10 @@ def _encode(
     config: WcmConfig,
     progress_every: int = 0,
 ) -> tuple[dict[int, array], list[tuple[int, ...]], int]:
-    """Read ``pairs`` once into ``(postings, targets, pair_updates)``.
-
-    ``targets[n]`` holds the counted target ids of the n-th segment that
-    has both counted source and counted target types, and
-    ``postings[sid]`` the numbers n of the segments source id ``sid`` is
-    counted in. Binary mode keeps each type once per segment; product mode
-    keeps one entry per occurrence, so counting the targets of a row's
-    postings gives occurrences(i) * occurrences(j) summed over segments.
-    ``pair_updates`` is the number of increments that counting takes.
-
-    Both sides of every segment are checked against the vocabularies.
-    """
-    source_ids = source_vocab.token_ids
-    target_ids = target_vocab.token_ids
-    counted_source = _counted_ids(source_vocab, config)
-    counted_target = _counted_ids(target_vocab, config)
-    binary = config.count_mode == COUNT_MODE_BINARY
-    # Imported here, as loading it costs every CLI command memory.
-    from array import array
-
-    # Segment numbers as 4-byte unsigned integers; the target ids are the
-    # vocabulary's own id objects, so a row's Counter allocates no keys.
-    postings = {tok: array("I") for tok in counted_source}
-    targets: list[tuple[int, ...]] = []
-    pair_updates = 0
-    for index, (src_tokens, tgt_tokens) in enumerate(pairs):
-        if max(len(src_tokens), len(tgt_tokens)) > LONG_SEGMENT_TOKENS:
-            log.warning(
-                "segment %d is very long (%d/%d tokens); pair counting is quadratic",
-                index,
-                len(src_tokens),
-                len(tgt_tokens),
-            )
-        src_types = set(src_tokens)
-        tgt_types = set(tgt_tokens)
-        if not source_ids.keys() >= src_types:
-            _raise_mismatch(src_tokens, source_ids, index, "source")
-        if not target_ids.keys() >= tgt_types:
-            _raise_mismatch(tgt_tokens, target_ids, index, "target")
-        if binary:
-            s_toks = counted_source.keys() & src_types
-            t_toks = counted_target.keys() & tgt_types
-        else:
-            s_toks = [tok for tok in src_tokens if tok in counted_source]
-            t_toks = [tok for tok in tgt_tokens if tok in counted_target]
-        if s_toks and t_toks:
-            seg = len(targets)
-            targets.append(tuple(map(counted_target.__getitem__, t_toks)))
-            for tok in s_toks:
-                postings[tok].append(seg)
-            pair_updates += len(s_toks) * len(t_toks)
-        if progress_every and (index + 1) % progress_every == 0:
-            log.info("build-wcm: %d segments read", index + 1)
-    by_id = {counted_source[tok]: segs for tok, segs in postings.items() if segs}
-    return by_id, targets, pair_updates
+    """Read ``pairs`` once against the vocabularies into
+    ``(postings, targets, pair_updates)`` (see ``_postings``)."""
+    source, target = _read(pairs, source_vocab.token_ids, target_vocab.token_ids, progress_every)
+    return _postings(source, target, source_vocab, target_vocab, config)
 
 
 def _count_rows(
@@ -312,15 +396,16 @@ def build_wcm(
     threads: int = 1,
     progress_every: int = PROGRESS_EVERY,
 ) -> CooccurrenceMatrix:
-    """Count co-occurrences over a stream of tokenized segment pairs.
+    """Count co-occurrences over a stream of tokenized segment pairs, with
+    vocabularies the caller built.
 
     Types whose raw frequency exceeds ``config.hifreq_cutoff`` on their own
     side are skipped and recorded as exclusions, and cells below
     ``config.min_cooccurrence`` are pruned. In binary mode, types rarer than
     ``config.min_cooccurrence`` are skipped too; that is exact, and they are
-    not exclusions. The vocabularies must come from this corpus or a
-    superset of it; a token missing from them raises
-    VocabularyMismatchError.
+    not exclusions. Frequencies are the vocabularies' own. The vocabularies
+    must come from this corpus or a superset of it; a token missing from
+    them raises VocabularyMismatchError.
 
     ``pairs`` may be any iterable; it is read once, in this process, into
     each counted source word's segment numbers and each segment's counted
@@ -332,9 +417,54 @@ def build_wcm(
     """
     if config is None:
         config = WcmConfig()
-    postings, targets, pair_updates = _encode(
-        pairs, source_vocab, target_vocab, config, progress_every
+    encoded = _encode(pairs, source_vocab, target_vocab, config, progress_every)
+    return _count(encoded, source_vocab, target_vocab, config, threads)
+
+
+def build_wcm_with_vocabularies(
+    pairs: Iterable[tuple[list[str], list[str]]],
+    config: WcmConfig | None = None,
+    *,
+    threads: int = 1,
+    progress_every: int = PROGRESS_EVERY,
+) -> CooccurrenceMatrix:
+    """Build both vocabularies and the matrix in one read of ``pairs``.
+
+    Each token is numbered at its first occurrence as it is read, so the
+    matrix's vocabularies, which carry the corpus frequencies, are the ones
+    ``build_vocabulary`` makes from the same corpus, and the matrix is the
+    one ``build_wcm`` counts with them. The read keeps 4 bytes per token
+    per side until the postings are derived from it.
+    """
+    if config is None:
+        config = WcmConfig()
+    source_ids, target_ids = token_interner(), token_interner()
+    source, target = _read(pairs, source_ids, target_ids, progress_every)
+    source_vocab = Vocabulary.from_interner(
+        "source", source_ids, _frequencies(source, len(source_ids))
     )
+    target_vocab = Vocabulary.from_interner(
+        "target", target_ids, _frequencies(target, len(target_ids))
+    )
+    log.info(
+        "build-wcm: read %d segments, %d source types, %d target types",
+        len(source.ends),
+        len(source_vocab),
+        len(target_vocab),
+    )
+    # The read is emptied before counting, and before any worker is forked.
+    encoded = _postings(source, target, source_vocab, target_vocab, config)
+    return _count(encoded, source_vocab, target_vocab, config, threads)
+
+
+def _count(
+    encoded: tuple[dict[int, array], list[tuple[int, ...]], int],
+    source_vocab: Vocabulary,
+    target_vocab: Vocabulary,
+    config: WcmConfig,
+    threads: int,
+) -> CooccurrenceMatrix:
+    postings, targets, pair_updates = encoded
     floor = config.min_cooccurrence
     if threads > 1 and pair_updates >= POOL_MIN_PAIR_UPDATES:
         # Imported here, as importing them costs every CLI command start-up time.

@@ -16,10 +16,17 @@ import deqe.cli
 import deqe.wcm
 from deqe.analysis import BucketSpec, bucket_eval, correlate_de_bleu, filter_corpus
 from deqe.cli import main as cli_main
-from deqe.corpus import build_parallel_vocabularies, build_vocabulary, load_parallel_corpus, tokenize
+from deqe.corpus import build_vocabulary, load_parallel_corpus, tokenize
 from deqe.metrics import corpus_bleu, pearson, sentence_bleu, student_t_two_tailed
 from deqe.scoring import de_score, reverse_de_score
-from deqe.wcm import CooccurrenceMatrix, WcmConfig, build_wcm, load_wcm, save_wcm
+from deqe.wcm import (
+    CooccurrenceMatrix,
+    WcmConfig,
+    build_wcm,
+    build_wcm_with_vocabularies,
+    load_wcm,
+    save_wcm,
+)
 
 from helpers import random_corpus, random_matrix, write_lines
 from oracles import brute_force_excluded, brute_force_wcm, naive_corpus_bleu
@@ -313,25 +320,21 @@ def test_criterion_7_scale_smoke(tmp_path):
             sf.write("\n".join(batch_s) + "\n")
             tf.write("\n".join(batch_t) + "\n")
 
-    # the timed region mirrors the CLI build: vocabulary pass + counting pass
+    # the timed region mirrors the CLI build: one read that numbers the
+    # vocabularies and keeps what counting needs, then counting
+    n = 0
+
+    def pairs():
+        nonlocal n
+        for n, p in enumerate(load_parallel_corpus(src_path, tgt_path), start=1):
+            yield tokenize(p.source), tokenize(p.target)
+
     t0 = time.perf_counter()
-    source_vocab, target_vocab, n = build_parallel_vocabularies(
-        load_parallel_corpus(src_path, tgt_path)
-    )
-    assert n == n_segments
-    pairs = (
-        (tokenize(p.source), tokenize(p.target))
-        for p in load_parallel_corpus(src_path, tgt_path)
-    )
-    matrix = build_wcm(
-        pairs,
-        source_vocab,
-        target_vocab,
-        WcmConfig(min_cooccurrence=20),
-        threads=1,
-        progress_every=0,
+    matrix = build_wcm_with_vocabularies(
+        pairs(), WcmConfig(min_cooccurrence=20), threads=1, progress_every=0
     )
     elapsed = time.perf_counter() - t0
+    assert n == n_segments
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     assert matrix.n_entries > 0
     assert elapsed < 300.0

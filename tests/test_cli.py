@@ -1,4 +1,3 @@
-import itertools
 import logging
 import os
 import subprocess
@@ -6,6 +5,7 @@ import sys
 
 import pytest
 
+import deqe.corpus
 import deqe.wcm
 from deqe import cli
 from deqe.cli import main
@@ -225,27 +225,28 @@ def test_build_wcm_byte_identical_across_threads(tmp_path, toy_corpus, monkeypat
     assert outs[0] == outs[1]
 
 
-def test_vocabulary_mismatch_exit_2_in_worker_and_in_process(tmp_path, monkeypatch, capsys):
-    # Pass 1 sees only the first three segments, so counting meets "novel".
-    src, tgt = tmp_path / "m.src", tmp_path / "m.tgt"
-    write_lines(src, ["a b"] * 3 + ["a novel"])
-    write_lines(tgt, ["x y"] * 3 + ["x z"])
-    vocabularies = cli.build_parallel_vocabularies
-    monkeypatch.setattr(
-        cli,
-        "build_parallel_vocabularies",
-        lambda segments, tokenizer: vocabularies(itertools.islice(segments, 3), tokenizer),
+def test_build_wcm_opens_each_input_once(tmp_path, toy_corpus, monkeypatch):
+    src, tgt = toy_corpus
+    tsv = tmp_path / "train.tsv"
+    write_lines(
+        tsv, [f"{s}\t{t}" for s, t in zip(src.read_text().splitlines(), tgt.read_text().splitlines())]
     )
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    outcomes = []
-    for threads in ("1", "2"):
-        args = ["build-wcm", "--source", str(src), "--target", str(tgt),
-                "--out", str(tmp_path / "m.wcm"), "--threads", threads, "--quiet"]
-        outcomes.append((main(args), capsys.readouterr().err))
-    assert outcomes[0] == outcomes[1]
-    rc, err = outcomes[0]
-    assert rc == 2
-    assert "'novel' in segment 3" in err
+    opened = []
+    iter_lines = deqe.corpus.iter_lines
+
+    def logged(path):
+        opened.append(os.fspath(path))
+        return iter_lines(path)
+
+    monkeypatch.setattr(deqe.corpus, "iter_lines", logged)
+    outs = []
+    for inputs in (["--source", str(src), "--target", str(tgt)], ["--tsv", str(tsv)]):
+        opened.clear()
+        out = tmp_path / f"{len(inputs)}.wcm"
+        assert main(["build-wcm", *inputs, "--out", str(out), "--min-cooc", "2", "--quiet"]) == 0
+        assert sorted(opened) == sorted(inputs[1::2])
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 # The golden bytes below are what the build and the score report were before

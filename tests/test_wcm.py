@@ -7,9 +7,11 @@ import pytest
 from deqe.corpus import Vocabulary, build_vocabulary
 from deqe.errors import VocabularyMismatchError, WcmFormatError
 from deqe.wcm import (
+    LONG_SEGMENT_TOKENS,
     CooccurrenceMatrix,
     WcmConfig,
     build_wcm,
+    build_wcm_with_vocabularies,
     load_wcm,
     save_wcm,
 )
@@ -226,6 +228,46 @@ def test_vocabulary_mismatch_raised_once_while_reading():
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert "'new' in segment 1" in messages[0]
+
+
+@pytest.mark.parametrize("mode", ["binary", "product"])
+def test_one_read_build_matches_caller_vocabularies(mode, monkeypatch, caplog):
+    rng = random.Random(600)
+    pairs = zipf_corpus(rng)
+    pairs[3:3] = [([], ["t0"]), (["s0"], []), ([], [])]
+    # one segment just over the warning length, one at it
+    long_index = len(pairs)
+    pairs.append((["s1"] * (LONG_SEGMENT_TOKENS + 1), ["t1", "t2"]))
+    pairs.append((["s2"], ["t3"] * LONG_SEGMENT_TOKENS))
+    cutoff = 60
+    config = WcmConfig(3, cutoff, mode)
+    source_vocab = build_vocabulary([p[0] for p in pairs], "source")
+    target_vocab = build_vocabulary([p[1] for p in pairs], "target")
+    expected = build_wcm(pairs, source_vocab, target_vocab, config, progress_every=0)
+    assert expected.excluded_source and expected.excluded_target
+    excl_s, excl_t = brute_force_excluded(pairs, cutoff)
+    monkeypatch.setattr(deqe.wcm, "POOL_MIN_PAIR_UPDATES", 0)
+    for threads in (1, 2):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="deqe.wcm"):
+            matrix = build_wcm_with_vocabularies(pairs, config, threads=threads, progress_every=0)
+        warned = [rec.getMessage() for rec in caplog.records if "long" in rec.getMessage()]
+        assert len(warned) == 1 and f"segment {long_index} " in warned[0]
+        for built, vocab in ((matrix.source_vocab, source_vocab), (matrix.target_vocab, target_vocab)):
+            # the same tokens, ids and frequencies, in id order
+            assert list(built.items()) == list(vocab.items())
+            assert built.token_ids == vocab.token_ids
+            # the vocabulary numbers no token after the read
+            with pytest.raises(KeyError):
+                built.token_ids["unseen"]
+            assert len(built) == len(vocab) and "unseen" not in built
+        assert all(matrix.row(sid) == expected.row(sid) for sid in range(len(source_vocab)))
+        assert matrix.n_entries == expected.n_entries
+        assert matrix.excluded_source == expected.excluded_source
+        assert matrix.excluded_target == expected.excluded_target
+        assert matrix.entries_by_token() == brute_force_wcm(pairs, 3, cutoff, mode)
+        assert matrix.excluded_source_tokens() == excl_s
+        assert matrix.excluded_target_tokens() == excl_t
 
 
 @pytest.mark.parametrize("min_cooc", [1, 2, 5, 20])
