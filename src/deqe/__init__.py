@@ -18,7 +18,6 @@ from .analysis import (
     FilterSummary,
     HistogramReport,
     bucket_eval,
-    correlate_de_bleu,
     filter_corpus,
     histogram,
     iter_filter,
@@ -101,7 +100,6 @@ __all__ = [
     "build_wcm",
     "build_wcm_with_vocabularies",
     "corpus_bleu",
-    "correlate_de_bleu",
     "de_score",
     "filter_corpus",
     "histogram",

@@ -1,5 +1,5 @@
-"""DE-range bucketing with per-bucket BLEU, DE histograms, DE-vs-BLEU
-correlation, and DE-based corpus filtering."""
+"""DE-range bucketing with per-bucket BLEU, DE histograms, and DE-based
+corpus filtering."""
 
 from __future__ import annotations
 
@@ -9,15 +9,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .corpus import SegmentPair, TokenizerConfig, tokenize
-from .errors import UndefinedCorrelationError
-from .metrics import (
-    BleuResult,
-    CorrelationResult,
-    bleu_stats,
-    pearson,
-    pooled_bleu,
-    sentence_bleu,
-)
+from .metrics import BleuResult, bleu_stats, pooled_bleu
 from .scoring import DeScore, de_score
 from .wcm import CooccurrenceMatrix
 
@@ -178,27 +170,6 @@ def render_histogram_svg(report: HistogramReport, width: int = 640, height: int 
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def correlate_de_bleu(
-    scores: Sequence[DeScore],
-    hypotheses: Sequence[list[str]],
-    references: Sequence[list[str]],
-) -> CorrelationResult:
-    """Pearson correlation between DE scores and per-segment sentence BLEU."""
-    if not (len(scores) == len(hypotheses) == len(references)):
-        raise ValueError(
-            f"misaligned inputs: {len(scores)} scores, {len(hypotheses)} hypotheses, "
-            f"{len(references)} references"
-        )
-    de_values = [s.value for s in scores]
-    bleu_values = [sentence_bleu(h, r).score for h, r in zip(hypotheses, references)]
-    try:
-        return pearson(de_values, bleu_values)
-    except UndefinedCorrelationError as exc:
-        raise UndefinedCorrelationError(
-            f"DE-vs-BLEU correlation undefined: {exc}"
-        ) from None
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import logging
+import math
 import os
 import sys
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
@@ -38,7 +39,6 @@ from .corpus import (
     build_parallel_vocabularies,
     iter_aligned,
     iter_lines,
-    load_parallel_corpus,
     tokenize,
     vocab_stats,
 )
@@ -175,36 +175,28 @@ def _corpus_files(args: argparse.Namespace) -> CorpusFiles:
     return CorpusFiles((args.source, args.target), tokenizer=tokenizer)
 
 
-def _read_reals(path) -> list[float]:
-    values = []
+def _read_values(path) -> Iterator[tuple[int, str | None, float]]:
+    """Yield (line number, index, value) for each data line of ``path``.
+
+    A line of several tab-separated fields is a report row (``score``,
+    ``bleu --sentence-level``): its index is the first field and its value
+    the second. Any other line holds one real and has no index. Blank and
+    '#' comment lines are skipped; a value that is not a finite real is a
+    DataError naming the file and line.
+    """
     for lineno, line in enumerate(iter_lines(path), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
+        fields = text.split("\t")
+        index, text = (fields[0], fields[1]) if len(fields) >= 2 else (None, text)
         try:
-            values.append(float(text))
+            value = float(text)
         except ValueError:
             raise DataError(f"{path}: line {lineno}: not a number: {text!r}") from None
-    return values
-
-
-def _read_scores_column(path) -> list[float]:
-    """Read DE values from a score report (column 2) or a bare
-    one-real-per-line file; '#' comment lines are skipped."""
-    values = []
-    for lineno, line in enumerate(iter_lines(path), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.rstrip("\n").split("\t")
-        text = fields[1] if len(fields) >= 2 else fields[0]
-        try:
-            v = float(text)
-        except ValueError:
-            raise DataError(f"{path}: line {lineno}: not a score: {text!r}") from None
-        if not 0.0 <= v <= 100.0:
-            raise DataError(f"{path}: line {lineno}: score {v:g} outside [0, 100]")
-        values.append(v)
-    return values
+        if not math.isfinite(value):
+            raise DataError(f"{path}: line {lineno}: not a finite number: {text!r}")
+        yield lineno, index, value
 
 
 # ---------------------------------------------------------------------------
@@ -333,26 +325,25 @@ def cmd_score(args: argparse.Namespace) -> int:
         reverse=args.reverse,
         by_type=args.by_type,
     )
-    with _open_out(args.out) as fh:
-        for line in config_header(args):
-            fh.write(line + "\n")
-        columns = "index\tde\teligible\tevidenced"
-        if args.reverse:
-            columns += "\treverse_de"
-        fh.write("# columns: " + columns.replace("\t", " ") + "\n")
+
+    def rows() -> Iterator[str]:
+        yield "# columns: index de eligible evidenced" + (" reverse_de" if args.reverse else "")
         for seg in stream:
             row = f"{seg.index}\t{seg.de.value:.6f}\t{seg.de.eligible}\t{seg.de.evidenced}"
             if seg.reverse_de is not None:
                 row += f"\t{seg.reverse_de.value:.6f}"
-            fh.write(row + "\n")
+            yield row
+
+    with _open_out(args.out) as fh:
+        _write_report(fh, args, rows())
     return 0
 
 
 def cmd_bleu(args: argparse.Namespace) -> int:
     tokenizer = _tokenizer(args)
     pairs = [
-        (tokenize(p.source, tokenizer), tokenize(p.target, tokenizer))
-        for p in load_parallel_corpus(args.hypothesis, args.reference)
+        (tokenize(hypothesis, tokenizer), tokenize(reference, tokenizer))
+        for hypothesis, reference in iter_aligned(args.hypothesis, args.reference)
     ]
     if not pairs:
         raise DataError("empty corpus: no segments to score")
@@ -378,16 +369,22 @@ def cmd_bleu(args: argparse.Namespace) -> int:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
-    xs = _read_reals(args.x)
-    ys = _read_reals(args.y)
+    xs = list(_read_values(args.x))
+    ys = list(_read_values(args.y))
     if len(xs) != len(ys):
         raise AlignmentError(
             f"value count mismatch: {args.x} has {len(xs)} values, "
             f"{args.y} has {len(ys)} values"
         )
+    for (x_line, x_index, _), (y_line, y_index, _) in zip(xs, ys):
+        if x_index is not None and y_index is not None and x_index != y_index:
+            raise AlignmentError(
+                f"index mismatch: {args.x} line {x_line} has index {x_index}, "
+                f"{args.y} line {y_line} has index {y_index}"
+            )
     if len(xs) < 3:
         raise DataError(f"need at least 3 paired values, found {len(xs)}")
-    result = pearson(xs, ys)
+    result = pearson([v for _, _, v in xs], [v for _, _, v in ys])
     rows = [
         "# columns: r t_statistic p_value n",
         f"{result.r:.6f}\t{result.t_statistic:.4f}\t{result.p_value:.6g}\t{result.n}",
@@ -429,7 +426,11 @@ def _histogram_rows(report: HistogramReport) -> list[str]:
 
 
 def cmd_histogram(args: argparse.Namespace) -> int:
-    values = _read_scores_column(args.scores)
+    values = []
+    for lineno, _, value in _read_values(args.scores):
+        if not 0.0 <= value <= 100.0:
+            raise DataError(f"{args.scores}: line {lineno}: score {value:g} outside [0, 100]")
+        values.append(value)
     report = histogram(values, args.bin_width)
     # One stack, so a failure before the end replaces neither file.
     with contextlib.ExitStack() as stack:
@@ -564,8 +565,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "correlate", parents=[common], help="Pearson correlation of two value files"
     )
-    p.add_argument("--x", required=True, help="file with one real per line")
-    p.add_argument("--y", required=True, help="file with one real per line")
+    values_help = "report with index, value in fields 1-2 (score, bleu), or one real per line"
+    p.add_argument("--x", required=True, help=values_help)
+    p.add_argument("--y", required=True, help=values_help)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_correlate)
 
@@ -593,7 +595,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--scores",
         required=True,
-        help="score report (column 2) or one real per line",
+        help="score report (DE in field 2) or one real per line",
     )
     p.add_argument("--bin-width", type=_bin_width, default=5.0)
     p.add_argument("--chart", help="also render an SVG bar chart here")

@@ -222,14 +222,6 @@ class Vocabulary:
         vocab._adopt(side, interner, list(interner), frequencies)
         return vocab
 
-    @classmethod
-    def from_segments(cls, segments: Iterable[list[str]], side: str = "source") -> "Vocabulary":
-        counts: Counter[str] = Counter()
-        for tokens in segments:
-            counts.update(tokens)
-        # Counter preserves first-insertion order, i.e. first occurrence.
-        return cls(side, list(counts.keys()), list(counts.values()))
-
     def id_of(self, token: str) -> int | None:
         return self._ids.get(token)
 
@@ -270,7 +262,11 @@ class Vocabulary:
 
 def build_vocabulary(segments: Iterable[list[str]], side: str = "source") -> Vocabulary:
     """Build a vocabulary from a stream of tokenized segments."""
-    return Vocabulary.from_segments(segments, side)
+    counts: Counter[str] = Counter()
+    for tokens in segments:
+        counts.update(tokens)
+    # Counter preserves first-insertion order, i.e. first occurrence.
+    return Vocabulary(side, list(counts.keys()), list(counts.values()))
 
 
 def build_parallel_vocabularies(

@@ -136,14 +136,17 @@ EXACT_T_MAX_N = 200
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
     """Pearson correlation with a two-tailed p-value (n - 2 df).
 
-    Requires n >= 3 and both vectors non-constant; the p-value uses the
-    exact t distribution for n <= 200 and a normal approximation beyond.
+    Requires n >= 3 finite pairs and both vectors non-constant; the p-value
+    uses the exact t distribution for n <= 200 and a normal approximation
+    beyond.
     """
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     n = len(xs)
     if n < 3:
         raise ValueError(f"need at least 3 paired values, got {n}")
+    if not all(map(math.isfinite, itertools.chain(xs, ys))):
+        raise ValueError("correlation needs finite values; found nan or inf")
     mean_x = math.fsum(xs) / n
     mean_y = math.fsum(ys) / n
     dx = [x - mean_x for x in xs]

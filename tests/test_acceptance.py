@@ -14,7 +14,7 @@ import pytest
 
 import deqe.cli
 import deqe.wcm
-from deqe.analysis import BucketSpec, bucket_eval, correlate_de_bleu, filter_corpus
+from deqe.analysis import BucketSpec, bucket_eval, filter_corpus
 from deqe.cli import main as cli_main
 from deqe.corpus import build_vocabulary, load_parallel_corpus, tokenize
 from deqe.metrics import corpus_bleu, pearson, sentence_bleu, student_t_two_tailed
@@ -281,7 +281,10 @@ def test_criterion_6_synthetic_gradation(synth_train):
     margin = high.bleu.score - low.bleu.score
     assert margin >= 5.0
 
-    corr = correlate_de_bleu(scores, hyp_tok, ref_tok)
+    corr = pearson(
+        [s.value for s in scores],
+        [sentence_bleu(h, r).score for h, r in zip(hyp_tok, ref_tok)],
+    )
     assert corr.r > 0.3
     assert corr.p_value < 0.001
     elapsed = time.perf_counter() - t0

@@ -6,14 +6,12 @@ from deqe.analysis import (
     DEFAULT_BUCKETS,
     BucketSpec,
     bucket_eval,
-    correlate_de_bleu,
     filter_corpus,
     histogram,
     iter_filter,
     render_histogram_svg,
 )
 from deqe.corpus import SegmentPair, load_parallel_corpus
-from deqe.errors import UndefinedCorrelationError
 from deqe.metrics import corpus_bleu
 from deqe.scoring import DeScore
 
@@ -161,38 +159,6 @@ def test_render_histogram_svg_deterministic():
     assert svg.startswith("<svg") or "<svg" in svg
     assert svg.count("<rect") == len(report.bins) + 1  # bars + background
     assert render_histogram_svg(report) == svg
-
-
-# ---------------------------------------------------------------------------
-# DE vs BLEU correlation
-
-
-def test_correlate_de_bleu_constant_bleu_is_clear_error():
-    scores = _scores([10, 50, 90])
-    hyps = refs = [["a", "b"], ["c", "d"], ["e", "f"]]
-    with pytest.raises(UndefinedCorrelationError) as err:
-        correlate_de_bleu(scores, hyps, refs)
-    assert "constant" in str(err.value)
-
-
-def test_correlate_de_bleu_positive_on_graded_corpus():
-    # hypotheses degrade in step with their DE scores
-    refs = [["a", "b", "c", "d"]] * 4
-    hyps = [
-        ["a", "b", "c", "d"],
-        ["a", "b", "c", "x"],
-        ["a", "b", "x", "y"],
-        ["x", "y", "z", "w"],
-    ]
-    scores = _scores([100, 75, 50, 0])
-    result = correlate_de_bleu(scores, hyps, refs)
-    assert result.r > 0.8
-    assert result.n == 4
-
-
-def test_correlate_de_bleu_misaligned():
-    with pytest.raises(ValueError):
-        correlate_de_bleu(_scores([1, 2]), [["a"]], [["a"]])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,21 @@
 """The benchmark scripts under bench/ are not run by this suite, so a
-package name they import could be deleted or renamed without any test
-failing. This reads their source (and nothing else of bench/) and checks
-that every ``from deqe... import name`` still resolves."""
+package name they import, a CLI flag they pass or a keyword they call with
+could be deleted or renamed without any test failing. This checks that
+every ``from deqe... import name`` in their source still resolves, that
+every command line ``bench/workloads.py`` builds still parses, and that the
+keywords ``bench/stage.py`` passes to ``build_wcm`` are still accepted. It
+imports ``bench/workloads.py`` (stdlib only) and reads the rest of bench/
+as text."""
 
 import ast
 import importlib
+import importlib.util
+import inspect
+import sys
 from pathlib import Path
+
+from deqe import cli
+from deqe.wcm import build_wcm
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -28,3 +38,34 @@ def test_bench_imports_resolve():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def _workloads_module(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks the defining module up in sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _parse(*argv: object) -> None:
+    # Bench runs each command with --quiet appended, as its CLI wrapper does.
+    cli.build_parser().parse_args([*map(str, argv), "--quiet"])
+
+
+def test_bench_command_lines_parse(tmp_path, monkeypatch):
+    workloads = _workloads_module(monkeypatch)
+    inputs = workloads.Inputs(*(tmp_path / f for f in ("a.src", "a.tgt", "t.src", "t.ref", "t.hyp")))
+    for workload in workloads.WORKLOADS.values():
+        commands = workloads.command_args(workload, inputs, tmp_path / "x.wcm", tmp_path)
+        assert set(workload.sequence) <= set(commands)
+        for subcommand, args in commands.items():
+            _parse(subcommand, *args)
+    _parse("build-wcm", "--source", inputs.train_source, "--target", inputs.train_target,
+           "--out", tmp_path / "t1.wcm", "--threads", 1)
+
+
+def test_stage_build_wcm_call_binds():
+    # bench/stage.py: build_wcm(pairs, source_vocab, target_vocab, config, threads=, progress_every=)
+    inspect.signature(build_wcm).bind(None, None, None, None, threads=1, progress_every=0)

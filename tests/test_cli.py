@@ -416,6 +416,35 @@ def test_correlate_count_mismatch_exit_2(tmp_path):
     assert main(["correlate", "--x", str(tmp_path / "x"), "--y", str(tmp_path / "y")]) == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_correlate_non_finite_exit_2(tmp_path, capsys, bad):
+    write_lines(tmp_path / "x", ["1", bad, "3", "4"])
+    write_lines(tmp_path / "y", ["2", "1", "4", "3"])
+    rc = main(["correlate", "--x", str(tmp_path / "x"), "--y", str(tmp_path / "y")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'x'}: line 2: not a finite number: '{bad}'" in err
+
+
+@pytest.mark.parametrize(
+    "bleu_rows",
+    [
+        ["0\t10.0", "2\t30.0", "1\t20.0", "3\t40.0"],  # shuffled
+        ["0\t10.0", "1\t20.0", "3\t40.0"],  # one missing
+    ],
+    ids=["shuffled", "missing"],
+)
+def test_correlate_report_indices_must_align(tmp_path, capsys, bleu_rows):
+    score = tmp_path / "score.tsv"
+    bleu = tmp_path / "bleu.tsv"
+    write_lines(score, ["# columns: index de eligible evidenced"]
+                + [f"{i}\t{v}\t4\t{i}" for i, v in enumerate((0.0, 25.0, 50.0, 75.0))])
+    write_lines(bleu, ["# columns: index bleu", *bleu_rows])
+    assert main(["correlate", "--x", str(score), "--y", str(bleu)]) == 2
+    err = capsys.readouterr().err
+    assert str(score) in err and str(bleu) in err
+
+
 # ---------------------------------------------------------------------------
 # bucket-eval / histogram / filter
 

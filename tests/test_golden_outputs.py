@@ -2,9 +2,12 @@
 
 The SHA-256 digests below are of the files the earlier implementation
 wrote from the same inputs, when reverse DE had its own loop, each bucket
-recounted its n-grams and the filter command kept its own tally. Any change
-to scoring, BLEU, bucketing or filtering that alters one output byte fails
-here.
+recounted its n-grams, the filter command kept its own tally, and
+`correlate` and `histogram` each had a reader of their own. Any change to
+scoring, BLEU, bucketing, filtering or report reading that alters one
+output byte fails here. `correlate_reports.tsv`, the correlation read
+straight from the `score` and `bleu --sentence-level` reports, was first
+written by the shared reader; its r is also checked against the library.
 """
 
 import hashlib
@@ -13,6 +16,10 @@ import random
 import pytest
 
 from deqe.cli import main
+from deqe.corpus import iter_aligned, tokenize
+from deqe.metrics import pearson, sentence_bleu
+from deqe.scoring import de_score
+from deqe.wcm import load_wcm
 
 from helpers import write_lines
 
@@ -33,6 +40,10 @@ GOLDEN = {
     "files_kept.target": "494886906c593b59dc19b620b8c1f3c803689c7f775d9844f8a228fae2336135",
     "files_dropped.source": "4502e78c23f43d4c9e7e7513b81bfc001a530d6a9f019189677411e55693c87b",
     "files_dropped.target": "b8c74147d44dfb1b0aeb24a356e46e4b9dd567ad1f3c188e278e36d4f6418d56",
+    "correlate_bare.tsv": "caa7065b49d577607790821eceed89f961ccdc0076eb1620ed4c7a01f316e5df",
+    "histogram.tsv": "b3e50bb5e692daf03f8fc3db78d42d4b6d84adc0f0b8d02b6fc10eb80dd1e8b6",
+    "histogram.svg": "de3422722f92e6e8503af07be1da8f5ceb06ec238b46669e5a38a002e62722be",
+    "correlate_reports.tsv": "1a31db2838e29d30e6b023ca8ea19a1013c189860f6efe630117a679888088ed",
 }
 
 
@@ -96,6 +107,15 @@ def outputs(tmp_path_factory):
         bleu = ["--hypothesis", "test.hyp", "--reference", "test.ref"]
         _run("bleu", *bleu, "--out", "bleu.tsv")
         _run("bleu", *bleu, "--sentence-level", "--out", "bleu_sentence.tsv")
+        # The second field of each report row, as bare one-real-per-line files.
+        for report, bare in (("score_reverse.tsv", "de.txt"), ("bleu_sentence.tsv", "sbleu.txt")):
+            rows = [line.split("\t") for line in (work / report).read_text().splitlines()]
+            write_lines(bare, [row[1] for row in rows if not row[0].startswith("#")])
+        _run("correlate", "--x", "de.txt", "--y", "sbleu.txt", "--out", "correlate_bare.tsv")
+        _run("correlate", "--x", "score_reverse.tsv", "--y", "bleu_sentence.tsv",
+             "--out", "correlate_reports.tsv")
+        _run("histogram", "--scores", "score_reverse.tsv", "--chart", "histogram.svg",
+             "--out", "histogram.tsv")
         _run("filter", "--wcm", "train.wcm", "--tsv", "train.tsv", "--min-de", "50",
              "--kept-prefix", "tsv_kept", "--dropped-prefix", "tsv_dropped", "--out", "filter_tsv.tsv")
         _run("filter", "--wcm", "train.wcm", "--source", "train.src", "--target", "train.tgt",
@@ -109,3 +129,17 @@ def test_output_bytes_match_golden_digest(outputs, name):
     data = (outputs / name).read_bytes()
     assert data, f"{name} is empty"
     assert hashlib.sha256(data).hexdigest() == GOLDEN[name]
+
+
+def test_correlate_of_reports_matches_library(outputs):
+    matrix = load_wcm(outputs / "train.wcm")
+    de, bleu = [], []
+    for src, hyp, ref in iter_aligned(*(outputs / f"test.{ext}" for ext in ("src", "hyp", "ref"))):
+        de.append(de_score(matrix, tokenize(src), tokenize(hyp)).value)
+        bleu.append(sentence_bleu(tokenize(hyp), tokenize(ref)).score)
+    expected = pearson(de, bleu)
+    (row,) = [line for line in (outputs / "correlate_reports.tsv").read_text().splitlines()
+              if not line.startswith("#")]
+    r, _, _, n = row.split("\t")
+    assert int(n) == expected.n == 83
+    assert abs(float(r) - expected.r) <= 1e-6

@@ -233,6 +233,11 @@ def test_pearson_errors():
         pearson([1, 1, 1], [1, 2, 3])
     with pytest.raises(UndefinedCorrelationError):
         pearson([1, 2, 3], [5, 5, 5])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            pearson([1, 2, bad, 4], [1, 3, 2, 4])
+        with pytest.raises(ValueError, match="finite"):
+            pearson([1, 2, 3, 4], [1, bad, 2, 4])
 
 
 def test_pearson_strong_correlation_significant():
