@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import SegmentPair, TokenizerConfig, tokenize
 from .metrics import BleuResult, bleu_stats, pooled_bleu
 from .scoring import DeScore, de_score
-from .wcm import CooccurrenceMatrix
+
+if TYPE_CHECKING:
+    from .wcm import CooccurrenceMatrix
 
 log = logging.getLogger(__name__)
 
@@ -21,18 +22,29 @@ KIND_BELOW = "below"
 KIND_AT_OR_ABOVE = "at_or_above"
 
 
-@dataclass(frozen=True)
-class BucketSpec:
-    """One DE-score range: strictly below or at-or-above a threshold."""
-
+class _BucketSpecFields(NamedTuple):
     kind: str
     threshold: float
 
-    def __post_init__(self) -> None:
+
+class BucketSpec(_BucketSpecFields):
+    """One DE-score range: strictly below or at-or-above a threshold. An
+    unknown kind or a threshold outside [0, 100] raises ValueError."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "BucketSpec":
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in (KIND_BELOW, KIND_AT_OR_ABOVE):
             raise ValueError(f"unknown bucket kind {self.kind!r}")
         if not 0.0 <= self.threshold <= 100.0:
             raise ValueError(f"bucket threshold {self.threshold} outside [0, 100]")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "BucketSpec":
+        # So that ``_replace`` checks the new values too.
+        return cls(*iterable)
 
     @classmethod
     def parse(cls, text: str) -> "BucketSpec":
@@ -60,15 +72,13 @@ DEFAULT_BUCKETS: tuple[BucketSpec, ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
-class BucketRow:
+class BucketRow(NamedTuple):
     spec: BucketSpec
     segment_count: int
     bleu: BleuResult | None
 
 
-@dataclass(frozen=True)
-class BucketReport:
+class BucketReport(NamedTuple):
     rows: tuple[BucketRow, ...]
     total_segments: int
     degenerate_segments: int
@@ -102,8 +112,7 @@ def bucket_eval(
     return BucketReport(tuple(rows), len(scores), degenerate)
 
 
-@dataclass(frozen=True)
-class HistogramReport:
+class HistogramReport(NamedTuple):
     """Counts of scores per half-open bin [k*w, (k+1)*w); the final bin is
     closed at 100 so a perfect score lands in it."""
 
@@ -172,15 +181,13 @@ def render_histogram_svg(report: HistogramReport, width: int = 640, height: int 
     return "\n".join(parts) + "\n"
 
 
-@dataclass(frozen=True)
-class FilterDecision:
+class FilterDecision(NamedTuple):
     pair: SegmentPair
     de: DeScore
     kept: bool
 
 
-@dataclass(frozen=True)
-class FilterSummary:
+class FilterSummary(NamedTuple):
     total: int
     kept: int
     dropped: int

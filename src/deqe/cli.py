@@ -8,6 +8,10 @@ starts with '#' comment lines echoing the resolved run configuration, so a
 run can be reproduced from its output; execution-only knobs (--threads,
 --quiet, --out) are left out so thread count and destination never change
 report bytes.
+
+Only what parsing and error handling need is imported here; each handler
+imports the library modules it runs, so a command pays start-up time for
+no module it does not use.
 """
 
 from __future__ import annotations
@@ -18,34 +22,16 @@ import logging
 import math
 import os
 import sys
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .analysis import (
-    DEFAULT_BUCKETS,
-    BucketSpec,
-    HistogramReport,
-    _bin_count,
-    bucket_eval,
-    filter_corpus,
-    histogram,
-    render_histogram_svg,
-)
-from .corpus import (
-    CorpusFiles,
-    SegmentPair,
-    TokenizerConfig,
-    atomic_write,
-    build_parallel_vocabularies,
-    iter_aligned,
-    iter_lines,
-    tokenize,
-    vocab_stats,
-)
 from .errors import AlignmentError, DataError, UsageError
-from .metrics import corpus_bleu, pearson, sentence_bleu
-from .scoring import de_score, score_file
-from .wcm import COUNT_MODES, WcmConfig, build_wcm_with_vocabularies, load_wcm, save_wcm
+
+if TYPE_CHECKING:
+    from typing import Callable, Iterable, Iterator, Sequence, TextIO
+
+    from .analysis import BucketSpec, HistogramReport
+    from .corpus import CorpusFiles, SegmentPair, TokenizerConfig
 
 log = logging.getLogger(__name__)
 
@@ -56,6 +42,17 @@ THREADS_ENV_VAR = "DE_QE_THREADS"
 # they are excluded from report headers so identical analyses emit
 # identical bytes regardless of thread count or destination.
 _EXECUTION_KEYS = {"handler", "parser", "subcommand", "threads", "quiet", "out"}
+
+# The header line of the per-segment reports (``score``, ``bleu
+# --sentence-level``), whose rows carry a segment index in field 1 and a
+# value in field 2; no other report writes it.
+_INDEX_COLUMNS = "# columns: index"
+
+# --buckets and --count-mode values, spelled out so parsing imports neither
+# ``analysis`` nor ``wcm``; tests hold them equal to ``DEFAULT_BUCKETS`` and
+# ``COUNT_MODES``.
+_DEFAULT_BUCKETS = "<20,<30,<40,<50,>=50,>=60,>=70,>=80,>=90"
+_COUNT_MODES = ("binary", "product")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,10 +95,10 @@ def _format_param(value: object) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:g}"
+    if hasattr(value, "label"):  # a BucketSpec, which is also a tuple
+        return value.label
     if isinstance(value, (list, tuple)):
         return ",".join(_format_param(v) for v in value)
-    if isinstance(value, BucketSpec):
-        return value.label
     return str(value)
 
 
@@ -119,6 +116,8 @@ def _open_out(path: str | None) -> Iterator[TextIO]:
     if path is None:
         yield sys.stdout
     else:
+        from .corpus import atomic_write
+
         with atomic_write(path) as fh:
             yield fh
 
@@ -161,10 +160,14 @@ def _resolve_threads(value: int | None) -> int:
 
 
 def _tokenizer(args: argparse.Namespace) -> TokenizerConfig:
+    from .corpus import TokenizerConfig
+
     return TokenizerConfig(lowercase=args.lowercase, strip_punct=args.strip_punct)
 
 
 def _corpus_files(args: argparse.Namespace) -> CorpusFiles:
+    from .corpus import CorpusFiles
+
     tokenizer = _tokenizer(args)
     if args.tsv is not None:
         if args.source or args.target:
@@ -178,18 +181,33 @@ def _corpus_files(args: argparse.Namespace) -> CorpusFiles:
 def _read_values(path) -> Iterator[tuple[int, str | None, float]]:
     """Yield (line number, index, value) for each data line of ``path``.
 
-    A line of several tab-separated fields is a report row (``score``,
-    ``bleu --sentence-level``): its index is the first field and its value
-    the second. Any other line holds one real and has no index. Blank and
-    '#' comment lines are skipped; a value that is not a finite real is a
-    DataError naming the file and line.
+    After a ``# columns: index ...`` line, which the per-segment reports
+    (``score``, ``bleu --sentence-level``) write and no other report does, a
+    line of several tab-separated fields is a row: its index is the first
+    field and its value the second. Any other data line holds one real and
+    has no index, so the rows of another report are a DataError, not
+    misread. Blank and '#' comment lines are skipped; a value that is not a
+    finite real is a DataError naming the file and line.
     """
+    from .corpus import iter_lines
+
+    indexed = False
     for lineno, line in enumerate(iter_lines(path), start=1):
         text = line.strip()
-        if not text or text.startswith("#"):
+        if not text:
+            continue
+        if text.startswith("#"):
+            indexed = indexed or text.startswith(_INDEX_COLUMNS + " ")
             continue
         fields = text.split("\t")
-        index, text = (fields[0], fields[1]) if len(fields) >= 2 else (None, text)
+        index = None
+        if len(fields) > 1:
+            if not indexed:
+                raise DataError(
+                    f"{path}: line {lineno}: {len(fields)} tab-separated fields, but the "
+                    f"file is not a per-segment report (no '{_INDEX_COLUMNS} ...' line)"
+                )
+            index, text = fields[0], fields[1]
         try:
             value = float(text)
         except ValueError:
@@ -224,6 +242,8 @@ def _score_value(text: str) -> float:
 
 
 def _bin_width(text: str) -> float:
+    from .analysis import _bin_count
+
     try:
         value = float(text)
     except ValueError:
@@ -246,6 +266,8 @@ def _threshold_list(text: str) -> list[int]:
 
 
 def _bucket_list(text: str) -> list[BucketSpec]:
+    from .analysis import BucketSpec
+
     try:
         buckets = [BucketSpec.parse(piece) for piece in text.split(",") if piece.strip()]
     except ValueError as exc:
@@ -260,6 +282,8 @@ def _bucket_list(text: str) -> list[BucketSpec]:
 
 
 def cmd_vocab_stats(args: argparse.Namespace) -> int:
+    from .corpus import build_parallel_vocabularies, vocab_stats
+
     corpus = _corpus_files(args)
     source_vocab, target_vocab, n = build_parallel_vocabularies(
         corpus.segments(), corpus.tokenizer
@@ -295,6 +319,8 @@ def cmd_vocab_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_build_wcm(args: argparse.Namespace) -> int:
+    from .wcm import WcmConfig, build_wcm_with_vocabularies, save_wcm
+
     threads = _resolve_threads(args.threads)
     corpus = _corpus_files(args)
     config = WcmConfig(
@@ -315,6 +341,9 @@ def cmd_build_wcm(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    from .scoring import score_file
+    from .wcm import load_wcm
+
     matrix = load_wcm(args.wcm)
     tokenizer = _tokenizer(args)
     stream = score_file(
@@ -327,7 +356,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     )
 
     def rows() -> Iterator[str]:
-        yield "# columns: index de eligible evidenced" + (" reverse_de" if args.reverse else "")
+        yield f"{_INDEX_COLUMNS} de eligible evidenced" + (" reverse_de" if args.reverse else "")
         for seg in stream:
             row = f"{seg.index}\t{seg.de.value:.6f}\t{seg.de.eligible}\t{seg.de.evidenced}"
             if seg.reverse_de is not None:
@@ -340,6 +369,9 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_bleu(args: argparse.Namespace) -> int:
+    from .corpus import iter_aligned, tokenize
+    from .metrics import corpus_bleu, sentence_bleu
+
     tokenizer = _tokenizer(args)
     pairs = [
         (tokenize(hypothesis, tokenizer), tokenize(reference, tokenizer))
@@ -351,7 +383,7 @@ def cmd_bleu(args: argparse.Namespace) -> int:
     refs = [r for _, r in pairs]
     rows = []
     if args.sentence_level:
-        rows.append("# columns: index bleu")
+        rows.append(f"{_INDEX_COLUMNS} bleu")
         for i, (h, r) in enumerate(zip(hyps, refs)):
             rows.append(f"{i}\t{sentence_bleu(h, r).score:.6f}")
     else:
@@ -369,6 +401,8 @@ def cmd_bleu(args: argparse.Namespace) -> int:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
+    from .metrics import pearson
+
     xs = list(_read_values(args.x))
     ys = list(_read_values(args.y))
     if len(xs) != len(ys):
@@ -395,6 +429,11 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def cmd_bucket_eval(args: argparse.Namespace) -> int:
+    from .analysis import bucket_eval
+    from .corpus import iter_aligned, tokenize
+    from .scoring import de_score
+    from .wcm import load_wcm
+
     matrix = load_wcm(args.wcm)
     tokenizer = _tokenizer(args)
     scores, hyp_tokens, ref_tokens = [], [], []
@@ -426,6 +465,9 @@ def _histogram_rows(report: HistogramReport) -> list[str]:
 
 
 def cmd_histogram(args: argparse.Namespace) -> int:
+    from .analysis import histogram, render_histogram_svg
+    from .corpus import atomic_write
+
     values = []
     for lineno, _, value in _read_values(args.scores):
         if not 0.0 <= value <= 100.0:
@@ -443,6 +485,9 @@ def cmd_histogram(args: argparse.Namespace) -> int:
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
+    from .analysis import filter_corpus
+    from .wcm import load_wcm
+
     corpus = _corpus_files(args)
     matrix = load_wcm(args.wcm)
     # One stack, so a failure before the end replaces none of the side files
@@ -479,6 +524,8 @@ def _pair_sink(stack: contextlib.ExitStack, prefix: str) -> Callable[[SegmentPai
     ``atomic_write``, so they replace earlier files only when the stack
     closes without an exception; the returned function appends one pair to
     them."""
+    from .corpus import atomic_write
+
     source = stack.enter_context(atomic_write(f"{prefix}.source"))
     target = stack.enter_context(atomic_write(f"{prefix}.target"))
 
@@ -538,7 +585,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output WCM file")
     p.add_argument("--min-cooc", type=_positive_int, default=20)
     p.add_argument("--hifreq-cutoff", type=_positive_int, default=10_000)
-    p.add_argument("--count-mode", choices=COUNT_MODES, default="binary")
+    p.add_argument("--count-mode", choices=_COUNT_MODES, default="binary")
     p.add_argument("--threads", type=_positive_int, default=None)
     p.set_defaults(handler=cmd_build_wcm)
 
@@ -584,7 +631,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--buckets",
         type=_bucket_list,
-        default=list(DEFAULT_BUCKETS),
+        default=_DEFAULT_BUCKETS,
         help='comma-separated specs like "<20,<50,>=50,>=80"',
     )
     p.add_argument("--by-type", action="store_true")

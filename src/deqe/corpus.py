@@ -7,14 +7,12 @@ import itertools
 import os
 import unicodedata
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import AlignmentError, DataError, EncodingError
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
+class TokenizerConfig(NamedTuple):
     """Tokenization settings.
 
     Every file that feeds one matrix (training corpus, test source, MT
@@ -56,8 +54,7 @@ def _strip_edge_punct(token: str) -> str:
     return token[start:end]
 
 
-@dataclass(frozen=True)
-class SegmentPair:
+class SegmentPair(NamedTuple):
     """One aligned sentence pair; ``index`` is the 0-based line ordinal."""
 
     index: int
@@ -140,23 +137,31 @@ def load_parallel_corpus(source_path, target_path) -> Iterator[SegmentPair]:
     Raises AlignmentError naming both line counts if the files disagree
     in length.
     """
-    for index, (src, tgt) in enumerate(iter_aligned(source_path, target_path)):
-        yield SegmentPair(index, src, tgt)
+    return _numbered(iter_aligned(source_path, target_path))
 
 
 def load_tsv_corpus(path) -> Iterator[SegmentPair]:
     """Stream segment pairs from a single TSV file (source TAB target)."""
-    for index, line in enumerate(iter_lines(path)):
+    return _numbered(_tsv_fields(path))
+
+
+def _numbered(texts: Iterable[Sequence[str]]) -> Iterator[SegmentPair]:
+    for index, (source, target) in enumerate(texts):
+        yield SegmentPair(index, source, target)
+
+
+def _tsv_fields(path) -> Iterator[list[str]]:
+    """The [source, target] fields of each line of a TSV corpus; a line
+    without exactly one tab is a DataError naming the file and line."""
+    for lineno, line in enumerate(iter_lines(path), start=1):
         fields = line.split("\t")
         if len(fields) != 2:
             raise DataError(
-                f"{path}: line {index + 1}: expected exactly one tab, "
-                f"found {len(fields) - 1}"
+                f"{path}: line {lineno}: expected exactly one tab, found {len(fields) - 1}"
             )
-        yield SegmentPair(index, fields[0], fields[1])
+        yield fields
 
 
-@dataclass(frozen=True)
 class CorpusFiles:
     """A parallel corpus on disk, read with one tokenizer.
 
@@ -165,19 +170,28 @@ class CorpusFiles:
     iteration.
     """
 
-    paths: tuple[str, ...]
-    tsv: bool = False
-    tokenizer: TokenizerConfig = _DEFAULT_TOKENIZER
+    def __init__(
+        self,
+        paths: tuple[str, ...],
+        tsv: bool = False,
+        tokenizer: TokenizerConfig = _DEFAULT_TOKENIZER,
+    ):
+        self.paths = paths
+        self.tsv = tsv
+        self.tokenizer = tokenizer
+
+    def _texts(self) -> Iterator[Sequence[str]]:
+        if self.tsv:
+            return _tsv_fields(*self.paths)
+        return iter_aligned(*self.paths)
 
     def segments(self) -> Iterator[SegmentPair]:
-        if self.tsv:
-            return load_tsv_corpus(*self.paths)
-        return load_parallel_corpus(*self.paths)
+        return _numbered(self._texts())
 
     def __iter__(self) -> Iterator[tuple[list[str], list[str]]]:
         config = self.tokenizer
-        for pair in self.segments():
-            yield tokenize(pair.source, config), tokenize(pair.target, config)
+        for source, target in self._texts():
+            yield tokenize(source, config), tokenize(target, config)
 
 
 def token_interner() -> defaultdict[str, int]:
@@ -288,8 +302,7 @@ def build_parallel_vocabularies(
     return source, target, n
 
 
-@dataclass(frozen=True)
-class ThresholdCount:
+class ThresholdCount(NamedTuple):
     """How many vocabulary types sit at or above / below one frequency bar."""
 
     threshold: int
@@ -297,8 +310,7 @@ class ThresholdCount:
     below: int
 
 
-@dataclass(frozen=True)
-class VocabStats:
+class VocabStats(NamedTuple):
     side: str
     vocab_size: int
     token_count: int

@@ -6,16 +6,14 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import UndefinedCorrelationError
 
 MAX_ORDER = 4
 
 
-@dataclass(frozen=True)
-class BleuResult:
+class BleuResult(NamedTuple):
     """BLEU-4 with its components.
 
     score = 100 * brevity_penalty * geometric mean of the four modified
@@ -120,8 +118,7 @@ def sentence_bleu(hypothesis: list[str], reference: list[str]) -> BleuResult:
     return BleuResult(_geometric_score(precisions, bp), precisions, bp, hyp_len, ref_len)
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     r: float
     n: int
     t_statistic: float

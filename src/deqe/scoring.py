@@ -10,19 +10,19 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .corpus import TokenizerConfig, load_parallel_corpus, tokenize
-from .wcm import CooccurrenceMatrix
+from .corpus import TokenizerConfig, iter_aligned, tokenize
+
+if TYPE_CHECKING:
+    from .wcm import CooccurrenceMatrix
 
 log = logging.getLogger(__name__)
 
 PROGRESS_EVERY = 100_000
 
 
-@dataclass(frozen=True)
-class DeScore:
+class DeScore(NamedTuple):
     """One segment's Direct Evidence score.
 
     ``value`` is 100 * evidenced / eligible, or 0 with ``degenerate`` set
@@ -42,8 +42,7 @@ class DeScore:
         return cls(100.0 * evidenced / eligible, eligible, evidenced, False)
 
 
-@dataclass(frozen=True)
-class ScoredSegment:
+class ScoredSegment(NamedTuple):
     index: int
     de: DeScore
     reverse_de: DeScore | None = None
@@ -112,13 +111,11 @@ def score_file(
     config must match the one used when the matrix was built. A line-count
     mismatch raises AlignmentError.
     """
-    n = 0
-    for pair in load_parallel_corpus(source_path, hypothesis_path):
-        src = tokenize(pair.source, tokenizer)
-        hyp = tokenize(pair.target, tokenizer)
+    for index, (source, hypothesis) in enumerate(iter_aligned(source_path, hypothesis_path)):
+        src = tokenize(source, tokenizer)
+        hyp = tokenize(hypothesis, tokenizer)
         forward = de_score(matrix, src, hyp, by_type=by_type)
         rev = reverse_de_score(matrix, src, hyp, by_type=by_type) if reverse else None
-        yield ScoredSegment(pair.index, forward, rev)
-        n += 1
-        if PROGRESS_EVERY and n % PROGRESS_EVERY == 0:
-            log.info("score: %d segments scored", n)
+        yield ScoredSegment(index, forward, rev)
+        if PROGRESS_EVERY and (index + 1) % PROGRESS_EVERY == 0:
+            log.info("score: %d segments scored", index + 1)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import os
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress
 from operator import is_not, itemgetter
@@ -36,20 +35,24 @@ PROGRESS_EVERY = 100_000
 LONG_SEGMENT_TOKENS = 1_000
 
 
-@dataclass(frozen=True)
-class WcmConfig:
-    """Thresholds and counting semantics a matrix is built under.
-
-    ``binary`` counting adds 1 per segment in which both types co-occur,
-    regardless of repetition; ``product`` adds occurrences(i) *
-    occurrences(j) instead.
-    """
-
+class _WcmConfigFields(NamedTuple):
     min_cooccurrence: int = 20
     hifreq_cutoff: int = 10_000
     count_mode: str = COUNT_MODE_BINARY
 
-    def __post_init__(self) -> None:
+
+class WcmConfig(_WcmConfigFields):
+    """Thresholds and counting semantics a matrix is built under.
+
+    ``binary`` counting adds 1 per segment in which both types co-occur,
+    regardless of repetition; ``product`` adds occurrences(i) *
+    occurrences(j) instead. A value out of range raises ValueError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "WcmConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.min_cooccurrence < 1:
             raise ValueError("min_cooccurrence must be >= 1")
         if self.hifreq_cutoff < 1:
@@ -58,6 +61,12 @@ class WcmConfig:
             raise ValueError(
                 f"count_mode must be one of {COUNT_MODES}, got {self.count_mode!r}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "WcmConfig":
+        # So that ``_replace`` checks the new values too.
+        return cls(*iterable)
 
 
 class CooccurrenceMatrix:

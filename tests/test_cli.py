@@ -445,6 +445,38 @@ def test_correlate_report_indices_must_align(tmp_path, capsys, bleu_rows):
     assert str(score) in err and str(bleu) in err
 
 
+def _bucket_eval_report(tmp_path, toy_wcm):
+    write_lines(tmp_path / "bsrc", ["a b", "a c"])
+    write_lines(tmp_path / "bhyp", ["x y x y", "x z x z"])
+    return [
+        "bucket-eval",
+        "--wcm", str(toy_wcm),
+        "--source", str(tmp_path / "bsrc"),
+        "--hypothesis", str(tmp_path / "bhyp"),
+        "--reference", str(tmp_path / "bhyp"),
+    ]
+
+
+def _corpus_bleu_report(tmp_path, toy_wcm):
+    write_lines(tmp_path / "h", ["the cat sat down", "a b c d"])
+    return ["bleu", "--hypothesis", str(tmp_path / "h"), "--reference", str(tmp_path / "h")]
+
+
+@pytest.mark.parametrize("reader", ["correlate", "histogram"])
+@pytest.mark.parametrize(
+    "report", [_bucket_eval_report, _corpus_bleu_report], ids=["bucket-eval", "corpus-bleu"]
+)
+def test_report_that_is_not_per_segment_exit_2(tmp_path, toy_wcm, capsys, reader, report):
+    """Only the score and bleu --sentence-level reports carry an index and a
+    value per row; the rows of any other report are not misread as one."""
+    path = tmp_path / "report.tsv"
+    assert main([*report(tmp_path, toy_wcm), "--out", str(path), "--quiet"]) == 0
+    args = ["--x", str(path), "--y", str(path)] if reader == "correlate" else ["--scores", str(path)]
+    assert main([reader, *args]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: line " in err and "not a per-segment report" in err
+
+
 # ---------------------------------------------------------------------------
 # bucket-eval / histogram / filter
 
@@ -639,6 +671,52 @@ def test_cli_import_loads_no_pool_or_tempfile_modules():
         check=True,
     )
     assert result.stdout.split() == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["--version"],
+        ["correlate", "--x", "{d}/x", "--y", "{d}/y", "--out", "{d}/out"],
+        ["histogram", "--scores", "{d}/x", "--out", "{d}/out"],
+        ["bleu", "--hypothesis", "{d}/x", "--reference", "{d}/y", "--out", "{d}/out"],
+    ],
+    ids=lambda command: command[0].lstrip("-"),
+)
+def test_cold_start_imports_only_what_the_command_runs(tmp_path, command):
+    """Start-up cost, in a fresh interpreter: no command here loads
+    ``dataclasses`` (which pulls in ``inspect`` and ``ast``) or the WCM
+    module, and ``correlate`` and ``bleu`` load neither scoring nor
+    analysis."""
+    write_lines(tmp_path / "x", ["10", "20", "35"])
+    write_lines(tmp_path / "y", ["1", "3", "2"])
+    unwanted = {"dataclasses", "deqe.wcm"}
+    if command[0] in ("correlate", "bleu"):
+        unwanted |= {"deqe.scoring", "deqe.analysis"}
+    code = (
+        "import sys; from deqe.cli import main; rc = main(sys.argv[1:]); "
+        "print('loaded', rc, *sorted(sys.modules))"
+    )
+    argv = [arg.format(d=tmp_path) for arg in command]
+    src_dir = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": src_dir},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    _, rc, *loaded = result.stdout.splitlines()[-1].split()
+    assert rc == "0", result.stderr
+    assert unwanted.isdisjoint(loaded)
+
+
+def test_parser_spells_out_library_defaults():
+    from deqe.analysis import DEFAULT_BUCKETS
+
+    assert cli._bucket_list(cli._DEFAULT_BUCKETS) == list(DEFAULT_BUCKETS)
+    assert cli._COUNT_MODES == deqe.wcm.COUNT_MODES
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from deqe.analysis import BucketSpec
 from deqe.corpus import Vocabulary, build_vocabulary
 from deqe.errors import VocabularyMismatchError, WcmFormatError
 from deqe.wcm import (
@@ -30,6 +31,15 @@ def test_config_validation():
         WcmConfig(hifreq_cutoff=0)
     with pytest.raises(ValueError):
         WcmConfig(count_mode="fancy")
+    with pytest.raises(ValueError):
+        WcmConfig()._replace(min_cooccurrence=0)
+    with pytest.raises(ValueError):
+        BucketSpec("between", 50.0)
+    for threshold in (-1.0, 100.5):
+        with pytest.raises(ValueError):
+            BucketSpec("below", threshold)
+    with pytest.raises(ValueError):
+        BucketSpec("below", 50.0)._replace(threshold=101.0)
 
 
 def test_toy_matrix_entries():
