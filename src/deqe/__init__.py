@@ -24,6 +24,7 @@ _EXPORTS = {
         "HistogramReport",
         "bucket_eval",
         "filter_corpus",
+        "fold_buckets",
         "histogram",
         "iter_filter",
         "render_histogram_svg",
@@ -38,7 +39,6 @@ _EXPORTS = {
         "build_parallel_vocabularies",
         "build_vocabulary",
         "load_parallel_corpus",
-        "load_tsv_corpus",
         "tokenize",
         "vocab_stats",
     ),

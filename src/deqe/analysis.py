@@ -3,7 +3,9 @@ corpus filtering."""
 
 from __future__ import annotations
 
+import itertools
 import logging
+import operator
 from collections import Counter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -84,32 +86,44 @@ class BucketReport(NamedTuple):
     degenerate_segments: int
 
 
-def bucket_eval(
-    scores: Sequence[DeScore],
-    hypotheses: Sequence[list[str]],
-    references: Sequence[list[str]],
+def fold_buckets(
+    segments: Iterable[tuple[DeScore, Sequence[int]]],
     buckets: Sequence[BucketSpec] = DEFAULT_BUCKETS,
 ) -> BucketReport:
-    """Corpus BLEU over the segments falling in each DE bucket.
+    """Corpus BLEU per DE bucket from one pass over (DE score, ``bleu_stats``)
+    pairs, which may be any iterable. Each bucket keeps a segment count and
+    the running sum of its members' statistics, not the segments. Degenerate
+    (no eligible token) segments take part at value 0 and are also counted
+    apart. An empty bucket reports no BLEU; an empty input is a ValueError."""
+    counts = [0] * len(buckets)
+    sums: list[Sequence[int] | None] = [None] * len(buckets)
+    total = degenerate = 0
+    for score, stats in segments:
+        total += 1
+        degenerate += score.degenerate
+        for i, spec in enumerate(buckets):
+            if spec.contains(score.value):
+                counts[i] += 1
+                sums[i] = stats if sums[i] is None else [*map(operator.add, sums[i], stats)]
+    if not total:
+        raise ValueError("bucket evaluation needs at least one segment")
+    rows = tuple(
+        BucketRow(spec, n, pooled_bleu([summed]) if n else None)
+        for spec, n, summed in zip(buckets, counts, sums)
+    )
+    return BucketReport(rows, total, degenerate)
 
-    Each segment's BLEU statistics are counted once and summed per bucket,
-    so overlapping buckets cost no extra n-gram counting. Degenerate (no
-    eligible token) segments participate at value 0 and are counted
-    separately in the report. An empty bucket reports no BLEU.
-    """
-    if not (len(scores) == len(hypotheses) == len(references)):
-        raise ValueError(
-            f"misaligned inputs: {len(scores)} scores, {len(hypotheses)} hypotheses, "
-            f"{len(references)} references"
-        )
-    stats = [bleu_stats(h, r) for h, r in zip(hypotheses, references)]
-    rows = []
-    for spec in buckets:
-        members = [st for s, st in zip(scores, stats) if spec.contains(s.value)]
-        bleu = pooled_bleu(members) if members else None
-        rows.append(BucketRow(spec, len(members), bleu))
-    degenerate = sum(1 for s in scores if s.degenerate)
-    return BucketReport(tuple(rows), len(scores), degenerate)
+
+def bucket_eval(
+    scores: Iterable[DeScore],
+    hypotheses: Iterable[Sequence[str]],
+    references: Iterable[Sequence[str]],
+    buckets: Sequence[BucketSpec] = DEFAULT_BUCKETS,
+) -> BucketReport:
+    """``fold_buckets`` over aligned iterables, read once in step; unequal
+    lengths raise ValueError."""
+    stats = itertools.starmap(bleu_stats, zip(hypotheses, references, strict=True))
+    return fold_buckets(zip(scores, stats, strict=True), buckets)
 
 
 class HistogramReport(NamedTuple):

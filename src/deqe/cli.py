@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 usage error (usage text on stderr), 2 data error
 (mismatched files, format violations, files that cannot be read or
 written). Diagnostics go to stderr; report data goes to stdout or --out.
-Output files are replaced only when the command succeeds. Every report
+Output files are replaced only when the command succeeds; with no --out, a
+command that streams its rows (score, bleu --sentence-level) may already
+have written some to stdout when it meets a data error. Every report
 starts with '#' comment lines echoing the resolved run configuration, so a
 run can be reproduced from its output; execution-only knobs (--threads,
 --quiet, --out) are left out so thread count and destination never change
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import logging
 import math
 import os
@@ -30,7 +33,7 @@ from .errors import AlignmentError, DataError, UsageError
 if TYPE_CHECKING:
     from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
-    from .analysis import BucketSpec, HistogramReport
+    from .analysis import BucketSpec
     from .corpus import CorpusFiles, SegmentPair, TokenizerConfig
 
 log = logging.getLogger(__name__)
@@ -122,11 +125,11 @@ def _open_out(path: str | None) -> Iterator[TextIO]:
             yield fh
 
 
-def _write_report(fh: TextIO, args: argparse.Namespace, rows: Iterable[str]) -> None:
-    for line in config_header(args):
-        fh.write(line + "\n")
-    for row in rows:
-        fh.write(row + "\n")
+def _write_report(fh: TextIO, args: argparse.Namespace, *parts: Iterable[str]) -> None:
+    """Write the config header, then the lines of each of ``parts`` in turn."""
+    for part in (config_header(args), *parts):
+        for line in part:
+            fh.write(line + "\n")
 
 
 def _usable_cpus() -> int:
@@ -176,6 +179,17 @@ def _corpus_files(args: argparse.Namespace) -> CorpusFiles:
     if not args.source or not args.target:
         raise UsageError("either --tsv or both --source and --target are required")
     return CorpusFiles((args.source, args.target), tokenizer=tokenizer)
+
+
+def _test_segments(args: argparse.Namespace, *paths: str) -> Iterator[tuple[list[str], ...]]:
+    """The tokenized lines of the aligned files ``paths``; no line is a DataError."""
+    from .corpus import CorpusFiles
+
+    segments = iter(CorpusFiles(paths, tokenizer=_tokenizer(args)))
+    first = next(segments, None)
+    if first is None:
+        raise DataError("empty corpus: no segments to score")
+    return itertools.chain([first], segments)
 
 
 def _read_values(path) -> Iterator[tuple[int, str | None, float]]:
@@ -355,48 +369,37 @@ def cmd_score(args: argparse.Namespace) -> int:
         by_type=args.by_type,
     )
 
-    def rows() -> Iterator[str]:
-        yield f"{_INDEX_COLUMNS} de eligible evidenced" + (" reverse_de" if args.reverse else "")
-        for seg in stream:
-            row = f"{seg.index}\t{seg.de.value:.6f}\t{seg.de.eligible}\t{seg.de.evidenced}"
-            if seg.reverse_de is not None:
-                row += f"\t{seg.reverse_de.value:.6f}"
-            yield row
-
+    columns = f"{_INDEX_COLUMNS} de eligible evidenced" + (" reverse_de" if args.reverse else "")
+    rows = (
+        f"{seg.index}\t{seg.de.value:.6f}\t{seg.de.eligible}\t{seg.de.evidenced}"
+        + ("" if seg.reverse_de is None else f"\t{seg.reverse_de.value:.6f}")
+        for seg in stream
+    )
     with _open_out(args.out) as fh:
-        _write_report(fh, args, rows())
+        _write_report(fh, args, [columns], rows)
     return 0
 
 
 def cmd_bleu(args: argparse.Namespace) -> int:
-    from .corpus import iter_aligned, tokenize
-    from .metrics import corpus_bleu, sentence_bleu
+    from .metrics import bleu_stats, pooled_bleu, sentence_bleu
 
-    tokenizer = _tokenizer(args)
-    pairs = [
-        (tokenize(hypothesis, tokenizer), tokenize(reference, tokenizer))
-        for hypothesis, reference in iter_aligned(args.hypothesis, args.reference)
-    ]
-    if not pairs:
-        raise DataError("empty corpus: no segments to score")
-    hyps = [h for h, _ in pairs]
-    refs = [r for _, r in pairs]
-    rows = []
+    segments = _test_segments(args, args.hypothesis, args.reference)
     if args.sentence_level:
-        rows.append(f"{_INDEX_COLUMNS} bleu")
-        for i, (h, r) in enumerate(zip(hyps, refs)):
-            rows.append(f"{i}\t{sentence_bleu(h, r).score:.6f}")
+        columns = f"{_INDEX_COLUMNS} bleu"
+        rows: Iterable[str] = (
+            f"{i}\t{sentence_bleu(h, r).score:.6f}" for i, (h, r) in enumerate(segments)
+        )
     else:
-        result = corpus_bleu(hyps, refs)
-        rows.append("# columns: bleu p1 p2 p3 p4 brevity_penalty hyp_len ref_len")
+        result = pooled_bleu(bleu_stats(h, r) for h, r in segments)
+        columns = "# columns: bleu p1 p2 p3 p4 brevity_penalty hyp_len ref_len"
         p1, p2, p3, p4 = result.precisions
-        rows.append(
+        rows = [
             f"{result.score:.4f}\t{p1:.6f}\t{p2:.6f}\t{p3:.6f}\t{p4:.6f}\t"
             f"{result.brevity_penalty:.6f}\t{result.hypothesis_length}\t"
             f"{result.reference_length}"
-        )
+        ]
     with _open_out(args.out) as fh:
-        _write_report(fh, args, rows)
+        _write_report(fh, args, [columns], rows)
     return 0
 
 
@@ -429,22 +432,17 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def cmd_bucket_eval(args: argparse.Namespace) -> int:
-    from .analysis import bucket_eval
-    from .corpus import iter_aligned, tokenize
+    from .analysis import fold_buckets
+    from .metrics import bleu_stats
     from .scoring import de_score
     from .wcm import load_wcm
 
     matrix = load_wcm(args.wcm)
-    tokenizer = _tokenizer(args)
-    scores, hyp_tokens, ref_tokens = [], [], []
-    for source, hypothesis, reference in iter_aligned(
-        args.source, args.hypothesis, args.reference
-    ):
-        hyp = tokenize(hypothesis, tokenizer)
-        scores.append(de_score(matrix, tokenize(source, tokenizer), hyp, by_type=args.by_type))
-        hyp_tokens.append(hyp)
-        ref_tokens.append(tokenize(reference, tokenizer))
-    report = bucket_eval(scores, hyp_tokens, ref_tokens, args.buckets)
+    segments = _test_segments(args, args.source, args.hypothesis, args.reference)
+    report = fold_buckets(
+        ((de_score(matrix, s, h, by_type=args.by_type), bleu_stats(h, r)) for s, h, r in segments),
+        args.buckets,
+    )
     rows = [
         f"# total_segments={report.total_segments}",
         f"# degenerate_segments={report.degenerate_segments}",
@@ -456,12 +454,6 @@ def cmd_bucket_eval(args: argparse.Namespace) -> int:
     with _open_out(args.out) as fh:
         _write_report(fh, args, rows)
     return 0
-
-
-def _histogram_rows(report: HistogramReport) -> list[str]:
-    rows = ["# columns: bin_lower count"]
-    rows += [f"{lower:g}\t{count}" for lower, count in report.bins]
-    return rows
 
 
 def cmd_histogram(args: argparse.Namespace) -> int:
@@ -478,7 +470,8 @@ def cmd_histogram(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as stack:
         fh = stack.enter_context(_open_out(args.out))
         chart = stack.enter_context(atomic_write(args.chart)) if args.chart else None
-        _write_report(fh, args, _histogram_rows(report))
+        bins = (f"{lower:g}\t{count}" for lower, count in report.bins)
+        _write_report(fh, args, ["# columns: bin_lower count"], bins)
         if chart is not None:
             chart.write(render_histogram_svg(report))
     return 0

@@ -137,17 +137,7 @@ def load_parallel_corpus(source_path, target_path) -> Iterator[SegmentPair]:
     Raises AlignmentError naming both line counts if the files disagree
     in length.
     """
-    return _numbered(iter_aligned(source_path, target_path))
-
-
-def load_tsv_corpus(path) -> Iterator[SegmentPair]:
-    """Stream segment pairs from a single TSV file (source TAB target)."""
-    return _numbered(_tsv_fields(path))
-
-
-def _numbered(texts: Iterable[Sequence[str]]) -> Iterator[SegmentPair]:
-    for index, (source, target) in enumerate(texts):
-        yield SegmentPair(index, source, target)
+    return CorpusFiles((source_path, target_path)).segments()
 
 
 def _tsv_fields(path) -> Iterator[list[str]]:
@@ -163,11 +153,11 @@ def _tsv_fields(path) -> Iterator[list[str]]:
 
 
 class CorpusFiles:
-    """A parallel corpus on disk, read with one tokenizer.
+    """Aligned files on disk, read with one tokenizer.
 
-    ``paths`` is (source, target), or (tsv,) with ``tsv`` set. Iterating
-    yields tokenized (source, target) pairs, reading the files once per
-    iteration.
+    ``paths`` is any number of one-segment-per-line files read in step, or
+    (tsv,) with ``tsv`` set. Iterating reads the files once and yields one
+    tuple of token lists per line, one list per file (two for a TSV).
     """
 
     def __init__(
@@ -186,12 +176,13 @@ class CorpusFiles:
         return iter_aligned(*self.paths)
 
     def segments(self) -> Iterator[SegmentPair]:
-        return _numbered(self._texts())
+        """The untokenized (source, target) pairs, numbered from 0."""
+        return (SegmentPair(index, *texts) for index, texts in enumerate(self._texts()))
 
-    def __iter__(self) -> Iterator[tuple[list[str], list[str]]]:
-        config = self.tokenizer
-        for source, target in self._texts():
-            yield tokenize(source, config), tokenize(target, config)
+    def __iter__(self) -> Iterator[tuple[list[str], ...]]:
+        configs = itertools.repeat(self.tokenizer)  # ``map`` stops at the last text
+        for texts in self._texts():
+            yield tuple(map(tokenize, texts, configs))
 
 
 def token_interner() -> defaultdict[str, int]:

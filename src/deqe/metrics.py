@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -69,29 +70,30 @@ def _geometric_score(precisions: Sequence[float], bp: float) -> float:
 
 
 def corpus_bleu(
-    hypotheses: Sequence[list[str]], references: Sequence[list[str]]
+    hypotheses: Iterable[Sequence[str]], references: Iterable[Sequence[str]]
 ) -> BleuResult:
     """Corpus-level BLEU-4, single reference, no smoothing.
 
     Clipped n-gram counts are pooled over all segments before the
     precisions are taken, so the result is invariant under permutation of
-    the segment pairs. Empty individual hypotheses are allowed (they
-    contribute nothing); an empty corpus is an error.
+    the segment pairs. The inputs may be any iterables, read once in step.
+    Empty individual hypotheses are allowed (they contribute nothing);
+    inputs of unequal length or an empty corpus are a ValueError.
     """
-    if len(hypotheses) != len(references):
-        raise ValueError(
-            f"hypothesis/reference count mismatch: {len(hypotheses)} vs {len(references)}"
-        )
-    if not hypotheses:
-        raise ValueError("corpus_bleu requires at least one segment")
-    return pooled_bleu(map(bleu_stats, hypotheses, references))
+    return pooled_bleu(itertools.starmap(bleu_stats, zip(hypotheses, references, strict=True)))
 
 
 def pooled_bleu(per_segment: Iterable[tuple[int, ...]]) -> BleuResult:
     """Unsmoothed BLEU-4 of the summed statistics of one or more segments
-    (see ``bleu_stats``); all sums are of ints, so the result does not
-    depend on how or in what order the segments were grouped."""
-    hyp_len, ref_len, *counts = map(sum, zip(*per_segment))
+    (see ``bleu_stats``), read once and summed as they come; all sums are of
+    ints, so the result does not depend on how or in what order the segments
+    were grouped. No segment at all is a ValueError."""
+    summed = None
+    for stats in per_segment:
+        summed = stats if summed is None else [*map(operator.add, summed, stats)]
+    if summed is None:
+        raise ValueError("BLEU needs at least one segment")
+    hyp_len, ref_len, *counts = summed
     matches, totals = counts[:MAX_ORDER], counts[MAX_ORDER:]
     precisions = tuple(m / t if t else 0.0 for m, t in zip(matches, totals))
     bp = _brevity_penalty(hyp_len, ref_len)

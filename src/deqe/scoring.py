@@ -12,7 +12,7 @@ import logging
 from collections import Counter
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .corpus import TokenizerConfig, iter_aligned, tokenize
+from .corpus import CorpusFiles, TokenizerConfig
 
 if TYPE_CHECKING:
     from .wcm import CooccurrenceMatrix
@@ -111,9 +111,8 @@ def score_file(
     config must match the one used when the matrix was built. A line-count
     mismatch raises AlignmentError.
     """
-    for index, (source, hypothesis) in enumerate(iter_aligned(source_path, hypothesis_path)):
-        src = tokenize(source, tokenizer)
-        hyp = tokenize(hypothesis, tokenizer)
+    corpus = CorpusFiles((source_path, hypothesis_path), tokenizer=tokenizer)
+    for index, (src, hyp) in enumerate(corpus):
         forward = de_score(matrix, src, hyp, by_type=by_type)
         rev = reverse_de_score(matrix, src, hyp, by_type=by_type) if reverse else None
         yield ScoredSegment(index, forward, rev)

@@ -7,12 +7,13 @@ from deqe.analysis import (
     BucketSpec,
     bucket_eval,
     filter_corpus,
+    fold_buckets,
     histogram,
     iter_filter,
     render_histogram_svg,
 )
 from deqe.corpus import SegmentPair, load_parallel_corpus
-from deqe.metrics import corpus_bleu
+from deqe.metrics import bleu_stats, corpus_bleu
 from deqe.scoring import DeScore
 
 from helpers import build_from_raw, make_matrix, write_lines
@@ -78,6 +79,39 @@ def test_bucket_eval_empty_bucket_reports_no_bleu():
 def test_bucket_eval_misaligned():
     with pytest.raises(ValueError):
         bucket_eval(_scores([50]), [["a"]], [["a"], ["b"]])
+
+
+def test_bucket_eval_and_fold_read_one_shot_iterables():
+    rng = random.Random(41)
+    n = 60
+    eligible = [rng.randint(0, 6) for _ in range(n)]
+    scores = [DeScore.from_counts(e, rng.randint(0, e)) for e in eligible]
+    refs = [[rng.choice("abcdef") for _ in range(rng.randint(0, 8))] for _ in range(n)]
+    hyps = [rng.sample(ref, len(ref)) + ["z"] * rng.randint(0, 2) for ref in refs]
+    expected = bucket_eval(scores, hyps, refs)
+    assert expected.total_segments == n
+    assert bucket_eval((s for s in scores), (h for h in hyps), (r for r in refs)) == expected
+    pairs = list(zip(scores, map(bleu_stats, hyps, refs)))
+    assert fold_buckets(pairs) == fold_buckets(p for p in pairs) == expected
+
+
+@pytest.mark.parametrize(
+    "n_scores,n_hyps,n_refs",
+    [(1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 2, 2), (0, 0, 0)],
+    ids=["short-hyps-refs", "short-refs", "long-scores", "short-scores", "empty"],
+)
+def test_bucket_eval_one_shot_errors(n_scores, n_hyps, n_refs):
+    with pytest.raises(ValueError):
+        bucket_eval(
+            (s for s in _scores([50] * n_scores)),
+            (["a"] for _ in range(n_hyps)),
+            (["a"] for _ in range(n_refs)),
+        )
+
+
+def test_fold_buckets_empty_input():
+    with pytest.raises(ValueError):
+        fold_buckets(p for p in [])
 
 
 def test_bucket_eval_counts_monotone_and_union():

@@ -3,9 +3,9 @@ package name they import, a CLI flag they pass or a keyword they call with
 could be deleted or renamed without any test failing. This checks that
 every ``from deqe... import name`` in their source still resolves, that
 every command line ``bench/workloads.py`` builds still parses, and that the
-keywords ``bench/stage.py`` passes to ``build_wcm`` are still accepted. It
-imports ``bench/workloads.py`` (stdlib only) and reads the rest of bench/
-as text."""
+library calls ``bench/stage.py`` and ``bench/trace_run.py`` make still bind
+to their signatures. It imports ``bench/workloads.py`` (stdlib only) and
+reads the rest of bench/ as text."""
 
 import ast
 import importlib
@@ -14,7 +14,12 @@ import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
 from deqe import cli
+from deqe.analysis import bucket_eval, iter_filter
+from deqe.corpus import build_parallel_vocabularies
+from deqe.metrics import corpus_bleu
 from deqe.wcm import build_wcm
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -69,3 +74,18 @@ def test_bench_command_lines_parse(tmp_path, monkeypatch):
 def test_stage_build_wcm_call_binds():
     # bench/stage.py: build_wcm(pairs, source_vocab, target_vocab, config, threads=, progress_every=)
     inspect.signature(build_wcm).bind(None, None, None, None, threads=1, progress_every=0)
+
+
+@pytest.mark.parametrize(
+    "function,n_args",
+    [
+        (bucket_eval, 3),  # bucket_eval(forward, hyps, refs)
+        (corpus_bleu, 2),  # corpus_bleu(hyps, refs)
+        (build_parallel_vocabularies, 1),  # build_parallel_vocabularies(pairs)
+        (iter_filter, 3),  # iter_filter(matrix, pairs, min_de)
+    ],
+    ids=lambda value: getattr(value, "__name__", str(value)),
+)
+def test_trace_run_calls_bind(function, n_args):
+    # bench/trace_run.py makes these calls with positional arguments only.
+    inspect.signature(function).bind(*[None] * n_args)

@@ -386,10 +386,13 @@ def test_bleu_sentence_level(tmp_path, capsys):
 def test_bleu_empty_corpus_exit_2(tmp_path, capsys):
     write_lines(tmp_path / "h", [])
     write_lines(tmp_path / "r", [])
-    rc = main(
-        ["bleu", "--hypothesis", str(tmp_path / "h"), "--reference", str(tmp_path / "r")]
-    )
-    assert rc == 2
+    for mode in ([], ["--sentence-level"]):
+        rc = main(
+            ["bleu", "--hypothesis", str(tmp_path / "h"), "--reference", str(tmp_path / "r"),
+             *mode]
+        )
+        assert rc == 2
+        assert "empty corpus" in capsys.readouterr().err
 
 
 def test_correlate(tmp_path, capsys):
@@ -502,6 +505,43 @@ def test_bucket_eval_report(tmp_path, toy_wcm, capsys):
     assert lines[0].split("\t") == ["<50", "0", "NA"]
     assert lines[1].split("\t") == [">=50", "2", "100.00"]
     assert "# total_segments=2" in out
+
+
+def test_bucket_eval_empty_files_exit_2(tmp_path, toy_wcm, capsys):
+    for name in ("esrc", "ehyp", "eref"):
+        write_lines(tmp_path / name, [])
+    rc = main(
+        [
+            "bucket-eval",
+            "--wcm", str(toy_wcm),
+            "--source", str(tmp_path / "esrc"),
+            "--hypothesis", str(tmp_path / "ehyp"),
+            "--reference", str(tmp_path / "eref"),
+        ]
+    )
+    assert rc == 2
+    assert "empty corpus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bleu --sentence-level", "bucket-eval"])
+def test_misaligned_files_leave_out_unchanged(tmp_path, toy_wcm, capsys, command):
+    """The mismatch shows only at the end of the files, after rows have been
+    streamed; the report file is still left as it was."""
+    write_lines(tmp_path / "msrc", ["a b"] * 3)
+    write_lines(tmp_path / "mhyp", ["x y"] * 3)
+    write_lines(tmp_path / "mref", ["x y"] * 2)
+    out = tmp_path / "report.tsv"
+    out.write_bytes(b"old report\n")
+    before = sorted(tmp_path.iterdir())
+    files = ["--hypothesis", str(tmp_path / "mhyp"), "--reference", str(tmp_path / "mref")]
+    if command == "bucket-eval":
+        args = ["bucket-eval", "--wcm", str(toy_wcm), "--source", str(tmp_path / "msrc"), *files]
+    else:
+        args = ["bleu", *files, "--sentence-level"]
+    assert main([*args, "--out", str(out), "--quiet"]) == 2
+    assert "line count mismatch" in capsys.readouterr().err
+    assert out.read_bytes() == b"old report\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_bucket_eval_line_mismatch_exit_2(tmp_path, toy_corpus, toy_wcm):

@@ -12,7 +12,6 @@ from deqe.corpus import (
     build_vocabulary,
     iter_aligned,
     load_parallel_corpus,
-    load_tsv_corpus,
     tokenize,
     vocab_stats,
 )
@@ -165,7 +164,7 @@ def test_atomic_write_replaces_only_on_success(tmp_path):
 
 def test_load_tsv(tmp_path):
     write_lines(tmp_path / "c.tsv", ["a b\tx y", "c\tz"])
-    pairs = list(load_tsv_corpus(tmp_path / "c.tsv"))
+    pairs = list(CorpusFiles((tmp_path / "c.tsv",), tsv=True).segments())
     assert pairs == [SegmentPair(0, "a b", "x y"), SegmentPair(1, "c", "z")]
 
 
@@ -186,7 +185,7 @@ def test_corpus_files_reiterable_and_picklable(tmp_path):
 def test_load_tsv_requires_one_tab(tmp_path, line, ntabs):
     write_lines(tmp_path / "c.tsv", ["ok\tok", line])
     with pytest.raises(DataError) as err:
-        list(load_tsv_corpus(tmp_path / "c.tsv"))
+        list(CorpusFiles((tmp_path / "c.tsv",), tsv=True).segments())
     assert "line 2" in str(err.value)
     assert str(ntabs) in str(err.value)
 

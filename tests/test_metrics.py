@@ -79,6 +79,21 @@ def test_corpus_bleu_errors():
         corpus_bleu([["a"]], [["a"], ["b"]])
 
 
+def test_corpus_bleu_reads_one_shot_iterables():
+    rng = random.Random(31)
+    refs = _random_segments(rng, n_max=40)
+    hyps = [rng.sample(ref, len(ref)) + ["w0"] * rng.randint(0, 2) for ref in refs]
+    assert corpus_bleu((h for h in hyps), (r for r in refs)) == corpus_bleu(hyps, refs)
+
+
+@pytest.mark.parametrize(
+    "n_hyps,n_refs", [(1, 2), (2, 1), (0, 0)], ids=["short-hyps", "short-refs", "empty"]
+)
+def test_corpus_bleu_one_shot_errors(n_hyps, n_refs):
+    with pytest.raises(ValueError):
+        corpus_bleu((["a"] for _ in range(n_hyps)), (["a"] for _ in range(n_refs)))
+
+
 def test_corpus_bleu_permutation_invariant():
     rng = random.Random(14)
     for _ in range(20):
