@@ -31,10 +31,12 @@ from . import __version__
 from .errors import AlignmentError, DataError, UsageError
 
 if TYPE_CHECKING:
-    from typing import Callable, Iterable, Iterator, Sequence, TextIO
+    from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
     from .analysis import BucketSpec
     from .corpus import CorpusFiles, SegmentPair, TokenizerConfig
+
+    _T = TypeVar("_T")
 
 log = logging.getLogger(__name__)
 
@@ -185,11 +187,16 @@ def _test_segments(args: argparse.Namespace, *paths: str) -> Iterator[tuple[list
     """The tokenized lines of the aligned files ``paths``; no line is a DataError."""
     from .corpus import CorpusFiles
 
-    segments = iter(CorpusFiles(paths, tokenizer=_tokenizer(args)))
-    first = next(segments, None)
+    return _nonempty(iter(CorpusFiles(paths, tokenizer=_tokenizer(args))), paths)
+
+
+def _nonempty(items: Iterator[_T], paths: Sequence[str]) -> Iterator[_T]:
+    """``items``, read from the test files ``paths``; no item is a DataError,
+    raised before any output is written."""
+    first = next(items, None)
     if first is None:
-        raise DataError("empty corpus: no segments to score")
-    return itertools.chain([first], segments)
+        raise DataError(f"empty corpus: no segments in {', '.join(paths)}")
+    return itertools.chain([first], items)
 
 
 def _read_values(path) -> Iterator[tuple[int, str | None, float]]:
@@ -348,8 +355,8 @@ def cmd_build_wcm(args: argparse.Namespace) -> int:
         "build-wcm: wrote %d entries to %s (excluded %d source / %d target types)",
         matrix.n_entries,
         args.out,
-        len(matrix.excluded_source),
-        len(matrix.excluded_target),
+        len(matrix.excluded_source_tokens()),
+        len(matrix.excluded_target_tokens()),
     )
     return 0
 
@@ -368,6 +375,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         reverse=args.reverse,
         by_type=args.by_type,
     )
+    stream = _nonempty(stream, (args.source, args.hypothesis))
 
     columns = f"{_INDEX_COLUMNS} de eligible evidenced" + (" reverse_de" if args.reverse else "")
     rows = (
@@ -404,24 +412,34 @@ def cmd_bleu(args: argparse.Namespace) -> int:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
+    from array import array
+
     from .metrics import pearson
 
-    xs = list(_read_values(args.x))
-    ys = list(_read_values(args.y))
-    if len(xs) != len(ys):
-        raise AlignmentError(
-            f"value count mismatch: {args.x} has {len(xs)} values, "
-            f"{args.y} has {len(ys)} values"
-        )
-    for (x_line, x_index, _), (y_line, y_index, _) in zip(xs, ys):
+    # Read in step; only the two value columns are kept.
+    xs, ys = array("d"), array("d")
+    x_rows, y_rows = _read_values(args.x), _read_values(args.y)
+    for x, y in itertools.zip_longest(x_rows, y_rows):
+        if x is None or y is None:
+            # One file has ended; count the rest of the other.
+            n_x, n_y = (
+                len(xs) + (row is not None) + sum(1 for _ in rest)
+                for row, rest in ((x, x_rows), (y, y_rows))
+            )
+            raise AlignmentError(
+                f"value count mismatch: {args.x} has {n_x} values, {args.y} has {n_y} values"
+            )
+        (x_line, x_index, x_value), (y_line, y_index, y_value) = x, y
         if x_index is not None and y_index is not None and x_index != y_index:
             raise AlignmentError(
                 f"index mismatch: {args.x} line {x_line} has index {x_index}, "
                 f"{args.y} line {y_line} has index {y_index}"
             )
+        xs.append(x_value)
+        ys.append(y_value)
     if len(xs) < 3:
         raise DataError(f"need at least 3 paired values, found {len(xs)}")
-    result = pearson([v for _, _, v in xs], [v for _, _, v in ys])
+    result = pearson(xs, ys)
     rows = [
         "# columns: r t_statistic p_value n",
         f"{result.r:.6f}\t{result.t_statistic:.4f}\t{result.p_value:.6g}\t{result.n}",

@@ -227,23 +227,13 @@ class Vocabulary:
         vocab._adopt(side, interner, list(interner), frequencies)
         return vocab
 
-    def id_of(self, token: str) -> int | None:
-        return self._ids.get(token)
-
     def token_of(self, token_id: int) -> str:
         return self._tokens[token_id]
-
-    def frequency(self, token: str) -> int:
-        i = self._ids.get(token)
-        return 0 if i is None else self._freqs[i]
 
     @property
     def token_ids(self) -> dict[str, int]:
         """The token -> id mapping itself; treat as read-only."""
         return self._ids
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
 
     def __len__(self) -> int:
         return len(self._tokens)

@@ -148,10 +148,8 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
         raise ValueError("correlation needs finite values; found nan or inf")
     mean_x = math.fsum(xs) / n
     mean_y = math.fsum(ys) / n
-    dx = [x - mean_x for x in xs]
-    dy = [y - mean_y for y in ys]
-    sxx = math.fsum(d * d for d in dx)
-    syy = math.fsum(d * d for d in dy)
+    sxx = math.fsum((x - mean_x) * (x - mean_x) for x in xs)
+    syy = math.fsum((y - mean_y) * (y - mean_y) for y in ys)
     if sxx == 0.0 or syy == 0.0:
         which = "both inputs are" if sxx == syy == 0.0 else (
             "xs is" if sxx == 0.0 else "ys is"
@@ -159,7 +157,7 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
         raise UndefinedCorrelationError(
             f"correlation undefined: {which} constant (zero variance)"
         )
-    sxy = math.fsum(a * b for a, b in zip(dx, dy))
+    sxy = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     r = sxy / math.sqrt(sxx * syy)
     r = max(-1.0, min(1.0, r))
     df = n - 2

@@ -62,23 +62,18 @@ def de_score(
     tokens absent from the matrix (pruned or out-of-vocabulary) stay in the
     denominator and are simply never evidenced.
     """
-    target_ids = matrix.target_vocab.token_ids
-    hyp_ids = {target_ids[tok] for tok in target_ids.keys() & set(hypothesis_tokens)}
-    source_ids = matrix.source_vocab.token_ids
-    excluded = matrix.excluded_source
+    hypothesis = set(hypothesis_tokens)
+    excluded = matrix.excluded_source_tokens()
+    row = matrix.row
     eligible = 0
     evidenced = 0
     for tok, mult in Counter(source_tokens).items():
+        if tok in excluded:
+            continue
         if by_type:
             mult = 1
-        sid = source_ids.get(tok)
-        if sid is not None and sid in excluded:
-            continue
         eligible += mult
-        if sid is None:
-            continue
-        row = matrix.row(sid)
-        if row is not None and not row.keys().isdisjoint(hyp_ids):
+        if not row(tok).keys().isdisjoint(hypothesis):
             evidenced += mult
     return DeScore.from_counts(eligible, evidenced)
 

@@ -2,10 +2,11 @@
 co-occurrence matrix.
 
 A cell (i, j) counts how often source word i and target word j appear in
-the same aligned segment pair. The build reads the corpus once, then
-counts one source word's row at a time and prunes the cells below the
-minimum co-occurrence threshold before it counts the next, so the mere
-presence of an entry is the strong-evidence predicate used by scoring.
+the same aligned segment pair. The build reads the corpus once, numbering
+the tokens, then counts one source word's row at a time and prunes the
+cells below the minimum co-occurrence threshold before it counts the next,
+so the mere presence of an entry is the strong-evidence predicate used by
+scoring. The matrix it returns is keyed by tokens, as its file is.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from collections import Counter
 from functools import partial
 from itertools import chain, compress
 from operator import is_not, itemgetter
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, NoReturn
 
 from .corpus import Vocabulary, atomic_write, token_interner
@@ -70,77 +72,61 @@ class WcmConfig(_WcmConfigFields):
 
 
 class CooccurrenceMatrix:
-    """Pruned co-occurrence counts, row-indexed by source id.
+    """Pruned co-occurrence counts, row-indexed by source token.
 
-    Immutable once built; safe to share across workers for concurrent
-    lookups. Types whose raw frequency exceeded the high-frequency cutoff
-    were skipped at build time and are recorded in the exclusion sets.
+    ``rows`` maps each source token to its {target token: count} row, and
+    holds no empty row. Immutable once built; safe to share across workers
+    for concurrent lookups. Types whose raw frequency exceeded the
+    high-frequency cutoff were skipped at build time and are recorded in
+    the exclusion sets. A pruned word and an unseen word alike have no row.
     """
 
     def __init__(
         self,
-        source_vocab: Vocabulary,
-        target_vocab: Vocabulary,
         config: WcmConfig,
-        rows: dict[int, dict[int, int]],
-        excluded_source: Iterable[int] = (),
-        excluded_target: Iterable[int] = (),
+        rows: dict[str, dict[str, int]],
+        excluded_source: Iterable[str] = (),
+        excluded_target: Iterable[str] = (),
     ):
-        self.source_vocab = source_vocab
-        self.target_vocab = target_vocab
         self.config = config
         self._rows = rows
-        self.excluded_source = frozenset(excluded_source)
-        self.excluded_target = frozenset(excluded_target)
+        self._excluded_source = frozenset(excluded_source)
+        self._excluded_target = frozenset(excluded_target)
         self._transposed: "CooccurrenceMatrix | None" = None
 
     @property
     def n_entries(self) -> int:
         return sum(len(row) for row in self._rows.values())
 
-    def row(self, source_id: int) -> Mapping[int, int] | None:
-        """Target-id -> count map for one source id, or None."""
-        return self._rows.get(source_id)
+    def row(self, token: str) -> Mapping[str, int]:
+        """Target-token -> count map for one source token; empty if it has
+        no row."""
+        return self._rows.get(token, _NO_ROW)
 
     def entries(self) -> Iterator[tuple[str, str, int]]:
         """Yield (source token, target token, count) in unspecified order."""
-        s_tok = self.source_vocab.token_of
-        t_tok = self.target_vocab.token_of
-        for sid, row in self._rows.items():
-            s = s_tok(sid)
-            for tid, c in row.items():
-                yield s, t_tok(tid), c
-
-    def entries_sorted(self) -> list[tuple[str, str, int]]:
-        """Entries sorted by (source token, target token) code-point order."""
-        return sorted(self.entries(), key=lambda e: (e[0], e[1]))
-
-    def entries_by_token(self) -> dict[tuple[str, str], int]:
-        return {(s, t): c for s, t, c in self.entries()}
+        for s, row in self._rows.items():
+            for t, c in row.items():
+                yield s, t, c
 
     def excluded_source_tokens(self) -> frozenset[str]:
-        return frozenset(self.source_vocab.token_of(i) for i in self.excluded_source)
+        return self._excluded_source
 
     def excluded_target_tokens(self) -> frozenset[str]:
-        return frozenset(self.target_vocab.token_of(i) for i in self.excluded_target)
+        return self._excluded_target
 
     def transposed(self) -> "CooccurrenceMatrix":
         """The target -> source view; built once and cached both ways."""
         if self._transposed is None:
-            rows_t: dict[int, dict[int, int]] = {}
-            for sid, row in self._rows.items():
-                for tid, c in row.items():
-                    col = rows_t.get(tid)
+            rows_t: dict[str, dict[str, int]] = {}
+            for s, row in self._rows.items():
+                for t, c in row.items():
+                    col = rows_t.get(t)
                     if col is None:
-                        rows_t[tid] = col = {}
-                    col[sid] = c
+                        rows_t[t] = col = {}
+                    col[s] = c
             flipped = CooccurrenceMatrix(
-                self.target_vocab,
-                self.source_vocab,
-                self.config,
-                rows_t,
-                self.excluded_target,
-                self.excluded_source,
+                self.config, rows_t, self._excluded_target, self._excluded_source
             )
             flipped._transposed = self
             self._transposed = flipped
@@ -151,9 +137,9 @@ class CooccurrenceMatrix:
             return NotImplemented
         return (
             self.config == other.config
-            and self.excluded_source_tokens() == other.excluded_source_tokens()
-            and self.excluded_target_tokens() == other.excluded_target_tokens()
-            and self.entries_by_token() == other.entries_by_token()
+            and self._excluded_source == other._excluded_source
+            and self._excluded_target == other._excluded_target
+            and self._rows == other._rows
         )
 
     def __repr__(self) -> str:
@@ -164,8 +150,11 @@ class CooccurrenceMatrix:
         )
 
 
-def _excluded_ids(vocab: Vocabulary, cutoff: int) -> frozenset[int]:
-    return frozenset(vocab.ids_with_frequency_at_least(cutoff + 1))
+_NO_ROW: Mapping[str, int] = MappingProxyType({})
+
+
+def _excluded_tokens(vocab: Vocabulary, cutoff: int) -> frozenset[str]:
+    return frozenset(map(vocab.token_of, vocab.ids_with_frequency_at_least(cutoff + 1)))
 
 
 def _counted_ids(vocab: Vocabulary, config: WcmConfig) -> list[int | None]:
@@ -181,7 +170,7 @@ def _counted_ids(vocab: Vocabulary, config: WcmConfig) -> list[int | None]:
     counted: list[int | None] = [None] * len(vocab)
     for i in vocab.ids_with_frequency_at_least(floor):
         counted[i] = i
-    for i in _excluded_ids(vocab, config.hifreq_cutoff):
+    for i in vocab.ids_with_frequency_at_least(config.hifreq_cutoff + 1):
         counted[i] = None
     return counted
 
@@ -422,7 +411,8 @@ def build_wcm(
     ``threads > 1`` and enough pair updates to pay for the pool, the rows
     are split by source id modulo ``threads`` among worker processes; the
     survivors are disjoint, so the matrix is the same for every thread
-    count.
+    count. The ids stay inside the build: the surviving rows are keyed by
+    the vocabularies' tokens at the end.
     """
     if config is None:
         config = WcmConfig()
@@ -440,10 +430,10 @@ def build_wcm_with_vocabularies(
     """Build both vocabularies and the matrix in one read of ``pairs``.
 
     Each token is numbered at its first occurrence as it is read, so the
-    matrix's vocabularies, which carry the corpus frequencies, are the ones
-    ``build_vocabulary`` makes from the same corpus, and the matrix is the
-    one ``build_wcm`` counts with them. The read keeps 4 bytes per token
-    per side until the postings are derived from it.
+    vocabularies are the ones ``build_vocabulary`` makes from the same
+    corpus, and the matrix is the one ``build_wcm`` counts with them. The
+    read keeps 4 bytes per token per side until the postings are derived
+    from it.
     """
     if config is None:
         config = WcmConfig()
@@ -475,27 +465,43 @@ def _count(
 ) -> CooccurrenceMatrix:
     postings, targets, pair_updates = encoded
     floor = config.min_cooccurrence
+    rows: dict[str, dict[str, int]] = {}
     if threads > 1 and pair_updates >= POOL_MIN_PAIR_UPDATES:
         # Imported here, as importing them costs every CLI command start-up time.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        rows: dict[int, dict[int, int]] = {}
         job = (postings, targets, floor, threads)
         ctx = multiprocessing.get_context()
         with ProcessPoolExecutor(threads, ctx, _init_worker, job) as pool:
             for part_rows in pool.map(_count_worker_rows, range(threads)):
-                rows.update(part_rows)
+                _move_to_tokens(part_rows, source_vocab, target_vocab, rows)
     else:
-        rows = _count_rows(postings, targets, floor)
+        _move_to_tokens(_count_rows(postings, targets, floor), source_vocab, target_vocab, rows)
     return CooccurrenceMatrix(
-        source_vocab,
-        target_vocab,
         config,
         rows,
-        _excluded_ids(source_vocab, config.hifreq_cutoff),
-        _excluded_ids(target_vocab, config.hifreq_cutoff),
+        _excluded_tokens(source_vocab, config.hifreq_cutoff),
+        _excluded_tokens(target_vocab, config.hifreq_cutoff),
     )
+
+
+def _move_to_tokens(
+    id_rows: dict[int, dict[int, int]],
+    source_vocab: Vocabulary,
+    target_vocab: Vocabulary,
+    rows: dict[str, dict[str, int]],
+) -> None:
+    """Move each row of ``id_rows`` into ``rows``, keyed by tokens.
+
+    ``id_rows`` is emptied one row at a time, so the survivors are never
+    held twice. The tokens are the vocabularies' own strings, so a cell
+    still costs one dict slot.
+    """
+    source_token, target_token = source_vocab.token_of, target_vocab.token_of
+    while id_rows:
+        sid, row = id_rows.popitem()
+        rows[source_token(sid)] = dict(zip(map(target_token, row), row.values()))
 
 
 def save_wcm(matrix: CooccurrenceMatrix, path) -> None:
@@ -507,7 +513,7 @@ def save_wcm(matrix: CooccurrenceMatrix, path) -> None:
     holds, those of the entries and the exclusion sets, must be free of
     whitespace.
     """
-    entries = matrix.entries_sorted()
+    entries = sorted(matrix.entries())
     excluded_source = matrix.excluded_source_tokens()
     excluded_target = matrix.excluded_target_tokens()
     written = set(map(itemgetter(0), entries))
@@ -558,9 +564,9 @@ def _header_int(lines: list[str], idx: int, tag: str, path) -> int:
 def load_wcm(path) -> CooccurrenceMatrix:
     """Read a matrix from the v1 text format.
 
-    The artifact does not persist corpus frequencies, so the vocabularies
-    of a loaded matrix carry ids only (frequencies read back as 0); the
-    exclusion sets are stored explicitly and survive the round trip.
+    The loaded matrix is exactly the file: its rows and its exclusion sets.
+    Corpus frequencies are not stored, and a pruned word and an unseen word
+    alike have no row.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -576,8 +582,8 @@ def load_wcm(path) -> CooccurrenceMatrix:
     cutoff = _header_int(lines, 2, "#hifreq_cutoff", path)
     mode = _header_rest(lines, 3, "#count_mode", path)
     declared = _header_int(lines, 4, "#entries", path)
-    excluded_source_tokens = _header_rest(lines, 5, "#excluded_source", path).split()
-    excluded_target_tokens = _header_rest(lines, 6, "#excluded_target", path).split()
+    excl_s = frozenset(_header_rest(lines, 5, "#excluded_source", path).split())
+    excl_t = frozenset(_header_rest(lines, 6, "#excluded_target", path).split())
     try:
         config = WcmConfig(min_cooccurrence=min_cooc, hifreq_cutoff=cutoff, count_mode=mode)
     except ValueError as exc:
@@ -595,7 +601,9 @@ def load_wcm(path) -> CooccurrenceMatrix:
             f"found {len(data)} lines"
         )
 
-    triples: list[tuple[str, str, int]] = []
+    rows: dict[str, dict[str, int]] = {}
+    # Each target token string, kept once however many rows hold it.
+    target_tokens: dict[str, str] = {}
     for offset, line in enumerate(data):
         fields = line.split("\t")
         if len(fields) != 3:
@@ -615,39 +623,12 @@ def load_wcm(path) -> CooccurrenceMatrix:
                 f"{path}: line {offset + 8}: count {c} is below the declared "
                 f"min_cooccurrence {config.min_cooccurrence}"
             )
-        triples.append((s, t, c))
-
-    excl_s = set(excluded_source_tokens)
-    excl_t = set(excluded_target_tokens)
-    source_vocab = _vocab_from_tokens(
-        "source", excluded_source_tokens, (s for s, _, _ in triples)
-    )
-    target_vocab = _vocab_from_tokens(
-        "target", excluded_target_tokens, (t for _, t, _ in triples)
-    )
-    source_ids = source_vocab.token_ids
-    target_ids = target_vocab.token_ids
-    rows: dict[int, dict[int, int]] = {}
-    for s, t, c in triples:
         if s in excl_s or t in excl_t:
             raise WcmFormatError(
                 f"{path}: entry ({s!r}, {t!r}) uses an excluded token"
             )
-        row = rows.setdefault(source_ids[s], {})
-        tid = target_ids[t]
-        if tid in row:
+        row = rows.setdefault(s, {})
+        if t in row:
             raise WcmFormatError(f"{path}: duplicate entry ({s!r}, {t!r})")
-        row[tid] = c
-    return CooccurrenceMatrix(
-        source_vocab,
-        target_vocab,
-        config,
-        rows,
-        frozenset(source_ids[t] for t in excl_s),
-        frozenset(target_ids[t] for t in excl_t),
-    )
-
-
-def _vocab_from_tokens(side: str, first: list[str], rest: Iterable[str]) -> Vocabulary:
-    ordered = list(dict.fromkeys(chain(first, rest)))
-    return Vocabulary(side, ordered, [0] * len(ordered))
+        row[target_tokens.setdefault(t, t)] = c
+    return CooccurrenceMatrix(config, rows, excl_s, excl_t)

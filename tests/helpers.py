@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from deqe.corpus import Vocabulary, build_vocabulary, tokenize
+from deqe.corpus import build_vocabulary, tokenize
 from deqe.wcm import CooccurrenceMatrix, WcmConfig, build_wcm
 
 
@@ -39,27 +39,19 @@ def make_matrix(
 ) -> CooccurrenceMatrix:
     """Assemble a matrix directly from token-level entries (all counts must
     already sit at or above the threshold)."""
-    source_tokens = list(dict.fromkeys(
-        list(excluded_source) + [s for s, _ in sorted(entries)]
-    ))
-    target_tokens = list(dict.fromkeys(
-        list(excluded_target) + [t for _, t in sorted(entries)]
-    ))
-    source_vocab = Vocabulary("source", source_tokens, [0] * len(source_tokens))
-    target_vocab = Vocabulary("target", target_tokens, [0] * len(target_tokens))
-    rows: dict[int, dict[int, int]] = {}
+    rows: dict[str, dict[str, int]] = {}
     for (s, t), c in entries.items():
-        sid = source_vocab.id_of(s)
-        tid = target_vocab.id_of(t)
-        rows.setdefault(sid, {})[tid] = c
+        rows.setdefault(s, {})[t] = c
     return CooccurrenceMatrix(
-        source_vocab,
-        target_vocab,
         WcmConfig(min_cooccurrence, hifreq_cutoff, count_mode),
         rows,
-        frozenset(source_vocab.id_of(t) for t in excluded_source),
-        frozenset(target_vocab.id_of(t) for t in excluded_target),
+        excluded_source,
+        excluded_target,
     )
+
+
+def entries_by_token(matrix: CooccurrenceMatrix) -> dict[tuple[str, str], int]:
+    return {(s, t): c for s, t, c in matrix.entries()}
 
 
 def random_corpus(
@@ -100,34 +92,32 @@ def zipf_corpus(
     return pairs
 
 
-def random_matrix(rng: random.Random, max_vocab: int = 12) -> CooccurrenceMatrix:
-    """A structurally valid random matrix built directly (not via counting)."""
+def random_matrix(
+    rng: random.Random, max_vocab: int = 12
+) -> tuple[CooccurrenceMatrix, list[str], list[str]]:
+    """A structurally valid random matrix built directly (not via counting),
+    with the source and target tokens it was drawn from; some of them are
+    excluded and some have no row."""
     min_cooc = rng.randint(1, 30)
     n_src = rng.randint(0, max_vocab)
     n_tgt = rng.randint(0, max_vocab)
     src_tokens = [f"s{i}" for i in range(n_src)]
     tgt_tokens = [f"t{i}" for i in range(n_tgt)]
-    excl_s = frozenset(i for i in range(n_src) if rng.random() < 0.15)
-    excl_t = frozenset(i for i in range(n_tgt) if rng.random() < 0.15)
-    rows: dict[int, dict[int, int]] = {}
+    excl_s = frozenset(tok for tok in src_tokens if rng.random() < 0.15)
+    excl_t = frozenset(tok for tok in tgt_tokens if rng.random() < 0.15)
+    rows: dict[str, dict[str, int]] = {}
     n_entries = rng.randint(0, max(0, n_src * n_tgt // 2))
     for _ in range(n_entries):
-        sid = rng.randrange(n_src) if n_src else None
-        tid = rng.randrange(n_tgt) if n_tgt else None
-        if sid is None or tid is None or sid in excl_s or tid in excl_t:
+        s = rng.choice(src_tokens) if n_src else None
+        t = rng.choice(tgt_tokens) if n_tgt else None
+        if s is None or t is None or s in excl_s or t in excl_t:
             continue
-        rows.setdefault(sid, {})[tid] = min_cooc + rng.randint(0, 50)
-    source_vocab = Vocabulary("source", src_tokens, [0] * n_src)
-    target_vocab = Vocabulary("target", tgt_tokens, [0] * n_tgt)
+        rows.setdefault(s, {})[t] = min_cooc + rng.randint(0, 50)
     mode = rng.choice(["binary", "product"])
-    return CooccurrenceMatrix(
-        source_vocab,
-        target_vocab,
-        WcmConfig(min_cooc, rng.randint(1, 10**6), mode),
-        rows,
-        excl_s,
-        excl_t,
+    matrix = CooccurrenceMatrix(
+        WcmConfig(min_cooc, rng.randint(1, 10**6), mode), rows, excl_s, excl_t
     )
+    return matrix, src_tokens, tgt_tokens
 
 
 def write_lines(path, lines: list[str]) -> None:

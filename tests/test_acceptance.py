@@ -28,7 +28,7 @@ from deqe.wcm import (
     save_wcm,
 )
 
-from helpers import random_corpus, random_matrix, write_lines
+from helpers import entries_by_token, random_corpus, random_matrix, write_lines
 from oracles import brute_force_excluded, brute_force_wcm, naive_corpus_bleu
 from synthgen import corrupt_targets, gen_pairs, make_lexicon, write_corpus
 
@@ -59,7 +59,7 @@ def test_criterion_1_wcm_oracle_equivalence():
             matrix = build_wcm(
                 pairs, source_vocab, target_vocab, WcmConfig(min_cooc, cutoff, mode)
             )
-            assert matrix.entries_by_token() == brute_force_wcm(
+            assert entries_by_token(matrix) == brute_force_wcm(
                 pairs, min_cooc, cutoff, mode
             )
             excl_s, excl_t = brute_force_excluded(pairs, cutoff)
@@ -77,13 +77,13 @@ def test_criterion_2_serialization(tmp_path, monkeypatch):
     # 100 random matrices, forcing the empty and single-entry shapes in
     for i in range(100):
         if i == 0:
-            matrix = random_matrix(rng, max_vocab=0)  # empty vocabularies
+            matrix, _, _ = random_matrix(rng, max_vocab=0)  # no tokens at all
         elif i == 1:
             from helpers import make_matrix
 
             matrix = make_matrix({("solo", "unico"): 20})
         else:
-            matrix = random_matrix(rng)
+            matrix, _, _ = random_matrix(rng)
         path = tmp_path / f"m{i}.wcm"
         save_wcm(matrix, path)
         loaded = load_wcm(path)
@@ -132,9 +132,9 @@ def test_criterion_3_de_scoring_properties():
     rng = random.Random(1004)
     trials = 0
     while trials < 1000:
-        matrix = random_matrix(rng)
-        src_alpha = [t for t, _, _ in matrix.source_vocab.items()] + ["oov1", "oov2"]
-        tgt_alpha = [t for t, _, _ in matrix.target_vocab.items()] + ["oovA", "oovB"]
+        matrix, src_tokens, tgt_tokens = random_matrix(rng)
+        src_alpha = src_tokens + ["oov1", "oov2"]
+        tgt_alpha = tgt_tokens + ["oovA", "oovB"]
         src = [rng.choice(src_alpha) for _ in range(rng.randint(0, 10))]
         hyp = [rng.choice(tgt_alpha) for _ in range(rng.randint(0, 10))]
         base = de_score(matrix, src, hyp)
@@ -145,23 +145,20 @@ def test_criterion_3_de_scoring_properties():
 
         assert de_score(matrix, src, hyp + hyp) == base
 
-        n_src, n_tgt = len(matrix.source_vocab), len(matrix.target_vocab)
-        if n_src and n_tgt:
-            rows = {sid: dict(row) for sid, row in matrix._rows.items()}
+        if src_tokens and tgt_tokens:
+            rows = {s: dict(matrix.row(s)) for s in src_tokens if matrix.row(s)}
             for _ in range(rng.randint(1, 6)):
-                sid, tid = rng.randrange(n_src), rng.randrange(n_tgt)
-                if sid in matrix.excluded_source or tid in matrix.excluded_target:
+                s, t = rng.choice(src_tokens), rng.choice(tgt_tokens)
+                if s in matrix.excluded_source_tokens() or t in matrix.excluded_target_tokens():
                     continue
-                rows.setdefault(sid, {}).setdefault(
-                    tid, matrix.config.min_cooccurrence
+                rows.setdefault(s, {}).setdefault(
+                    t, matrix.config.min_cooccurrence
                 )
             richer = CooccurrenceMatrix(
-                matrix.source_vocab,
-                matrix.target_vocab,
                 matrix.config,
                 rows,
-                matrix.excluded_source,
-                matrix.excluded_target,
+                matrix.excluded_source_tokens(),
+                matrix.excluded_target_tokens(),
             )
             assert de_score(richer, src, hyp).value >= base.value
 

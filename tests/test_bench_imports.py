@@ -18,9 +18,9 @@ import pytest
 
 from deqe import cli
 from deqe.analysis import bucket_eval, iter_filter
-from deqe.corpus import build_parallel_vocabularies
+from deqe.corpus import build_parallel_vocabularies, build_vocabulary
 from deqe.metrics import corpus_bleu
-from deqe.wcm import build_wcm
+from deqe.wcm import WcmConfig, build_wcm, load_wcm, save_wcm
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -89,3 +89,30 @@ def test_stage_build_wcm_call_binds():
 def test_trace_run_calls_bind(function, n_args):
     # bench/trace_run.py makes these calls with positional arguments only.
     inspect.signature(function).bind(*[None] * n_args)
+
+
+@pytest.mark.parametrize("origin", ["build_wcm", "load_wcm"])
+def test_matrix_answers_bench_calls(tmp_path, origin):
+    """The matrix and vocabulary calls bench/checks.py and bench/trace_run.py
+    make, on a matrix as bench/stage.py builds it and as run.py loads it."""
+    pairs = [(["the", "a"], ["le", "x"]), (["the", "b"], ["le", "y"]), (["the", "a"], ["le", "x"])]
+    source_vocab = build_vocabulary((s for s, _ in pairs), "source")
+    target_vocab = build_vocabulary((t for _, t in pairs), "target")
+    # trace_run.py: `for _, _, f in vocab.items()`
+    assert list(source_vocab.items()) == [("the", 0, 3), ("a", 1, 2), ("b", 2, 1)]
+    matrix = build_wcm(
+        pairs, source_vocab, target_vocab, WcmConfig(1, 2), threads=1, progress_every=0
+    )
+    if origin == "load_wcm":
+        save_wcm(matrix, tmp_path / "m.wcm")
+        matrix = load_wcm(tmp_path / "m.wcm")
+    # checks.py compares the exclusions with sets of str
+    assert matrix.excluded_source_tokens() == {"the"}
+    assert matrix.excluded_target_tokens() == {"le"}
+    # checks.py: `for s, t, c in matrix.entries()`; stage.py: `matrix.n_entries`
+    entries = list(matrix.entries())
+    assert all(type(s) is str and type(t) is str and type(c) is int for s, t, c in entries)
+    assert sorted(entries) == [("a", "x", 2), ("b", "y", 1)]
+    assert matrix.n_entries == 2
+    # trace_run.py times `matrix.transposed()`
+    assert sorted(matrix.transposed().entries()) == [("x", "a", 2), ("y", "b", 1)]

@@ -383,18 +383,6 @@ def test_bleu_sentence_level(tmp_path, capsys):
     assert lines[1] == "1\t0.000000"
 
 
-def test_bleu_empty_corpus_exit_2(tmp_path, capsys):
-    write_lines(tmp_path / "h", [])
-    write_lines(tmp_path / "r", [])
-    for mode in ([], ["--sentence-level"]):
-        rc = main(
-            ["bleu", "--hypothesis", str(tmp_path / "h"), "--reference", str(tmp_path / "r"),
-             *mode]
-        )
-        assert rc == 2
-        assert "empty corpus" in capsys.readouterr().err
-
-
 def test_correlate(tmp_path, capsys):
     write_lines(tmp_path / "x", ["1", "2", "3", "4", "5"])
     write_lines(tmp_path / "y", ["2", "1", "4", "3", "5"])
@@ -507,20 +495,39 @@ def test_bucket_eval_report(tmp_path, toy_wcm, capsys):
     assert "# total_segments=2" in out
 
 
-def test_bucket_eval_empty_files_exit_2(tmp_path, toy_wcm, capsys):
-    for name in ("esrc", "ehyp", "eref"):
-        write_lines(tmp_path / name, [])
-    rc = main(
-        [
-            "bucket-eval",
-            "--wcm", str(toy_wcm),
-            "--source", str(tmp_path / "esrc"),
-            "--hypothesis", str(tmp_path / "ehyp"),
-            "--reference", str(tmp_path / "eref"),
-        ]
-    )
-    assert rc == 2
+@pytest.mark.parametrize("command", ["score", "bleu", "bleu --sentence-level", "bucket-eval"])
+def test_empty_test_files_exit_2(tmp_path, toy_wcm, capsys, command):
+    """Every test-time command treats empty test files as a data error that
+    names them, and writes no report: none to stdout, and an existing --out
+    file is left as it was."""
+    src, hyp, ref = (tmp_path / f"empty.{name}" for name in ("src", "hyp", "ref"))
+    for path in (src, hyp, ref):
+        write_lines(path, [])
+    args = {
+        "score": ["score", "--wcm", toy_wcm, "--source", src, "--hypothesis", hyp],
+        "bleu": ["bleu", "--hypothesis", hyp, "--reference", ref],
+        "bleu --sentence-level": [
+            "bleu", "--hypothesis", hyp, "--reference", ref, "--sentence-level"
+        ],
+        "bucket-eval": [
+            "bucket-eval", "--wcm", toy_wcm, "--source", src, "--hypothesis", hyp,
+            "--reference", ref,
+        ],
+    }[command]
+    args = [str(arg) for arg in args]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty corpus" in captured.err
+    # the message names each test file the command read
+    assert all(arg in captured.err for arg in args if "empty." in arg)
+    out = tmp_path / "report.tsv"
+    out.write_bytes(b"old report\n")
+    before = sorted(tmp_path.iterdir())
+    assert main([*args, "--out", str(out), "--quiet"]) == 2
     assert "empty corpus" in capsys.readouterr().err
+    assert out.read_bytes() == b"old report\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("command", ["bleu --sentence-level", "bucket-eval"])

@@ -4,9 +4,16 @@ import pytest
 
 from deqe.errors import AlignmentError
 from deqe.scoring import DeScore, de_score, reverse_de_score, score_file
-from deqe.wcm import CooccurrenceMatrix
+from deqe.corpus import build_vocabulary
+from deqe.wcm import (
+    CooccurrenceMatrix,
+    WcmConfig,
+    build_wcm_with_vocabularies,
+    load_wcm,
+    save_wcm,
+)
 
-from helpers import make_matrix, random_matrix, write_lines
+from helpers import entries_by_token, make_matrix, random_matrix, write_lines, zipf_corpus
 from oracles import naive_de_score
 
 
@@ -77,17 +84,15 @@ def _random_tokens(rng, alphabet, max_len=10):
     return [rng.choice(alphabet) for _ in range(rng.randint(0, max_len))]
 
 
-def _segment_alphabets(matrix: CooccurrenceMatrix):
-    src = [t for t, _, _ in matrix.source_vocab.items()] + ["oov1", "oov2"]
-    tgt = [t for t, _, _ in matrix.target_vocab.items()] + ["oovA", "oovB"]
-    return src, tgt
+def _segment_alphabets(src_tokens: list[str], tgt_tokens: list[str]):
+    return src_tokens + ["oov1", "oov2"], tgt_tokens + ["oovA", "oovB"]
 
 
 def test_property_hypothesis_permutation_and_duplication():
     rng = random.Random(50)
     for _ in range(150):
-        matrix = random_matrix(rng)
-        src_alpha, tgt_alpha = _segment_alphabets(matrix)
+        matrix, src_tokens, tgt_tokens = random_matrix(rng)
+        src_alpha, tgt_alpha = _segment_alphabets(src_tokens, tgt_tokens)
         src = _random_tokens(rng, src_alpha)
         hyp = _random_tokens(rng, tgt_alpha)
         base = de_score(matrix, src, hyp)
@@ -100,29 +105,25 @@ def test_property_hypothesis_permutation_and_duplication():
 def test_property_evidence_monotone():
     rng = random.Random(51)
     for _ in range(150):
-        matrix = random_matrix(rng)
-        n_src = len(matrix.source_vocab)
-        n_tgt = len(matrix.target_vocab)
-        if not n_src or not n_tgt:
+        matrix, src_tokens, tgt_tokens = random_matrix(rng)
+        if not src_tokens or not tgt_tokens:
             continue
-        rows = {sid: dict(row) for sid, row in matrix._rows.items()}
+        rows = {s: dict(matrix.row(s)) for s in src_tokens if matrix.row(s)}
         for _ in range(rng.randint(1, 8)):
-            sid = rng.randrange(n_src)
-            tid = rng.randrange(n_tgt)
-            if sid in matrix.excluded_source or tid in matrix.excluded_target:
+            s = rng.choice(src_tokens)
+            t = rng.choice(tgt_tokens)
+            if s in matrix.excluded_source_tokens() or t in matrix.excluded_target_tokens():
                 continue
-            rows.setdefault(sid, {}).setdefault(
-                tid, matrix.config.min_cooccurrence + rng.randint(0, 9)
+            rows.setdefault(s, {}).setdefault(
+                t, matrix.config.min_cooccurrence + rng.randint(0, 9)
             )
         richer = CooccurrenceMatrix(
-            matrix.source_vocab,
-            matrix.target_vocab,
             matrix.config,
             rows,
-            matrix.excluded_source,
-            matrix.excluded_target,
+            matrix.excluded_source_tokens(),
+            matrix.excluded_target_tokens(),
         )
-        src_alpha, tgt_alpha = _segment_alphabets(matrix)
+        src_alpha, tgt_alpha = _segment_alphabets(src_tokens, tgt_tokens)
         src = _random_tokens(rng, src_alpha)
         hyp = _random_tokens(rng, tgt_alpha)
         assert de_score(richer, src, hyp).value >= de_score(matrix, src, hyp).value
@@ -131,8 +132,8 @@ def test_property_evidence_monotone():
 def test_property_transpose_duality():
     rng = random.Random(52)
     for _ in range(150):
-        matrix = random_matrix(rng)
-        src_alpha, tgt_alpha = _segment_alphabets(matrix)
+        matrix, src_tokens, tgt_tokens = random_matrix(rng)
+        src_alpha, tgt_alpha = _segment_alphabets(src_tokens, tgt_tokens)
         src = _random_tokens(rng, src_alpha)
         hyp = _random_tokens(rng, tgt_alpha)
         assert reverse_de_score(matrix, src, hyp) == de_score(
@@ -142,17 +143,17 @@ def test_property_transpose_duality():
 
 def test_de_score_matches_naive_oracle():
     """Forward and reverse DE, by token and by type, against the oracle on
-    random matrices with exclusions on both sides, vocabulary types without
+    random matrices with exclusions on both sides, drawn types without
     a row and segments with out-of-vocabulary and repeated words."""
     rng = random.Random(53)
     checked = 0
     for _ in range(300):
-        matrix = random_matrix(rng)
-        entries = matrix.entries_by_token()
+        matrix, src_tokens, tgt_tokens = random_matrix(rng)
+        entries = entries_by_token(matrix)
         swapped = {(t, s): c for (s, t), c in entries.items()}
         excl_s = matrix.excluded_source_tokens()
         excl_t = matrix.excluded_target_tokens()
-        src_alpha, tgt_alpha = _segment_alphabets(matrix)
+        src_alpha, tgt_alpha = _segment_alphabets(src_tokens, tgt_tokens)
         for _ in range(5):
             src = _random_tokens(rng, src_alpha)
             hyp = _random_tokens(rng, tgt_alpha)
@@ -169,16 +170,46 @@ def test_de_score_matches_naive_oracle():
 
 def test_absent_types_score_zero():
     matrix = make_matrix({("a", "x"): 20})
-    # types present in the vocabulary but without surviving entries
+    # types present in the corpus but without surviving entries
     bare = make_matrix({("a", "x"): 20, ("b", "y"): 20})
-    trimmed = CooccurrenceMatrix(
-        bare.source_vocab,
-        bare.target_vocab,
-        bare.config,
-        {bare.source_vocab.id_of("a"): {bare.target_vocab.id_of("x"): 20}},
-    )
+    trimmed = CooccurrenceMatrix(bare.config, {"a": {"x": 20}})
     assert de_score(trimmed, ["b", "b"], ["y"]).value == 0.0
     assert de_score(matrix, ["q"], ["x"]).value == 0.0
+
+
+def test_built_and_loaded_matrices_score_alike(tmp_path):
+    """A loaded matrix is exactly its file, so it scores every segment as
+    the built matrix does: OOV, pruned, binary-rare and high-frequency
+    excluded words included, on both sides."""
+    rng = random.Random(54)
+    pairs = zipf_corpus(rng)
+    # "p" and "q" occur 3 times, but with no partner 3 times: pruned
+    pairs += [(["p"], [f"pt{i}"]) for i in range(3)] + [([f"qs{i}"], ["q"]) for i in range(3)]
+    min_cooc, cutoff = 3, 60
+    built = build_wcm_with_vocabularies(pairs, WcmConfig(min_cooc, cutoff), progress_every=0)
+    save_wcm(built, tmp_path / "m.wcm")
+    loaded = load_wcm(tmp_path / "m.wcm")
+    assert loaded == built
+    alphabets = []
+    for side, matrix in ((0, built), (1, built.transposed())):
+        vocab = build_vocabulary([pair[side] for pair in pairs])
+        excluded = matrix.excluded_source_tokens()
+        rare = {tok for tok, _, f in vocab.items() if f < min_cooc}
+        pruned = {tok for tok, _, f in vocab.items() if not matrix.row(tok)} - rare - excluded
+        assert excluded and rare and pruned
+        alphabets.append([tok for tok, _, _ in vocab.items()] + [f"oov{side}{i}" for i in range(3)])
+    src_alpha, tgt_alpha = alphabets
+    evidenced = 0
+    for _ in range(200):
+        src = _random_tokens(rng, src_alpha)
+        hyp = _random_tokens(rng, tgt_alpha)
+        for by_type in (False, True):
+            forward = de_score(built, src, hyp, by_type=by_type)
+            assert de_score(loaded, src, hyp, by_type=by_type) == forward
+            reverse = reverse_de_score(built, src, hyp, by_type=by_type)
+            assert reverse_de_score(loaded, src, hyp, by_type=by_type) == reverse
+            evidenced += forward.evidenced > 0 and reverse.evidenced > 0
+    assert evidenced > 0
 
 
 # ---------------------------------------------------------------------------

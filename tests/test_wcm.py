@@ -5,7 +5,7 @@ import random
 import pytest
 
 from deqe.analysis import BucketSpec
-from deqe.corpus import Vocabulary, build_vocabulary
+from deqe.corpus import build_vocabulary
 from deqe.errors import VocabularyMismatchError, WcmFormatError
 from deqe.wcm import (
     LONG_SEGMENT_TOKENS,
@@ -18,7 +18,14 @@ from deqe.wcm import (
 )
 
 import deqe.wcm
-from helpers import build_from_raw, make_matrix, random_corpus, random_matrix, zipf_corpus
+from helpers import (
+    build_from_raw,
+    entries_by_token,
+    make_matrix,
+    random_corpus,
+    random_matrix,
+    zipf_corpus,
+)
 from oracles import brute_force_excluded, brute_force_wcm
 
 TOY = [("a b", "x y"), ("a c", "x z")]
@@ -44,7 +51,7 @@ def test_config_validation():
 
 def test_toy_matrix_entries():
     matrix = build_from_raw(TOY, min_cooccurrence=1)
-    assert matrix.entries_by_token() == {
+    assert entries_by_token(matrix) == {
         ("a", "x"): 2,
         ("a", "y"): 1,
         ("a", "z"): 1,
@@ -58,17 +65,17 @@ def test_toy_matrix_entries():
 
 def test_pruning_keeps_only_frequent():
     matrix = build_from_raw(TOY, min_cooccurrence=2)
-    assert matrix.entries_by_token() == {("a", "x"): 2}
+    assert entries_by_token(matrix) == {("a", "x"): 2}
 
 
 def test_binary_mode_counts_repeats_once():
     matrix = build_from_raw([("a a b", "x")], min_cooccurrence=1)
-    assert matrix.entries_by_token()[("a", "x")] == 1
+    assert entries_by_token(matrix)[("a", "x")] == 1
 
 
 def test_product_mode_multiplies_occurrences():
     matrix = build_from_raw([("a a b", "x x")], min_cooccurrence=1, count_mode="product")
-    assert matrix.entries_by_token() == {("a", "x"): 4, ("b", "x"): 2}
+    assert entries_by_token(matrix) == {("a", "x"): 4, ("b", "x"): 2}
 
 
 def test_unknown_token_is_hard_error():
@@ -93,7 +100,7 @@ def test_hifreq_exclusion_applies_to_both_sides():
     matrix = build_from_raw(raw, min_cooccurrence=1, hifreq_cutoff=2)
     assert matrix.excluded_source_tokens() == {"the"}
     assert matrix.excluded_target_tokens() == {"le"}
-    entries = matrix.entries_by_token()
+    entries = entries_by_token(matrix)
     assert all("the" != s and "le" != t for (s, t) in entries)
     assert entries[("a", "x")] == 2
     # frequency exactly at the cutoff stays in
@@ -114,7 +121,7 @@ def test_oracle_equivalence_random():
                 pairs, source_vocab, target_vocab, WcmConfig(min_cooc, cutoff, mode)
             )
             expected = brute_force_wcm(pairs, min_cooc, cutoff, mode)
-            assert matrix.entries_by_token() == expected
+            assert entries_by_token(matrix) == expected
             excl_s, excl_t = brute_force_excluded(pairs, cutoff)
             assert matrix.excluded_source_tokens() == excl_s
             assert matrix.excluded_target_tokens() == excl_t
@@ -130,8 +137,8 @@ def test_deterministic_across_threads_and_partitions(monkeypatch):
     for mode in ("binary", "product"):
         config = WcmConfig(2, cutoff, mode)
         base = build_wcm(pairs, source_vocab, target_vocab, config, threads=1)
-        assert base.excluded_source
-        assert base.entries_by_token() == brute_force_wcm(pairs, 2, cutoff, mode)
+        assert base.excluded_source_tokens()
+        assert entries_by_token(base) == brute_force_wcm(pairs, 2, cutoff, mode)
         postings, targets, pair_updates = deqe.wcm._encode(
             pairs, source_vocab, target_vocab, config
         )
@@ -143,9 +150,10 @@ def test_deterministic_across_threads_and_partitions(monkeypatch):
                 part_rows = deqe.wcm._count_rows(postings, targets, 2, part, n_parts)
                 assert all(sid % n_parts == part for sid in part_rows)
                 rows.update(part_rows)
+            token_rows: dict = {}
+            deqe.wcm._move_to_tokens(rows, source_vocab, target_vocab, token_rows)
             union = CooccurrenceMatrix(
-                source_vocab, target_vocab, config, rows,
-                base.excluded_source, base.excluded_target,
+                config, token_rows, base.excluded_source_tokens(), base.excluded_target_tokens()
             )
             assert union == base
         with monkeypatch.context() as patch:
@@ -177,7 +185,7 @@ def test_pool_only_when_counting_pays(monkeypatch):
     pooled = build_wcm(pairs, source_vocab, target_vocab, config, threads=4)
     assert len(calls_here) == 1
     assert pooled == small
-    assert small.entries_by_token() == brute_force_wcm(pairs, 2, 10**9, "binary")
+    assert entries_by_token(small) == brute_force_wcm(pairs, 2, 10**9, "binary")
 
 
 class _ReadCounter:
@@ -208,7 +216,7 @@ def test_build_reads_pairs_once(tmp_path, monkeypatch):
         matrix = build_wcm(
             _ReadCounter(pairs, log_path), source_vocab, target_vocab, config, threads=threads
         )
-        assert matrix.entries_by_token() == expected
+        assert entries_by_token(matrix) == expected
         assert log_path.read_text().split() == [str(os.getpid())]
 
 
@@ -224,7 +232,7 @@ def test_one_shot_iterator_with_threads_matches_list(monkeypatch):
         (p for p in pairs), source_vocab, target_vocab, config, threads=2
     )
     assert from_generator == from_list
-    assert from_list.entries_by_token() == brute_force_wcm(pairs, 2, 10**9, "binary")
+    assert entries_by_token(from_list) == brute_force_wcm(pairs, 2, 10**9, "binary")
 
 
 def test_vocabulary_mismatch_raised_once_while_reading():
@@ -254,7 +262,7 @@ def test_one_read_build_matches_caller_vocabularies(mode, monkeypatch, caplog):
     source_vocab = build_vocabulary([p[0] for p in pairs], "source")
     target_vocab = build_vocabulary([p[1] for p in pairs], "target")
     expected = build_wcm(pairs, source_vocab, target_vocab, config, progress_every=0)
-    assert expected.excluded_source and expected.excluded_target
+    assert expected.excluded_source_tokens() and expected.excluded_target_tokens()
     excl_s, excl_t = brute_force_excluded(pairs, cutoff)
     monkeypatch.setattr(deqe.wcm, "POOL_MIN_PAIR_UPDATES", 0)
     for threads in (1, 2):
@@ -263,19 +271,12 @@ def test_one_read_build_matches_caller_vocabularies(mode, monkeypatch, caplog):
             matrix = build_wcm_with_vocabularies(pairs, config, threads=threads, progress_every=0)
         warned = [rec.getMessage() for rec in caplog.records if "long" in rec.getMessage()]
         assert len(warned) == 1 and f"segment {long_index} " in warned[0]
-        for built, vocab in ((matrix.source_vocab, source_vocab), (matrix.target_vocab, target_vocab)):
-            # the same tokens, ids and frequencies, in id order
-            assert list(built.items()) == list(vocab.items())
-            assert built.token_ids == vocab.token_ids
-            # the vocabulary numbers no token after the read
-            with pytest.raises(KeyError):
-                built.token_ids["unseen"]
-            assert len(built) == len(vocab) and "unseen" not in built
-        assert all(matrix.row(sid) == expected.row(sid) for sid in range(len(source_vocab)))
+        assert matrix == expected
+        assert all(matrix.row(tok) == expected.row(tok) for tok, _, _ in source_vocab.items())
         assert matrix.n_entries == expected.n_entries
-        assert matrix.excluded_source == expected.excluded_source
-        assert matrix.excluded_target == expected.excluded_target
-        assert matrix.entries_by_token() == brute_force_wcm(pairs, 3, cutoff, mode)
+        assert matrix.excluded_source_tokens() == expected.excluded_source_tokens()
+        assert matrix.excluded_target_tokens() == expected.excluded_target_tokens()
+        assert entries_by_token(matrix) == brute_force_wcm(pairs, 3, cutoff, mode)
         assert matrix.excluded_source_tokens() == excl_s
         assert matrix.excluded_target_tokens() == excl_t
 
@@ -295,7 +296,7 @@ def test_rare_type_prefilter_is_exact(min_cooc):
             matrix = build_wcm(
                 pairs, source_vocab, target_vocab, WcmConfig(min_cooc, cutoff, mode)
             )
-            assert matrix.entries_by_token() == brute_force_wcm(pairs, min_cooc, cutoff, mode)
+            assert entries_by_token(matrix) == brute_force_wcm(pairs, min_cooc, cutoff, mode)
             excl_s, excl_t = brute_force_excluded(pairs, cutoff)
             assert matrix.excluded_source_tokens() == excl_s
             assert matrix.excluded_target_tokens() == excl_t
@@ -308,7 +309,7 @@ def test_product_mode_keeps_rare_types():
     matrix = build_from_raw(
         [("a", " ".join(["x"] * 20))], min_cooccurrence=20, count_mode="product"
     )
-    assert matrix.entries_by_token() == {("a", "x"): 20}
+    assert entries_by_token(matrix) == {("a", "x"): 20}
 
 
 def test_pruning_monotone():
@@ -318,9 +319,9 @@ def test_pruning_monotone():
     target_vocab = build_vocabulary([p[1] for p in pairs], "target")
     previous = None
     for min_cooc in (1, 2, 3, 5):
-        entries = build_wcm(
+        entries = entries_by_token(build_wcm(
             pairs, source_vocab, target_vocab, WcmConfig(min_cooc, 10**9, "binary")
-        ).entries_by_token()
+        ))
         if previous is not None:
             assert set(entries) <= set(previous)
             assert all(previous[k] == v for k, v in entries.items())
@@ -339,16 +340,16 @@ def test_swapped_corpus_gives_transpose():
         sv2 = build_vocabulary([p[0] for p in swapped], "source")
         tv2 = build_vocabulary([p[1] for p in swapped], "target")
         backward = build_wcm(swapped, sv2, tv2, config)
-        assert backward.entries_by_token() == {
-            (t, s): c for (s, t), c in forward.entries_by_token().items()
+        assert entries_by_token(backward) == {
+            (t, s): c for (s, t), c in entries_by_token(forward).items()
         }
 
 
 def test_transposed_view():
     matrix = build_from_raw(TOY, min_cooccurrence=1)
     flipped = matrix.transposed()
-    assert flipped.entries_by_token() == {
-        (t, s): c for (s, t), c in matrix.entries_by_token().items()
+    assert entries_by_token(flipped) == {
+        (t, s): c for (s, t), c in entries_by_token(matrix).items()
     }
     assert flipped.transposed() is matrix
     assert flipped.excluded_source_tokens() == matrix.excluded_target_tokens()
@@ -493,22 +494,21 @@ def test_save_rejects_whitespace_tokens(tmp_path):
 
 
 def test_save_ignores_whitespace_tokens_it_does_not_write(tmp_path):
-    # "b c" is in the source vocabulary, but in no entry and not excluded
-    source_vocab = Vocabulary("source", ["a", "b c"], [0, 0])
-    target_vocab = Vocabulary("target", ["x", "y z"], [0, 0])
-    matrix = CooccurrenceMatrix(
-        source_vocab, target_vocab, WcmConfig(20), {0: {0: 25}}
-    )
+    # "b c" and "y z" are in the build's vocabularies, but pruned
+    pairs = [(["a"], ["x"])] * 25 + [(["b c"], ["y z"])]
+    source_vocab = build_vocabulary([p[0] for p in pairs], "source")
+    target_vocab = build_vocabulary([p[1] for p in pairs], "target")
+    matrix = build_wcm(pairs, source_vocab, target_vocab, WcmConfig(20))
     path = tmp_path / "ok.wcm"
     save_wcm(matrix, path)
     assert load_wcm(path) == matrix
-    assert load_wcm(path).entries_by_token() == {("a", "x"): 25}
+    assert entries_by_token(load_wcm(path)) == {("a", "x"): 25}
 
 
 def test_round_trip_random_matrices(tmp_path):
     rng = random.Random(77)
     for i in range(25):
-        matrix = random_matrix(rng)
+        matrix, _, _ = random_matrix(rng)
         path = tmp_path / f"m{i}.wcm"
         save_wcm(matrix, path)
         assert load_wcm(path) == matrix
