@@ -36,23 +36,43 @@ def bleu_stats(hypothesis: Sequence[str], reference: Sequence[str]) -> tuple[int
     their count in the reference and totals[n] all hypothesis n-grams. The
     statistics of a set of segments are the element-wise sums of theirs.
     """
-    hyp_counts = _ngram_counts(hypothesis)
-    ref_counts = _ngram_counts(reference)
+    hyp_len, ref_len = len(hypothesis), len(reference)
     matches = [0] * MAX_ORDER
-    for gram in hyp_counts.keys() & ref_counts.keys():
-        matches[len(gram) - 1] += min(hyp_counts[gram], ref_counts[gram])
-    hyp_len = len(hypothesis)
+    # The n slices of each side shifted by 0 .. n-1 tokens; zipped, they
+    # give its n-grams (see _ngrams).
+    hyp_shifted, ref_shifted = [hypothesis], [reference]
+    for n in range(1, MAX_ORDER + 1):
+        if n > 1:
+            hyp_shifted.append(hypothesis[n - 1 :])
+            ref_shifted.append(reference[n - 1 :])
+        hyp_set = set(_ngrams(hyp_shifted))
+        if len(hyp_set) == hyp_len - n + 1:
+            # No hypothesis n-gram repeats, so each shared one is clipped
+            # to a count of 1.
+            matched = len(hyp_set.intersection(_ngrams(ref_shifted)))
+        else:
+            ref_set = set(_ngrams(ref_shifted))
+            common = hyp_set & ref_set
+            if len(ref_set) == ref_len - n + 1:
+                matched = len(common)
+            else:
+                # Both sides repeat an n-gram: clip by the two counts.
+                hyp_counts = Counter(_ngrams(hyp_shifted))
+                ref_counts = Counter(_ngrams(ref_shifted))
+                matched = sum(min(hyp_counts[g], ref_counts[g]) for g in common)
+        if not matched:
+            # Every longer shared n-gram would contain a shared one of this
+            # order, so the higher orders match nothing either.
+            break
+        matches[n - 1] = matched
     totals = [max(0, hyp_len - n) for n in range(MAX_ORDER)]
-    return (hyp_len, len(reference), *matches, *totals)
+    return (hyp_len, ref_len, *matches, *totals)
 
 
-def _ngram_counts(tokens: Sequence[str]) -> Counter:
-    """Counts of all 1- to MAX_ORDER-grams of ``tokens`` in one Counter,
-    keyed by tuples, so an n-gram's order is its length."""
-    shifted = [tokens[i:] for i in range(MAX_ORDER)]
-    return Counter(
-        itertools.chain.from_iterable(zip(*shifted[:n]) for n in range(1, MAX_ORDER + 1))
-    )
+def _ngrams(shifted: list[Sequence[str]]) -> Iterable:
+    """The n-grams of one side, n = len(shifted): its tokens for n = 1, else
+    tuples zipped from the shifted slices. A fresh iterable on each call."""
+    return shifted[0] if len(shifted) == 1 else zip(*shifted)
 
 
 def _brevity_penalty(hyp_len: int, ref_len: int) -> float:

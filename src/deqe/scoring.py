@@ -9,7 +9,6 @@ hypothesis side, and flags unsupported extra words in the translation.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .corpus import CorpusFiles, TokenizerConfig
@@ -65,17 +64,15 @@ def de_score(
     hypothesis = set(hypothesis_tokens)
     excluded = matrix.excluded_source_tokens()
     row = matrix.row
-    eligible = 0
+    if by_type:
+        eligible = set(source_tokens).difference(excluded)
+    else:
+        eligible = [tok for tok in source_tokens if tok not in excluded]
     evidenced = 0
-    for tok, mult in Counter(source_tokens).items():
-        if tok in excluded:
-            continue
-        if by_type:
-            mult = 1
-        eligible += mult
+    for tok in eligible:
         if not row(tok).keys().isdisjoint(hypothesis):
-            evidenced += mult
-    return DeScore.from_counts(eligible, evidenced)
+            evidenced += 1
+    return DeScore.from_counts(len(eligible), evidenced)
 
 
 def reverse_de_score(

@@ -15,10 +15,10 @@ import logging
 import os
 from collections import Counter
 from functools import partial
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import is_not, itemgetter
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, NoReturn
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, NoReturn, TextIO
 
 from .corpus import Vocabulary, atomic_write, token_interner
 from .errors import VocabularyMismatchError, WcmFormatError
@@ -561,15 +561,32 @@ def _header_int(lines: list[str], idx: int, tag: str, path) -> int:
         ) from None
 
 
-def load_wcm(path) -> CooccurrenceMatrix:
-    """Read a matrix from the v1 text format.
+def _line_blocks(fh: TextIO, size: int = 1 << 14) -> Iterator[list[str]]:
+    """The lines of a text file, as ``str.splitlines`` cuts its whole text,
+    in lists of the whole lines of each ``size``-character read.
 
-    The loaded matrix is exactly the file: its rows and its exclusion sets.
-    Corpus frequencies are not stored, and a pruned word and an unseen word
-    alike have no row.
+    Not the file's own line iteration: ``splitlines`` also cuts at \\x1c,
+    \\x85, \\u2028 and the other Unicode line boundaries. ``fh`` must be
+    opened with universal newlines (the default), so that every line break
+    a read ends on is a complete one.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    pending: list[str] = []
+    for chunk in iter(partial(fh.read, size), ""):
+        end = chunk.rfind("\n") + 1
+        if not end:
+            pending.append(chunk)
+            continue
+        pending.append(chunk[:end])
+        yield "".join(pending).splitlines()
+        pending = [chunk[end:]]
+    yield "".join(pending).splitlines()
+
+
+def _read_header(
+    lines: list[str], path
+) -> tuple[WcmConfig, int, frozenset[str], frozenset[str]]:
+    """The config, the declared entry count and the two exclusion sets, from
+    a WCM file's first seven lines."""
     if not lines or not (lines[0] == "#wcm" or lines[0].startswith("#wcm ")):
         raise WcmFormatError(f"{path}: not a WCM file (missing '#wcm' header)")
     version = lines[0][len("#wcm") :].strip()
@@ -588,47 +605,61 @@ def load_wcm(path) -> CooccurrenceMatrix:
         config = WcmConfig(min_cooccurrence=min_cooc, hifreq_cutoff=cutoff, count_mode=mode)
     except ValueError as exc:
         raise WcmFormatError(f"{path}: {exc}") from None
+    return config, declared, excl_s, excl_t
 
-    data = lines[7:]
-    if len(data) < declared:
-        raise WcmFormatError(
-            f"{path}: truncated WCM file: header declares {declared} entries, "
-            f"found {len(data)}"
-        )
-    if len(data) > declared:
-        raise WcmFormatError(
-            f"{path}: trailing data: header declares {declared} entries, "
-            f"found {len(data)} lines"
-        )
 
+def load_wcm(path) -> CooccurrenceMatrix:
+    """Read a matrix from the v1 text format.
+
+    The loaded matrix is exactly the file: its rows and its exclusion sets.
+    Corpus frequencies are not stored, and a pruned word and an unseen word
+    alike have no row. The file is read a block of lines at a time and each
+    entry is checked as it is read, so an entry error is reported before a
+    wrong declared entry count.
+    """
     rows: dict[str, dict[str, int]] = {}
     # Each target token string, kept once however many rows hold it.
     target_tokens: dict[str, str] = {}
-    for offset, line in enumerate(data):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise WcmFormatError(
-                f"{path}: line {offset + 8}: expected 3 tab-separated fields, "
-                f"found {len(fields)}"
-            )
-        s, t, raw_count = fields
-        try:
-            c = int(raw_count)
-        except ValueError:
-            raise WcmFormatError(
-                f"{path}: line {offset + 8}: invalid count {raw_count!r}"
-            ) from None
-        if c < config.min_cooccurrence:
-            raise WcmFormatError(
-                f"{path}: line {offset + 8}: count {c} is below the declared "
-                f"min_cooccurrence {config.min_cooccurrence}"
-            )
-        if s in excl_s or t in excl_t:
-            raise WcmFormatError(
-                f"{path}: entry ({s!r}, {t!r}) uses an excluded token"
-            )
-        row = rows.setdefault(s, {})
-        if t in row:
-            raise WcmFormatError(f"{path}: duplicate entry ({s!r}, {t!r})")
-        row[target_tokens.setdefault(t, t)] = c
+    found = 0
+    with open(path, encoding="utf-8") as fh:
+        lines = chain.from_iterable(_line_blocks(fh))
+        config, declared, excl_s, excl_t = _read_header(list(islice(lines, 7)), path)
+        for found, line in enumerate(islice(lines, declared), 1):
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise WcmFormatError(
+                    f"{path}: line {found + 7}: expected 3 tab-separated fields, "
+                    f"found {len(fields)}"
+                )
+            s, t, raw_count = fields
+            try:
+                c = int(raw_count)
+            except ValueError:
+                raise WcmFormatError(
+                    f"{path}: line {found + 7}: invalid count {raw_count!r}"
+                ) from None
+            if c < config.min_cooccurrence:
+                raise WcmFormatError(
+                    f"{path}: line {found + 7}: count {c} is below the declared "
+                    f"min_cooccurrence {config.min_cooccurrence}"
+                )
+            if s in excl_s or t in excl_t:
+                raise WcmFormatError(
+                    f"{path}: entry ({s!r}, {t!r}) uses an excluded token"
+                )
+            row = rows.setdefault(s, {})
+            if t in row:
+                raise WcmFormatError(f"{path}: duplicate entry ({s!r}, {t!r})")
+            row[target_tokens.setdefault(t, t)] = c
+        trailing = sum(1 for _ in lines)
+    if found < declared:
+        raise WcmFormatError(
+            f"{path}: truncated WCM file: header declares {declared} entries, "
+            f"found {found}"
+        )
+    if trailing:
+        raise WcmFormatError(
+            f"{path}: trailing data: header declares {declared} entries, "
+            f"found {found + trailing} lines"
+        )
     return CooccurrenceMatrix(config, rows, excl_s, excl_t)

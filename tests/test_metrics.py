@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -155,6 +156,65 @@ def test_bleu_stats_matches_naive_oracle():
         cases.append((hyp, ref))
     for hyp, ref in cases:
         assert bleu_stats(hyp, ref) == naive_bleu_stats(hyp, ref), (hyp, ref)
+
+
+def _order_kinds(hyp, ref):
+    """How each order of one pair must be counted, up to and including the
+    first order with no shared n-gram ("stop"): "unique" when neither side
+    repeats an n-gram, "hyp-repeats" or "ref-repeats" when one side does,
+    and "both-repeat" when both do; "clipped" is "both-repeat" with a shared
+    n-gram that occurs at least twice on each side, so that its clipped
+    count exceeds 1."""
+    kinds = []
+    for n in range(1, 5):
+        hyp_grams = [tuple(hyp[i : i + n]) for i in range(len(hyp) - n + 1)]
+        ref_grams = [tuple(ref[i : i + n]) for i in range(len(ref) - n + 1)]
+        common = set(hyp_grams) & set(ref_grams)
+        if not common:
+            kinds.append((n, "stop"))
+            break
+        hyp_repeats = len(set(hyp_grams)) < len(hyp_grams)
+        ref_repeats = len(set(ref_grams)) < len(ref_grams)
+        if hyp_repeats and ref_repeats:
+            clipped = any(min(hyp_grams.count(g), ref_grams.count(g)) > 1 for g in common)
+            kind = "clipped" if clipped else "both-repeat"
+        elif hyp_repeats or ref_repeats:
+            kind = "hyp-repeats" if hyp_repeats else "ref-repeats"
+        else:
+            kind = "unique"
+        kinds.append((n, kind))
+    return kinds
+
+
+def test_bleu_stats_each_order_kind_matches_naive_oracle():
+    """Per-segment statistics against the list.count oracle on sides of up
+    to 40 tokens, lists and tuples, with every way an order can be counted
+    met at each order 1-4 (see _order_kinds) at least 20 times: repeats on
+    one side only, on both sides with and without a count clipped above 1,
+    none at all, and an order with no shared n-gram."""
+    rng = random.Random(23)
+    cases = [
+        ("a b a b a b a".split(), "b a b a b a b".split()),
+        ("a b a b a b".split(), "b a b a".split()),
+        (tuple("a a b c".split()), tuple("a b c d".split())),
+        (tuple("a b c d".split()), tuple("a b b c".split())),
+        ("a b c d".split(), "d c b a".split()),
+    ]
+    for _ in range(3000):
+        alphabet = "abcdefghijklmnopqrst"[: rng.choice((1, 2, 3, 4, 6, 20))]
+        hyp = [rng.choice(alphabet) for _ in range(rng.randint(0, rng.choice((8, 40))))]
+        ref = [rng.choice(alphabet) for _ in range(rng.randint(0, rng.choice((8, 40))))]
+        if rng.random() < 0.5:
+            hyp, ref = tuple(hyp), tuple(ref)
+        cases.append((hyp, ref))
+    met = Counter()
+    for hyp, ref in cases:
+        assert bleu_stats(hyp, ref) == naive_bleu_stats(hyp, ref), (hyp, ref)
+        met.update(_order_kinds(hyp, ref))
+    for n in range(1, 5):
+        for kind in ("unique", "hyp-repeats", "ref-repeats", "both-repeat", "clipped", "stop"):
+            assert met[n, kind] >= 20, (n, kind, met)
+    assert [kind for _, kind in _order_kinds(*cases[0])] == ["clipped"] * 4
 
 
 # ---------------------------------------------------------------------------

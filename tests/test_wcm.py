@@ -1,6 +1,7 @@
 import logging
 import os
 import random
+from itertools import chain
 
 import pytest
 
@@ -481,6 +482,80 @@ def test_load_rejects_bad_headers(tmp_path):
     )
     with pytest.raises(WcmFormatError):  # unknown count mode
         load_wcm(path)
+
+
+_HEADER_2 = (
+    "#wcm v1\n#min_cooccurrence 5\n#hifreq_cutoff 10\n#count_mode binary\n"
+    "#entries 2\n#excluded_source\n#excluded_target\n"
+)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ("a\tx\t6\na\tx\n", "line 9: expected 3 tab-separated fields, found 2"),
+        ("a\tx\t6\nb\ty\tmany\n", "line 9: invalid count 'many'"),
+        ("a\tx\t6\nb\ty\t3\n", "line 9: count 3 is below the declared min_cooccurrence 5"),
+        # \u2028 ends a line, as str.splitlines reads it
+        ("b\u2028c\ty\t6\n", "line 8: expected 3 tab-separated fields, found 1"),
+        ("a\tx\t6\na\tx\t7\n", "duplicate entry ('a', 'x')"),
+        ("a\tx\t6\n", "truncated WCM file: header declares 2 entries, found 1"),
+        ("a\tx\t6\r\nb\ty\t6\r\nc\tz\t6\r\n", "trailing data: header declares 2 entries, found 3 lines"),
+        ("a\tx\t6\nb\ty\t6\n\n\n", "trailing data: header declares 2 entries, found 4 lines"),
+    ],
+    ids=["fields", "count", "below-min", "u2028", "duplicate", "truncated", "trailing-crlf", "trailing-blank"],
+)
+def test_load_error_messages(tmp_path, entries, message):
+    path = tmp_path / "bad.wcm"
+    path.write_bytes((_HEADER_2 + entries).encode("utf-8"))
+    with pytest.raises(WcmFormatError) as err:
+        load_wcm(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "declared, entries, message",
+    [
+        (3, "a\tx\t6\nb\ty\n", "line 9: expected 3 tab-separated fields, found 2"),
+        (1, "a\tx\nb\ty\t6\n", "line 8: expected 3 tab-separated fields, found 2"),
+    ],
+    ids=["fewer", "more"],
+)
+def test_load_reports_entry_error_before_entry_count(tmp_path, declared, entries, message):
+    """Entries are checked as they are read, so a bad entry line is reported
+    even when the file also holds fewer or more entries than declared."""
+    path = tmp_path / "bad.wcm"
+    path.write_text(_HEADER_2.replace("#entries 2", f"#entries {declared}") + entries)
+    with pytest.raises(WcmFormatError) as err:
+        load_wcm(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_line_blocks_cut_as_splitlines(tmp_path):
+    """load_wcm reads its lines in blocks. Joined, they are the lines that
+    str.splitlines cuts from the whole text, for any block size, with CRLF
+    and CR endings (also split across two reads), the other line boundaries
+    and lines longer than a block."""
+    rng = random.Random(31)
+    pieces = ["a", "bc", "\t", "\n", "\r\n", "\r", "\x1c", "\x85", "\u2028", "\ufeff", "x" * 40]
+    path = tmp_path / "lines.txt"
+    for _ in range(300):
+        path.write_bytes("".join(rng.choices(pieces, k=rng.randint(0, 60))).encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            want = fh.read().splitlines()
+        for size in (1, 2, 3, 7, 64):
+            with open(path, encoding="utf-8") as fh:
+                assert list(chain.from_iterable(deqe.wcm._line_blocks(fh, size))) == want
+
+
+def test_load_crlf_file_of_many_read_blocks(tmp_path):
+    matrix = make_matrix({(f"s{i}", f"t{i % 97}"): 20 + i for i in range(3000)})
+    path = tmp_path / "big.wcm"
+    save_wcm(matrix, path)
+    text = path.read_text()
+    assert len(text) > 2 * (1 << 14)
+    path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    assert load_wcm(path) == matrix
 
 
 def test_save_rejects_whitespace_tokens(tmp_path):
