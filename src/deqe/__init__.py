@@ -60,7 +60,7 @@ _EXPORTS = {
         "sentence_bleu",
         "student_t_two_tailed",
     ),
-    "scoring": ("DeScore", "ScoredSegment", "de_score", "reverse_de_score", "score_file"),
+    "scoring": ("DeScore", "de_score", "reverse_de_score"),
     "wcm": (
         "CooccurrenceMatrix",
         "WcmConfig",

@@ -147,14 +147,11 @@ def _bin_count(bin_width: float) -> int:
     return n_bins
 
 
-def histogram(
-    scores: Iterable[DeScore | float], bin_width: float = 5.0
-) -> HistogramReport:
+def histogram(scores: Iterable[float], bin_width: float = 5.0) -> HistogramReport:
     """Distribution of DE scores over [0, 100] in equal bins."""
     n_bins = _bin_count(bin_width)
     counts = [0] * n_bins
-    for s in scores:
-        v = s.value if isinstance(s, DeScore) else float(s)
+    for v in scores:
         if not 0.0 <= v <= 100.0:
             raise ValueError(f"score {v} outside [0, 100]")
         counts[min(int(v // bin_width), n_bins - 1)] += 1
@@ -253,7 +250,7 @@ def filter_corpus(
     """
     tally: Counter[str] = Counter()
 
-    def routed() -> Iterator[DeScore]:
+    def routed() -> Iterator[float]:
         for n, decision in enumerate(
             iter_filter(matrix, pairs, min_de, tokenizer=tokenizer, by_type=by_type), start=1
         ):
@@ -262,7 +259,7 @@ def filter_corpus(
             tally["degenerate"] += decision.de.degenerate
             if n % PROGRESS_EVERY == 0:
                 log.info("filter: %d segments scored", n)
-            yield decision.de
+            yield decision.de.value
 
     report = histogram(routed(), bin_width)
     return FilterSummary(

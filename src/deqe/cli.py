@@ -31,17 +31,17 @@ from . import __version__
 from .errors import AlignmentError, DataError, UsageError
 
 if TYPE_CHECKING:
-    from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
+    from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
     from .analysis import BucketSpec
     from .corpus import CorpusFiles, SegmentPair, TokenizerConfig
 
-    _T = TypeVar("_T")
-
 log = logging.getLogger(__name__)
 
 PROG = "de-qe"
-THREADS_ENV_VAR = "DE_QE_THREADS"
+
+# ``score`` logs a progress line after every this many segments.
+_PROGRESS_EVERY = 100_000
 
 # Namespace entries that configure execution rather than the computation;
 # they are excluded from report headers so identical analyses emit
@@ -143,19 +143,11 @@ def _usable_cpus() -> int:
 
 
 def _resolve_threads(value: int | None) -> int:
-    """--threads, else DE_QE_THREADS, else the usable CPUs; a request for
-    more than the usable CPUs is clamped to them with a warning."""
+    """--threads, else the usable CPUs; a request for more than the usable
+    CPUs is clamped to them with a warning."""
     usable = _usable_cpus()
     if value is None:
-        env = os.environ.get(THREADS_ENV_VAR)
-        if not env:
-            return usable
-        try:
-            value = int(env)
-        except ValueError:
-            raise UsageError(f"invalid {THREADS_ENV_VAR} value: {env!r}") from None
-    if value < 1:
-        raise UsageError("--threads must be >= 1")
+        return usable
     if value > usable:
         log.warning(
             "%d threads requested, but only %d CPUs are usable; using %d", value, usable, usable
@@ -184,19 +176,27 @@ def _corpus_files(args: argparse.Namespace) -> CorpusFiles:
 
 
 def _test_segments(args: argparse.Namespace, *paths: str) -> Iterator[tuple[list[str], ...]]:
-    """The tokenized lines of the aligned files ``paths``; no line is a DataError."""
+    """The tokenized lines of the aligned files ``paths``; no line is a
+    DataError, raised before any output is written."""
     from .corpus import CorpusFiles
 
-    return _nonempty(iter(CorpusFiles(paths, tokenizer=_tokenizer(args))), paths)
-
-
-def _nonempty(items: Iterator[_T], paths: Sequence[str]) -> Iterator[_T]:
-    """``items``, read from the test files ``paths``; no item is a DataError,
-    raised before any output is written."""
-    first = next(items, None)
+    segments = iter(CorpusFiles(paths, tokenizer=_tokenizer(args)))
+    first = next(segments, None)
     if first is None:
         raise DataError(f"empty corpus: no segments in {', '.join(paths)}")
-    return itertools.chain([first], items)
+    return itertools.chain([first], segments)
+
+
+def _distinct_outputs(*outputs: tuple[str, str | None]) -> None:
+    """Raise UsageError if two of the (flag, path) ``outputs`` name the same
+    file, which both would write through one temporary file; a path of None
+    is stdout."""
+    flags: dict[str, str] = {}
+    for flag, path in outputs:
+        if path is not None:
+            other = flags.setdefault(os.path.realpath(path), flag)
+            if other != flag:
+                raise UsageError(f"{other} and {flag} name the same file: {path}")
 
 
 def _read_values(path) -> Iterator[tuple[int, str | None, float]]:
@@ -362,29 +362,25 @@ def cmd_build_wcm(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    from .scoring import score_file
+    from .scoring import de_score, reverse_de_score
     from .wcm import load_wcm
 
     matrix = load_wcm(args.wcm)
-    tokenizer = _tokenizer(args)
-    stream = score_file(
-        matrix,
-        args.source,
-        args.hypothesis,
-        tokenizer=tokenizer,
-        reverse=args.reverse,
-        by_type=args.by_type,
-    )
-    stream = _nonempty(stream, (args.source, args.hypothesis))
+    segments = _test_segments(args, args.source, args.hypothesis)
+
+    def rows() -> Iterator[str]:
+        for index, (src, hyp) in enumerate(segments):
+            de = de_score(matrix, src, hyp, by_type=args.by_type)
+            row = f"{index}\t{de.value:.6f}\t{de.eligible}\t{de.evidenced}"
+            if args.reverse:
+                row += f"\t{reverse_de_score(matrix, src, hyp, by_type=args.by_type).value:.6f}"
+            yield row
+            if (index + 1) % _PROGRESS_EVERY == 0:
+                log.info("score: %d segments scored", index + 1)
 
     columns = f"{_INDEX_COLUMNS} de eligible evidenced" + (" reverse_de" if args.reverse else "")
-    rows = (
-        f"{seg.index}\t{seg.de.value:.6f}\t{seg.de.eligible}\t{seg.de.evidenced}"
-        + ("" if seg.reverse_de is None else f"\t{seg.reverse_de.value:.6f}")
-        for seg in stream
-    )
     with _open_out(args.out) as fh:
-        _write_report(fh, args, [columns], rows)
+        _write_report(fh, args, [columns], rows())
     return 0
 
 
@@ -414,22 +410,13 @@ def cmd_bleu(args: argparse.Namespace) -> int:
 def cmd_correlate(args: argparse.Namespace) -> int:
     from array import array
 
+    from .corpus import _in_step
     from .metrics import pearson
 
-    # Read in step; only the two value columns are kept.
+    # Only the two value columns are kept.
     xs, ys = array("d"), array("d")
-    x_rows, y_rows = _read_values(args.x), _read_values(args.y)
-    for x, y in itertools.zip_longest(x_rows, y_rows):
-        if x is None or y is None:
-            # One file has ended; count the rest of the other.
-            n_x, n_y = (
-                len(xs) + (row is not None) + sum(1 for _ in rest)
-                for row, rest in ((x, x_rows), (y, y_rows))
-            )
-            raise AlignmentError(
-                f"value count mismatch: {args.x} has {n_x} values, {args.y} has {n_y} values"
-            )
-        (x_line, x_index, x_value), (y_line, y_index, y_value) = x, y
+    rows = _in_step((_read_values(args.x), _read_values(args.y)), (args.x, args.y), "value")
+    for (x_line, x_index, x_value), (y_line, y_index, y_value) in rows:
         if x_index is not None and y_index is not None and x_index != y_index:
             raise AlignmentError(
                 f"index mismatch: {args.x} line {x_line} has index {x_index}, "
@@ -478,6 +465,7 @@ def cmd_histogram(args: argparse.Namespace) -> int:
     from .analysis import histogram, render_histogram_svg
     from .corpus import atomic_write
 
+    _distinct_outputs(("--out", args.out), ("--chart", args.chart))
     values = []
     for lineno, _, value in _read_values(args.scores):
         if not 0.0 <= value <= 100.0:
@@ -499,6 +487,13 @@ def cmd_filter(args: argparse.Namespace) -> int:
     from .analysis import filter_corpus
     from .wcm import load_wcm
 
+    _distinct_outputs(
+        ("--out", args.out),
+        ("--kept-prefix", f"{args.kept_prefix}.source"),
+        ("--kept-prefix", f"{args.kept_prefix}.target"),
+        ("--dropped-prefix", f"{args.dropped_prefix}.source"),
+        ("--dropped-prefix", f"{args.dropped_prefix}.target"),
+    )
     corpus = _corpus_files(args)
     matrix = load_wcm(args.wcm)
     # One stack, so a failure before the end replaces none of the side files

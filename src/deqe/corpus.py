@@ -117,18 +117,24 @@ def iter_aligned(*paths) -> Iterator[tuple[str, ...]]:
     disagree in length (the remainder of each longer file is consumed to
     count it).
     """
-    readers = [iter_lines(path) for path in paths]
-    for index, lines in enumerate(itertools.zip_longest(*readers)):
-        if None in lines:
+    return _in_step([iter_lines(path) for path in paths], paths, "line")
+
+
+def _in_step(readers: Sequence[Iterator], names: Sequence, unit: str) -> Iterator[tuple]:
+    """One tuple of the items of ``readers`` per position, read in step. A
+    reader that ends early is an AlignmentError naming each one's count of
+    ``unit``s (the rest of each longer one is consumed to count it)."""
+    for index, items in enumerate(itertools.zip_longest(*readers)):
+        if None in items:
             counts = (
-                index + (line is not None) + sum(1 for _ in reader)
-                for line, reader in zip(lines, readers)
+                index + (item is not None) + sum(1 for _ in reader)
+                for item, reader in zip(items, readers)
             )
             raise AlignmentError(
-                "line count mismatch: "
-                + ", ".join(f"{path} has {n} lines" for path, n in zip(paths, counts))
+                f"{unit} count mismatch: "
+                + ", ".join(f"{name} has {n} {unit}s" for name, n in zip(names, counts))
             )
-        yield lines
+        yield items
 
 
 def load_parallel_corpus(source_path, target_path) -> Iterator[SegmentPair]:

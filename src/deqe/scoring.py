@@ -8,17 +8,10 @@ hypothesis side, and flags unsupported extra words in the translation.
 
 from __future__ import annotations
 
-import logging
-from typing import TYPE_CHECKING, Iterator, NamedTuple
-
-from .corpus import CorpusFiles, TokenizerConfig
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .wcm import CooccurrenceMatrix
-
-log = logging.getLogger(__name__)
-
-PROGRESS_EVERY = 100_000
 
 
 class DeScore(NamedTuple):
@@ -39,12 +32,6 @@ class DeScore(NamedTuple):
         if eligible <= 0:
             return cls(0.0, 0, 0, True)
         return cls(100.0 * evidenced / eligible, eligible, evidenced, False)
-
-
-class ScoredSegment(NamedTuple):
-    index: int
-    de: DeScore
-    reverse_de: DeScore | None = None
 
 
 def de_score(
@@ -86,27 +73,3 @@ def reverse_de_score(
     matrix, with the hypothesis as the side whose tokens need evidence. Low
     values signal hypothesis words unsupported by the source."""
     return de_score(matrix.transposed(), hypothesis_tokens, source_tokens, by_type=by_type)
-
-
-def score_file(
-    matrix: CooccurrenceMatrix,
-    source_path,
-    hypothesis_path,
-    *,
-    tokenizer: TokenizerConfig = TokenizerConfig(),
-    reverse: bool = False,
-    by_type: bool = False,
-) -> Iterator[ScoredSegment]:
-    """Score an aligned (source, hypothesis) file pair segment by segment.
-
-    Yields one ScoredSegment per line pair in input order; the tokenizer
-    config must match the one used when the matrix was built. A line-count
-    mismatch raises AlignmentError.
-    """
-    corpus = CorpusFiles((source_path, hypothesis_path), tokenizer=tokenizer)
-    for index, (src, hyp) in enumerate(corpus):
-        forward = de_score(matrix, src, hyp, by_type=by_type)
-        rev = reverse_de_score(matrix, src, hyp, by_type=by_type) if reverse else None
-        yield ScoredSegment(index, forward, rev)
-        if PROGRESS_EVERY and (index + 1) % PROGRESS_EVERY == 0:
-            log.info("score: %d segments scored", index + 1)

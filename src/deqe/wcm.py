@@ -308,19 +308,6 @@ def _postings(
     return {sid: segs for sid, segs in postings.items() if segs}, targets, pair_updates
 
 
-def _encode(
-    pairs: Iterable[tuple[list[str], list[str]]],
-    source_vocab: Vocabulary,
-    target_vocab: Vocabulary,
-    config: WcmConfig,
-    progress_every: int = 0,
-) -> tuple[dict[int, array], list[tuple[int, ...]], int]:
-    """Read ``pairs`` once against the vocabularies into
-    ``(postings, targets, pair_updates)`` (see ``_postings``)."""
-    source, target = _read(pairs, source_vocab.token_ids, target_vocab.token_ids, progress_every)
-    return _postings(source, target, source_vocab, target_vocab, config)
-
-
 def _count_rows(
     postings: dict[int, array],
     targets: list[tuple[int, ...]],
@@ -416,7 +403,8 @@ def build_wcm(
     """
     if config is None:
         config = WcmConfig()
-    encoded = _encode(pairs, source_vocab, target_vocab, config, progress_every)
+    source, target = _read(pairs, source_vocab.token_ids, target_vocab.token_ids, progress_every)
+    encoded = _postings(source, target, source_vocab, target_vocab, config)
     return _count(encoded, source_vocab, target_vocab, config, threads)
 
 
@@ -568,17 +556,21 @@ def _line_blocks(fh: TextIO, size: int = 1 << 14) -> Iterator[list[str]]:
     Not the file's own line iteration: ``splitlines`` also cuts at \\x1c,
     \\x85, \\u2028 and the other Unicode line boundaries. ``fh`` must be
     opened with universal newlines (the default), so that every line break
-    a read ends on is a complete one.
+    a read ends on is a complete one. A file that is not valid UTF-8 is a
+    WcmFormatError naming it.
     """
     pending: list[str] = []
-    for chunk in iter(partial(fh.read, size), ""):
-        end = chunk.rfind("\n") + 1
-        if not end:
-            pending.append(chunk)
-            continue
-        pending.append(chunk[:end])
-        yield "".join(pending).splitlines()
-        pending = [chunk[end:]]
+    try:
+        for chunk in iter(partial(fh.read, size), ""):
+            end = chunk.rfind("\n") + 1
+            if not end:
+                pending.append(chunk)
+                continue
+            pending.append(chunk[:end])
+            yield "".join(pending).splitlines()
+            pending = [chunk[end:]]
+    except UnicodeDecodeError as exc:
+        raise WcmFormatError(f"{fh.name}: invalid UTF-8: {exc.reason}") from None
     yield "".join(pending).splitlines()
 
 

@@ -143,7 +143,7 @@ def test_bucket_eval_counts_degenerates():
 
 
 def test_histogram_hand_case():
-    report = histogram(_scores([0, 50, 100]), bin_width=50)
+    report = histogram([0.0, 50.0, 100.0], bin_width=50)
     assert report.bins == ((0.0, 1), (50.0, 2))
 
 
@@ -156,11 +156,6 @@ def test_histogram_empty():
 def test_histogram_boundary_100_in_last_bin():
     report = histogram([100.0], bin_width=5)
     assert report.bins[-1] == (95.0, 1)
-
-
-def test_histogram_accepts_plain_floats_and_descores():
-    report = histogram([12.5, DeScore.from_counts(5, 1)], bin_width=25)
-    assert report.bins[0][1] == 2
 
 
 def test_histogram_bad_widths():

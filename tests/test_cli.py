@@ -10,9 +10,9 @@ import deqe.wcm
 from deqe import cli
 from deqe.cli import main
 from deqe.corpus import build_vocabulary
-from deqe.wcm import WcmConfig, build_wcm
+from deqe.wcm import WcmConfig, build_wcm, save_wcm
 
-from helpers import write_lines
+from helpers import make_matrix, write_lines
 
 
 @pytest.fixture
@@ -114,6 +114,20 @@ def test_bad_wcm_file_exit_2(tmp_path, toy_corpus, capsys):
 
 
 @pytest.mark.parametrize(
+    "good, bad",
+    [(b"#count_mode binary", b"#count_mode bin\xffary"), (b"a\tx\t", b"a\t\xffx\t")],
+    ids=["header", "entry"],
+)
+def test_wcm_not_utf8_is_one_line_data_error(tmp_path, toy_corpus, toy_wcm, capsys, good, bad):
+    src, tgt = toy_corpus
+    path = tmp_path / "bad.wcm"
+    path.write_bytes(toy_wcm.read_bytes().replace(good, bad, 1))
+    rc = main(["score", "--wcm", str(path), "--source", str(src), "--hypothesis", str(tgt)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"de-qe: error: {path}: invalid UTF-8: invalid start byte\n"
+
+
+@pytest.mark.parametrize(
     "argv, named",
     [
         (["score", "--wcm", "{tmp}/missing.wcm", "--source", "{src}", "--hypothesis", "{tgt}"],
@@ -153,6 +167,7 @@ def test_invalid_flag_values_exit_1(tmp_path, capsys):
     assert main(["histogram", "--scores", "s", "--bin-width", "7"]) == 1
     assert main(["bucket-eval", "--wcm", "w", "--source", "s", "--hypothesis", "h",
                  "--reference", "r", "--buckets", "oops"]) == 1
+    assert main(["build-wcm", "--source", "s", "--target", "t", "--out", "o", "--threads", "0"]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +346,42 @@ def test_score_reverse_adds_column(tmp_path, toy_corpus, toy_wcm, capsys):
     assert all(len(line.split("\t")) == 5 for line in lines)
 
 
+def _score(tmp_path, sources, hypotheses, *flags):
+    """Run ``score`` on the given lines with a matrix whose one entry links
+    a to x, and return its exit code."""
+    save_wcm(make_matrix({("a", "x"): 20}), tmp_path / "ax.wcm")
+    write_lines(tmp_path / "src", sources)
+    write_lines(tmp_path / "hyp", hypotheses)
+    return main(["score", "--wcm", str(tmp_path / "ax.wcm"), "--source", str(tmp_path / "src"),
+                 "--hypothesis", str(tmp_path / "hyp"), *flags])
+
+
+def test_score_rows_order_and_values(tmp_path, capsys):
+    assert _score(tmp_path, ["a b", "a a"], ["x q", "x"], "--quiet") == 0
+    rows = [line.split("\t") for line in _data_lines(capsys.readouterr().out)]
+    assert [row[:2] for row in rows] == [["0", "50.000000"], ["1", "100.000000"]]
+    assert all(len(row) == 4 for row in rows)  # no reverse column
+
+
+def test_score_reverse_column_value(tmp_path, capsys):
+    assert _score(tmp_path, ["a"], ["x q"], "--reverse", "--quiet") == 0
+    (row,) = _data_lines(capsys.readouterr().out)
+    assert row.split("\t")[4] == "50.000000"
+
+
+def test_score_line_count_mismatch_exit_2(tmp_path, capsys):
+    assert _score(tmp_path, ["a", "b"], ["x"], "--quiet") == 2
+    err = capsys.readouterr().err
+    assert f"line count mismatch: {tmp_path / 'src'} has 2 lines, {tmp_path / 'hyp'} has 1 lines" in err
+
+
+def test_score_logs_progress(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_PROGRESS_EVERY", 2)
+    assert _score(tmp_path, ["a"] * 5, ["x"] * 5) == 0
+    progress = [line for line in capsys.readouterr().err.splitlines() if "scored" in line]
+    assert progress == ["de-qe: score: 2 segments scored", "de-qe: score: 4 segments scored"]
+
+
 def test_score_out_file_and_rerun_identical(tmp_path, toy_corpus, toy_wcm):
     src, tgt = toy_corpus
     out1 = tmp_path / "scores1.tsv"
@@ -401,10 +452,15 @@ def test_correlate_constant_exit_2(tmp_path, capsys):
     assert "constant" in capsys.readouterr().err
 
 
-def test_correlate_count_mismatch_exit_2(tmp_path):
-    write_lines(tmp_path / "x", ["1", "2", "3"])
-    write_lines(tmp_path / "y", ["2", "1"])
-    assert main(["correlate", "--x", str(tmp_path / "x"), "--y", str(tmp_path / "y")]) == 2
+def test_correlate_count_mismatch_exit_2(tmp_path, capsys):
+    x, y = tmp_path / "x", tmp_path / "y"
+    for n_x, n_y in ((3, 2), (2, 4)):
+        write_lines(x, ["1", "2", "3", "4"][:n_x])
+        write_lines(y, ["2", "1", "4", "3"][:n_y])
+        assert main(["correlate", "--x", str(x), "--y", str(y)]) == 2
+        assert capsys.readouterr().err == (
+            f"de-qe: error: value count mismatch: {x} has {n_x} values, {y} has {n_y} values\n"
+        )
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -698,6 +754,35 @@ def test_failed_chart_leaves_earlier_report_untouched(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["h.tsv", "v.txt"]
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["histogram", "--scores", "{d}/v.txt", "--out", "{d}/h", "--chart", "{d}/h"],
+         "--out and --chart"),
+        (["filter", "--out", "{d}/./k.source", "--kept-prefix", "{d}/k", "--dropped-prefix", "{d}/d"],
+         "--out and --kept-prefix"),
+        (["filter", "--kept-prefix", "{d}/k", "--dropped-prefix", "{d}/k"],
+         "--kept-prefix and --dropped-prefix"),
+    ],
+    ids=["histogram-out-chart", "filter-out-kept", "filter-kept-dropped"],
+)
+def test_outputs_naming_one_file_exit_1(tmp_path, toy_wcm, capsys, argv, flags):
+    """Two outputs would share one temporary file; the command is refused
+    before any file is opened."""
+    write_lines(tmp_path / "v.txt", ["10", "20"])
+    write_lines(tmp_path / "c.src", ["a b"])
+    write_lines(tmp_path / "c.tgt", ["x y"])
+    for name in ("h", "k.source", "k.target", "d.source", "d.target"):
+        (tmp_path / name).write_text(f"earlier {name}\n")
+    if argv[0] == "filter":
+        argv += ["--wcm", str(toy_wcm), "--source", "{d}/c.src", "--target", "{d}/c.tgt",
+                 "--min-de", "50"]
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main([arg.format(d=tmp_path) for arg in argv]) == 1
+    assert f"de-qe: error: {flags} name the same file: " in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_cli_import_loads_no_pool_or_tempfile_modules():
     """Start-up cost: only a multi-worker build needs the process pool, and
     only a build the ``array`` extension module (it costs every command
@@ -770,44 +855,21 @@ def test_parser_spells_out_library_defaults():
 # threads resolution
 
 
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.delenv(cli.THREADS_ENV_VAR, raising=False)
+def test_threads_default_is_usable_cpus(monkeypatch):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
     assert cli._resolve_threads(3) == 3
     assert cli._resolve_threads(None) == 8
-    monkeypatch.setenv(cli.THREADS_ENV_VAR, "7")
-    assert cli._resolve_threads(None) == 7
-    monkeypatch.setenv(cli.THREADS_ENV_VAR, "junk")
-    with pytest.raises(Exception):
-        cli._resolve_threads(None)
 
 
 def test_usable_cpus_follow_affinity():
     assert cli._usable_cpus() == len(os.sched_getaffinity(0))
 
 
-def test_threads_clamped_to_usable_cpus(monkeypatch, caplog):
+def test_threads_clamped_to_usable_cpus(caplog):
     usable = cli._usable_cpus()
     with caplog.at_level(logging.WARNING, logger="deqe.cli"):
         assert cli._resolve_threads(1_000_000) == usable
     assert any("1000000 threads requested" in rec.getMessage() for rec in caplog.records)
-    monkeypatch.setenv(cli.THREADS_ENV_VAR, "1000000")
-    assert cli._resolve_threads(None) == usable
-
-
-def test_threads_env_invalid_exit_1(tmp_path, toy_corpus, monkeypatch, capsys):
-    src, tgt = toy_corpus
-    monkeypatch.setenv(cli.THREADS_ENV_VAR, "banana")
-    rc = main(
-        [
-            "build-wcm",
-            "--source", str(src),
-            "--target", str(tgt),
-            "--out", str(tmp_path / "o.wcm"),
-        ]
-    )
-    assert rc == 1
-    assert "banana" in capsys.readouterr().err
 
 
 def test_report_header_excludes_execution_knobs(tmp_path, toy_corpus, toy_wcm):

@@ -1,9 +1,6 @@
 import random
 
-import pytest
-
-from deqe.errors import AlignmentError
-from deqe.scoring import DeScore, de_score, reverse_de_score, score_file
+from deqe.scoring import DeScore, de_score, reverse_de_score
 from deqe.corpus import build_vocabulary
 from deqe.wcm import (
     CooccurrenceMatrix,
@@ -13,7 +10,7 @@ from deqe.wcm import (
     save_wcm,
 )
 
-from helpers import entries_by_token, make_matrix, random_matrix, write_lines, zipf_corpus
+from helpers import entries_by_token, make_matrix, random_matrix, zipf_corpus
 from oracles import naive_de_score
 
 
@@ -210,34 +207,3 @@ def test_built_and_loaded_matrices_score_alike(tmp_path):
             assert reverse_de_score(loaded, src, hyp, by_type=by_type) == reverse
             evidenced += forward.evidenced > 0 and reverse.evidenced > 0
     assert evidenced > 0
-
-
-# ---------------------------------------------------------------------------
-# score_file
-
-
-def test_score_file_order_and_values(tmp_path):
-    matrix = make_matrix({("a", "x"): 20})
-    write_lines(tmp_path / "src", ["a b", "a a"])
-    write_lines(tmp_path / "hyp", ["x q", "x"])
-    scored = list(score_file(matrix, tmp_path / "src", tmp_path / "hyp"))
-    assert [s.index for s in scored] == [0, 1]
-    assert scored[0].de.value == 50.0
-    assert scored[1].de.value == 100.0
-    assert scored[0].reverse_de is None
-
-
-def test_score_file_reverse_column(tmp_path):
-    matrix = make_matrix({("a", "x"): 20})
-    write_lines(tmp_path / "src", ["a"])
-    write_lines(tmp_path / "hyp", ["x q"])
-    scored = list(score_file(matrix, tmp_path / "src", tmp_path / "hyp", reverse=True))
-    assert scored[0].reverse_de.value == 50.0
-
-
-def test_score_file_mismatch(tmp_path):
-    matrix = make_matrix({("a", "x"): 20})
-    write_lines(tmp_path / "src", ["a", "b"])
-    write_lines(tmp_path / "hyp", ["x"])
-    with pytest.raises(AlignmentError):
-        list(score_file(matrix, tmp_path / "src", tmp_path / "hyp"))

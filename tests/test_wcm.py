@@ -140,8 +140,9 @@ def test_deterministic_across_threads_and_partitions(monkeypatch):
         base = build_wcm(pairs, source_vocab, target_vocab, config, threads=1)
         assert base.excluded_source_tokens()
         assert entries_by_token(base) == brute_force_wcm(pairs, 2, cutoff, mode)
-        postings, targets, pair_updates = deqe.wcm._encode(
-            pairs, source_vocab, target_vocab, config
+        source, target = deqe.wcm._read(pairs, source_vocab.token_ids, target_vocab.token_ids, 0)
+        postings, targets, pair_updates = deqe.wcm._postings(
+            source, target, source_vocab, target_vocab, config
         )
         # pair_updates is the number of increments the rows take
         assert pair_updates == sum(len(targets[n]) for segs in postings.values() for n in segs)
@@ -511,6 +512,21 @@ def test_load_error_messages(tmp_path, entries, message):
     with pytest.raises(WcmFormatError) as err:
         load_wcm(path)
     assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "good, bad",
+    [(b"#count_mode binary", b"#count_mode bin\xffary"), (b"e2999\t", b"e2999\xff\t")],
+    ids=["header", "entry-in-a-later-read"],
+)
+def test_load_not_utf8_is_format_error(tmp_path, good, bad):
+    entries = "".join(f"e{i}\tx\t6\n" for i in range(3000))
+    text = _HEADER_2.replace("#entries 2", "#entries 3000") + entries
+    path = tmp_path / "bad.wcm"
+    path.write_bytes(text.encode("utf-8").replace(good, bad, 1))
+    with pytest.raises(WcmFormatError) as err:
+        load_wcm(path)
+    assert str(err.value) == f"{path}: invalid UTF-8: invalid start byte"
 
 
 @pytest.mark.parametrize(
