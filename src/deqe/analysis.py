@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import logging
 import operator
+from bisect import bisect_right
 from collections import Counter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -22,6 +23,13 @@ PROGRESS_EVERY = 100_000
 
 KIND_BELOW = "below"
 KIND_AT_OR_ABOVE = "at_or_above"
+
+
+def _float_text(value: float) -> str:
+    """``value`` as ``:g`` writes it when that reads back as the same float,
+    else in full, so a report that echoes a setting can be re-run from."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
 
 
 class _BucketSpecFields(NamedTuple):
@@ -65,7 +73,7 @@ class BucketSpec(_BucketSpecFields):
     @property
     def label(self) -> str:
         op = "<" if self.kind == KIND_BELOW else ">="
-        return f"{op}{self.threshold:g}"
+        return f"{op}{_float_text(self.threshold)}"
 
 
 DEFAULT_BUCKETS: tuple[BucketSpec, ...] = tuple(
@@ -127,8 +135,9 @@ def bucket_eval(
 
 
 class HistogramReport(NamedTuple):
-    """Counts of scores per half-open bin [k*w, (k+1)*w); the final bin is
-    closed at 100 so a perfect score lands in it."""
+    """Counts of scores per half-open bin [k*100/n, (k+1)*100/n) of n bins
+    of width w, each paired with its lower edge; the final bin is closed at
+    100 so a perfect score lands in it."""
 
     bin_width: float
     bins: tuple[tuple[float, int], ...]
@@ -148,14 +157,21 @@ def _bin_count(bin_width: float) -> int:
 
 
 def histogram(scores: Iterable[float], bin_width: float = 5.0) -> HistogramReport:
-    """Distribution of DE scores over [0, 100] in equal bins."""
+    """Distribution of DE scores over [0, 100] in equal bins.
+
+    A score is placed by comparing it with the edges k*100/n, not by
+    dividing it by ``bin_width``: with a width such as 0.2, which a float
+    holds inexactly, division puts a score that sits on an edge in the bin
+    below it.
+    """
     n_bins = _bin_count(bin_width)
+    edges = [k * 100 / n_bins for k in range(n_bins)]
     counts = [0] * n_bins
     for v in scores:
         if not 0.0 <= v <= 100.0:
             raise ValueError(f"score {v} outside [0, 100]")
-        counts[min(int(v // bin_width), n_bins - 1)] += 1
-    return HistogramReport(bin_width, tuple((i * bin_width, c) for i, c in enumerate(counts)))
+        counts[bisect_right(edges, v) - 1] += 1
+    return HistogramReport(bin_width, tuple(zip(edges, counts)))
 
 
 def render_histogram_svg(report: HistogramReport, width: int = 640, height: int = 400) -> str:

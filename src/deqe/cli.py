@@ -99,7 +99,9 @@ def _format_param(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:g}"
+        from .analysis import _float_text
+
+        return _float_text(value)
     if hasattr(value, "label"):  # a BucketSpec, which is also a tuple
         return value.label
     if isinstance(value, (list, tuple)):

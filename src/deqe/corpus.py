@@ -6,7 +6,7 @@ import contextlib
 import itertools
 import os
 import unicodedata
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import AlignmentError, DataError, EncodingError
@@ -191,74 +191,30 @@ class CorpusFiles:
             yield tuple(map(tokenize, texts, configs))
 
 
-def token_interner() -> defaultdict[str, int]:
-    """A token -> id map that gives each unseen token looked up with ``[]``
-    the next id, so ids follow first occurrence, as ``Vocabulary`` numbers
-    them."""
-    return defaultdict(itertools.count().__next__)
-
-
 class Vocabulary:
-    """Dense token<->id mapping with raw corpus frequencies for one side.
+    """One side's token types and their raw corpus frequencies, in
+    first-occurrence order over the corpus, which makes downstream
+    artifacts reproducible byte for byte."""
 
-    Ids are 0-based and assigned in first-occurrence order over the corpus,
-    which makes downstream artifacts reproducible byte for byte.
-    """
-
-    __slots__ = ("side", "_tokens", "_freqs", "_ids")
+    __slots__ = ("side", "tokens", "frequencies")
 
     def __init__(self, side: str, tokens: list[str], frequencies: list[int]):
-        self._adopt(side, {tok: i for i, tok in enumerate(tokens)}, tokens, frequencies)
-
-    def _adopt(
-        self, side: str, ids: dict[str, int], tokens: list[str], frequencies: list[int]
-    ) -> None:
         if len(tokens) != len(frequencies):
             raise ValueError("tokens and frequencies must have equal length")
         self.side = side
-        self._tokens = tokens
-        self._freqs = frequencies
-        self._ids = ids
-
-    @classmethod
-    def from_interner(
-        cls, side: str, interner: defaultdict[str, int], frequencies: list[int]
-    ) -> "Vocabulary":
-        """The vocabulary of the tokens a ``token_interner()`` numbered, with
-        their frequencies in id order. It keeps the interner's map rather
-        than building a second one, and closes it: an unseen token looked up
-        with ``[]`` raises KeyError from then on."""
-        interner.default_factory = None
-        vocab = cls.__new__(cls)
-        vocab._adopt(side, interner, list(interner), frequencies)
-        return vocab
-
-    def token_of(self, token_id: int) -> str:
-        return self._tokens[token_id]
-
-    @property
-    def token_ids(self) -> dict[str, int]:
-        """The token -> id mapping itself; treat as read-only."""
-        return self._ids
+        self.tokens = tokens
+        self.frequencies = frequencies
 
     def __len__(self) -> int:
-        return len(self._tokens)
+        return len(self.tokens)
 
     def total_tokens(self) -> int:
-        return sum(self._freqs)
+        return sum(self.frequencies)
 
     def items(self) -> Iterator[tuple[str, int, int]]:
-        """Iterate (token, id, frequency) in id order."""
-        return zip(self._tokens, range(len(self._tokens)), self._freqs)
-
-    def ids_with_frequency_at_least(self, frequency: int) -> Iterator[int]:
-        """Iterate, in id order, the ids of the types that occur at least
-        ``frequency`` times.
-
-        Each id is the int object the token -> id map holds, so keeping it
-        allocates nothing.
-        """
-        return itertools.compress(self._ids.values(), map(frequency.__le__, self._freqs))
+        """Iterate (token, id, frequency), where the id is the token's
+        0-based rank in first-occurrence order."""
+        return zip(self.tokens, itertools.count(), self.frequencies)
 
 
 def build_vocabulary(segments: Iterable[list[str]], side: str = "source") -> Vocabulary:
@@ -323,7 +279,7 @@ def vocab_stats(
     """
     if not thresholds:
         raise ValueError("thresholds must be non-empty")
-    freqs = vocab._freqs
+    freqs = vocab.frequencies
     rows = []
     for t in thresholds:
         ge = sum(1 for f in freqs if f >= t)

@@ -13,18 +13,21 @@ from __future__ import annotations
 
 import logging
 import os
-from collections import Counter
+import sys
+from collections import Counter, defaultdict
 from functools import partial
-from itertools import chain, compress, islice
+from itertools import chain, compress, count, islice
 from operator import is_not, itemgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, NoReturn, TextIO
 
-from .corpus import Vocabulary, atomic_write, token_interner
+from .corpus import atomic_write
 from .errors import VocabularyMismatchError, WcmFormatError
 
 if TYPE_CHECKING:
     from array import array
+
+    from .corpus import Vocabulary
 
 log = logging.getLogger(__name__)
 
@@ -153,26 +156,27 @@ class CooccurrenceMatrix:
 _NO_ROW: Mapping[str, int] = MappingProxyType({})
 
 
-def _excluded_tokens(vocab: Vocabulary, cutoff: int) -> frozenset[str]:
-    return frozenset(map(vocab.token_of, vocab.ids_with_frequency_at_least(cutoff + 1)))
+class _Types(NamedTuple):
+    """One side's types as the build numbers them: id i is ``tokens[i]``,
+    which occurs ``frequencies[i]`` times in the corpus."""
+
+    tokens: list[str]
+    frequencies: list[int]
 
 
-def _counted_ids(vocab: Vocabulary, config: WcmConfig) -> list[int | None]:
+def _excluded_tokens(types: _Types, cutoff: int) -> frozenset[str]:
+    return frozenset(compress(types.tokens, map(cutoff.__lt__, types.frequencies)))
+
+
+def _counted_ids(types: _Types, config: WcmConfig) -> list[int | None]:
     """Indexed by id: the id itself for the types that are neither excluded
     for high frequency nor, in binary mode, rare, and None for the rest. A
     binary count never exceeds either type's corpus frequency, so a type
     rarer than ``min_cooccurrence`` has no cell that survives pruning.
-
-    The ids are the vocabulary's own id objects, so keeping one allocates
-    nothing.
     """
     floor = config.min_cooccurrence if config.count_mode == COUNT_MODE_BINARY else 0
-    counted: list[int | None] = [None] * len(vocab)
-    for i in vocab.ids_with_frequency_at_least(floor):
-        counted[i] = i
-    for i in vocab.ids_with_frequency_at_least(config.hifreq_cutoff + 1):
-        counted[i] = None
-    return counted
+    cutoff = config.hifreq_cutoff
+    return [i if floor <= f <= cutoff else None for i, f in enumerate(types.frequencies)]
 
 
 def _distinct_types(counted: list[int | None], ids: array) -> tuple[int, ...]:
@@ -206,9 +210,9 @@ def _read(
 ) -> tuple[_FlatSide, _FlatSide]:
     """Read ``pairs`` once, mapping every token to its id with ``[]``.
 
-    A ``token_interner()`` numbers unseen tokens as they come; with a
-    vocabulary's closed map, the first segment that holds an unknown token
-    raises VocabularyMismatchError.
+    A ``defaultdict`` that hands out the next id numbers unseen tokens as
+    they come; with a closed map, the first segment that holds an unknown
+    token raises VocabularyMismatchError.
     """
     # Imported here, as loading it costs every CLI command memory.
     from array import array
@@ -268,8 +272,8 @@ def _segments(side: _FlatSide) -> Iterator[array]:
 def _postings(
     source: _FlatSide,
     target: _FlatSide,
-    source_vocab: Vocabulary,
-    target_vocab: Vocabulary,
+    source_types: _Types,
+    target_types: _Types,
     config: WcmConfig,
 ) -> tuple[dict[int, array], list[tuple[int, ...]], int]:
     """Derive ``(postings, targets, pair_updates)`` from the read corpus,
@@ -285,8 +289,8 @@ def _postings(
     """
     from array import array
 
-    counted_source = _counted_ids(source_vocab, config)
-    counted_target = _counted_ids(target_vocab, config)
+    counted_source = _counted_ids(source_types, config)
+    counted_target = _counted_ids(target_types, config)
     # Segment numbers as 4-byte unsigned integers, in source id order.
     postings = {sid: array("I") for sid in counted_source if sid is not None}
     types = _distinct_types if config.count_mode == COUNT_MODE_BINARY else _occurrences
@@ -398,14 +402,22 @@ def build_wcm(
     ``threads > 1`` and enough pair updates to pay for the pool, the rows
     are split by source id modulo ``threads`` among worker processes; the
     survivors are disjoint, so the matrix is the same for every thread
-    count. The ids stay inside the build: the surviving rows are keyed by
-    the vocabularies' tokens at the end.
+    count. The ids stay inside the build: each token is numbered by its
+    place in its vocabulary's token list, and the surviving rows are keyed
+    by the tokens at the end.
     """
     if config is None:
         config = WcmConfig()
-    source, target = _read(pairs, source_vocab.token_ids, target_vocab.token_ids, progress_every)
-    encoded = _postings(source, target, source_vocab, target_vocab, config)
-    return _count(encoded, source_vocab, target_vocab, config, threads)
+    source_types = _Types(source_vocab.tokens, source_vocab.frequencies)
+    target_types = _Types(target_vocab.tokens, target_vocab.frequencies)
+    source_ids, target_ids = _closed_ids(source_vocab.tokens), _closed_ids(target_vocab.tokens)
+    source, target = _read(pairs, source_ids, target_ids, progress_every)
+    encoded = _postings(source, target, source_types, target_types, config)
+    return _count(encoded, source_types, target_types, config, threads)
+
+
+def _closed_ids(tokens: list[str]) -> dict[str, int]:
+    return {tok: i for i, tok in enumerate(tokens)}
 
 
 def build_wcm_with_vocabularies(
@@ -415,39 +427,38 @@ def build_wcm_with_vocabularies(
     threads: int = 1,
     progress_every: int = PROGRESS_EVERY,
 ) -> CooccurrenceMatrix:
-    """Build both vocabularies and the matrix in one read of ``pairs``.
+    """Build the matrix in one read of ``pairs``, numbering the types as
+    it reads them.
 
-    Each token is numbered at its first occurrence as it is read, so the
-    vocabularies are the ones ``build_vocabulary`` makes from the same
-    corpus, and the matrix is the one ``build_wcm`` counts with them. The
-    read keeps 4 bytes per token per side until the postings are derived
-    from it.
+    Each token is numbered at its first occurrence, so the ids and
+    frequencies are those of the vocabularies ``build_vocabulary`` makes
+    from the same corpus, and the matrix is the one ``build_wcm`` counts
+    with them. The read keeps 4 bytes per token per side until the
+    postings are derived from it.
     """
     if config is None:
         config = WcmConfig()
-    source_ids, target_ids = token_interner(), token_interner()
+    source_ids, target_ids = defaultdict(count().__next__), defaultdict(count().__next__)
     source, target = _read(pairs, source_ids, target_ids, progress_every)
-    source_vocab = Vocabulary.from_interner(
-        "source", source_ids, _frequencies(source, len(source_ids))
-    )
-    target_vocab = Vocabulary.from_interner(
-        "target", target_ids, _frequencies(target, len(target_ids))
-    )
+    source_types = _Types(list(source_ids), _frequencies(source, len(source_ids)))
+    target_types = _Types(list(target_ids), _frequencies(target, len(target_ids)))
+    # The maps are not needed once the read is done.
+    del source_ids, target_ids
     log.info(
         "build-wcm: read %d segments, %d source types, %d target types",
         len(source.ends),
-        len(source_vocab),
-        len(target_vocab),
+        len(source_types.tokens),
+        len(target_types.tokens),
     )
     # The read is emptied before counting, and before any worker is forked.
-    encoded = _postings(source, target, source_vocab, target_vocab, config)
-    return _count(encoded, source_vocab, target_vocab, config, threads)
+    encoded = _postings(source, target, source_types, target_types, config)
+    return _count(encoded, source_types, target_types, config, threads)
 
 
 def _count(
     encoded: tuple[dict[int, array], list[tuple[int, ...]], int],
-    source_vocab: Vocabulary,
-    target_vocab: Vocabulary,
+    source_types: _Types,
+    target_types: _Types,
     config: WcmConfig,
     threads: int,
 ) -> CooccurrenceMatrix:
@@ -463,30 +474,31 @@ def _count(
         ctx = multiprocessing.get_context()
         with ProcessPoolExecutor(threads, ctx, _init_worker, job) as pool:
             for part_rows in pool.map(_count_worker_rows, range(threads)):
-                _move_to_tokens(part_rows, source_vocab, target_vocab, rows)
+                _move_to_tokens(part_rows, source_types, target_types, rows)
     else:
-        _move_to_tokens(_count_rows(postings, targets, floor), source_vocab, target_vocab, rows)
+        _move_to_tokens(_count_rows(postings, targets, floor), source_types, target_types, rows)
     return CooccurrenceMatrix(
         config,
         rows,
-        _excluded_tokens(source_vocab, config.hifreq_cutoff),
-        _excluded_tokens(target_vocab, config.hifreq_cutoff),
+        _excluded_tokens(source_types, config.hifreq_cutoff),
+        _excluded_tokens(target_types, config.hifreq_cutoff),
     )
 
 
 def _move_to_tokens(
     id_rows: dict[int, dict[int, int]],
-    source_vocab: Vocabulary,
-    target_vocab: Vocabulary,
+    source_types: _Types,
+    target_types: _Types,
     rows: dict[str, dict[str, int]],
 ) -> None:
-    """Move each row of ``id_rows`` into ``rows``, keyed by tokens.
+    """Move each row of ``id_rows`` into ``rows``, keyed by the tokens the
+    ids number.
 
     ``id_rows`` is emptied one row at a time, so the survivors are never
-    held twice. The tokens are the vocabularies' own strings, so a cell
-    still costs one dict slot.
+    held twice. The tokens are the build's own strings, so a cell still
+    costs one dict slot.
     """
-    source_token, target_token = source_vocab.token_of, target_vocab.token_of
+    source_token, target_token = source_types.tokens.__getitem__, target_types.tokens.__getitem__
     while id_rows:
         sid, row = id_rows.popitem()
         rows[source_token(sid)] = dict(zip(map(target_token, row), row.values()))
@@ -591,6 +603,8 @@ def _read_header(
     cutoff = _header_int(lines, 2, "#hifreq_cutoff", path)
     mode = _header_rest(lines, 3, "#count_mode", path)
     declared = _header_int(lines, 4, "#entries", path)
+    if not 0 <= declared <= sys.maxsize:
+        raise WcmFormatError(f"{path}: invalid entry count {declared} in '#entries' header")
     excl_s = frozenset(_header_rest(lines, 5, "#excluded_source", path).split())
     excl_t = frozenset(_header_rest(lines, 6, "#excluded_target", path).split())
     try:

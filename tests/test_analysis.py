@@ -166,6 +166,16 @@ def test_histogram_bad_widths():
     assert len(histogram([], bin_width=2.5).bins) == 40
 
 
+@pytest.mark.parametrize("width", [0.1, 0.2, 0.4, 0.8, 1.25, 2.5, 5, 12.5])
+def test_histogram_edge_values_open_their_bin(width):
+    n = round(100 / width)
+    report = histogram([k * 100 / n for k in range(n + 1)], width)
+    # edge k opens bin k, even where dividing by the width falls short of k
+    # (30.0 // 0.2 == 149.0); 100 closes the last bin
+    assert [c for _, c in report.bins] == [1] * (n - 1) + [2]
+    assert [lower for lower, _ in report.bins] == [k * 100 / n for k in range(n)]
+
+
 def test_histogram_out_of_range_score():
     with pytest.raises(ValueError):
         histogram([101.0], bin_width=5)

@@ -18,7 +18,7 @@ import pytest
 
 from deqe import cli
 from deqe.analysis import bucket_eval, iter_filter
-from deqe.corpus import build_parallel_vocabularies, build_vocabulary
+from deqe.corpus import SegmentPair, build_parallel_vocabularies, build_vocabulary
 from deqe.metrics import corpus_bleu
 from deqe.wcm import WcmConfig, build_wcm, load_wcm, save_wcm
 
@@ -89,6 +89,19 @@ def test_stage_build_wcm_call_binds():
 def test_trace_run_calls_bind(function, n_args):
     # bench/trace_run.py makes these calls with positional arguments only.
     inspect.signature(function).bind(*[None] * n_args)
+
+
+def test_parallel_vocabularies_answer_trace_run_calls():
+    """What bench/trace_run.py reads of the vocabularies
+    ``build_parallel_vocabularies`` returns: ``len(vocab)`` and
+    ``for _, _, f in vocab.items()``."""
+    pairs = [SegmentPair(0, "the a the", "le x"), SegmentPair(1, "b the", "y le le")]
+    source_vocab, target_vocab, segments = build_parallel_vocabularies(pairs)
+    assert segments == 2
+    assert (len(source_vocab), len(target_vocab)) == (3, 3)
+    # (token, id, frequency), the id being the first-occurrence rank
+    assert list(source_vocab.items()) == [("the", 0, 3), ("a", 1, 1), ("b", 2, 1)]
+    assert list(target_vocab.items()) == [("le", 0, 3), ("x", 1, 1), ("y", 2, 1)]
 
 
 @pytest.mark.parametrize("origin", ["build_wcm", "load_wcm"])

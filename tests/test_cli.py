@@ -1,5 +1,6 @@
 import logging
 import os
+import re
 import subprocess
 import sys
 
@@ -111,6 +112,17 @@ def test_bad_wcm_file_exit_2(tmp_path, toy_corpus, capsys):
     )
     assert rc == 2
     assert "v9" in capsys.readouterr().err
+
+
+def test_wcm_with_negative_entry_count_exit_2(tmp_path, toy_corpus, toy_wcm, capsys):
+    src, tgt = toy_corpus
+    path = tmp_path / "bad.wcm"
+    path.write_text(re.sub(r"#entries \d+", "#entries -1", toy_wcm.read_text(), count=1))
+    rc = main(["score", "--wcm", str(path), "--source", str(src), "--hypothesis", str(tgt)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"de-qe: error: {path}: invalid entry count -1 in '#entries' header\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -870,6 +882,51 @@ def test_threads_clamped_to_usable_cpus(caplog):
     with caplog.at_level(logging.WARNING, logger="deqe.cli"):
         assert cli._resolve_threads(1_000_000) == usable
     assert any("1000000 threads requested" in rec.getMessage() for rec in caplog.records)
+
+
+def _echoed_settings(text):
+    return dict(line[2:].split("=", 1) for line in text.splitlines() if line.startswith("# ") and "=" in line)
+
+
+def test_report_header_floats_reproduce_the_run(tmp_path, toy_wcm):
+    # "a q r" -> "y" has 1 of 3 eligible tokens evidenced: DE 100/3, which
+    # --min-de 33.33334 drops, and 33.3333 (its six-digit echo) would keep.
+    src, tgt = tmp_path / "f.src", tmp_path / "f.tgt"
+    write_lines(src, ["a q r", "a b"])
+    write_lines(tgt, ["y", "x y"])
+    out = tmp_path / "report.tsv"
+
+    def run(*argv):
+        assert main([*argv, "--out", str(out), "--quiet"]) == 0
+        return out.read_text()
+
+    def filter_report(min_de, bin_width):
+        return run(
+            "filter", "--wcm", str(toy_wcm), "--source", str(src), "--target", str(tgt),
+            "--min-de", min_de, "--bin-width", bin_width,
+            "--kept-prefix", str(tmp_path / "kept"), "--dropped-prefix", str(tmp_path / "dropped"),
+        )
+
+    text = filter_report("33.33334", str(100 / 3))
+    echoed = _echoed_settings(text)
+    assert echoed["min_de"] == "33.33334"
+    assert echoed["bin_width"] == "33.333333333333336"
+    assert "kept\t1" in text and "dropped\t1" in text
+    assert filter_report(echoed["min_de"], echoed["bin_width"]) == text
+
+    def bucket_report(buckets):
+        return run(
+            "bucket-eval", "--wcm", str(toy_wcm), "--source", str(src),
+            "--hypothesis", str(tgt), "--reference", str(tgt), "--buckets", buckets,
+        )
+
+    text = bucket_report("<33.33334,>=33.33334")
+    echoed = _echoed_settings(text)
+    assert echoed["buckets"] == "<33.33334,>=33.33334"
+    assert _data_lines(text)[0].startswith("<33.33334\t1\t")
+    assert bucket_report(echoed["buckets"]) == text
+    # a threshold that :g writes exactly keeps its short form
+    assert _echoed_settings(bucket_report("<20,>=50.5"))["buckets"] == "<20,>=50.5"
 
 
 def test_report_header_excludes_execution_knobs(tmp_path, toy_corpus, toy_wcm):

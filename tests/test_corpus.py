@@ -12,7 +12,6 @@ from deqe.corpus import (
     build_vocabulary,
     iter_aligned,
     load_parallel_corpus,
-    token_interner,
     tokenize,
     vocab_stats,
 )
@@ -203,7 +202,7 @@ def test_build_vocabulary_hand_count():
     assert frequencies["b"] == 1
     assert frequencies["c"] == 1
     # ids follow first occurrence
-    assert [vocab.token_ids[t] for t in ("a", "b", "c")] == [0, 1, 2]
+    assert {tok: i for tok, i, _ in vocab.items()} == {"a": 0, "b": 1, "c": 2}
     assert list(vocab.items()) == [("a", 0, 2), ("b", 1, 1), ("c", 2, 1)]
     assert vocab.total_tokens() == 4
 
@@ -212,24 +211,8 @@ def test_build_vocabulary_empty():
     vocab = build_vocabulary([])
     assert len(vocab) == 0
     assert vocab.total_tokens() == 0
-    assert "anything" not in vocab.token_ids
+    assert "anything" not in {tok for tok, _, _ in vocab.items()}
     assert list(vocab.items()) == []
-
-
-def test_vocabulary_from_interner_matches_build_and_closes_it():
-    segments = [["a", "b", "a"], [], ["c", "b"]]
-    interner = token_interner()
-    ids = [interner[tok] for seg in segments for tok in seg]
-    frequencies = [ids.count(i) for i in range(len(interner))]
-    vocab = Vocabulary.from_interner("source", interner, frequencies)
-    expected = build_vocabulary(segments)
-    # the same tokens, ids and frequencies, in id order
-    assert list(vocab.items()) == list(expected.items())
-    assert vocab.token_ids == expected.token_ids
-    # the vocabulary numbers no token after the read
-    with pytest.raises(KeyError):
-        vocab.token_ids["unseen"]
-    assert len(vocab) == len(expected) and "unseen" not in vocab.token_ids
 
 
 def test_build_vocabulary_all_unique():

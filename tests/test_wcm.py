@@ -1,14 +1,17 @@
 import logging
 import os
 import random
+import sys
 from itertools import chain
 
 import pytest
 
 from deqe.analysis import BucketSpec
-from deqe.corpus import build_vocabulary
+from deqe.corpus import CorpusFiles, build_vocabulary
 from deqe.errors import VocabularyMismatchError, WcmFormatError
+from deqe.scoring import de_score
 from deqe.wcm import (
+    COUNT_MODES,
     LONG_SEGMENT_TOKENS,
     CooccurrenceMatrix,
     WcmConfig,
@@ -140,9 +143,13 @@ def test_deterministic_across_threads_and_partitions(monkeypatch):
         base = build_wcm(pairs, source_vocab, target_vocab, config, threads=1)
         assert base.excluded_source_tokens()
         assert entries_by_token(base) == brute_force_wcm(pairs, 2, cutoff, mode)
-        source, target = deqe.wcm._read(pairs, source_vocab.token_ids, target_vocab.token_ids, 0)
+        source_types = deqe.wcm._Types(source_vocab.tokens, source_vocab.frequencies)
+        target_types = deqe.wcm._Types(target_vocab.tokens, target_vocab.frequencies)
+        source_ids = deqe.wcm._closed_ids(source_vocab.tokens)
+        target_ids = deqe.wcm._closed_ids(target_vocab.tokens)
+        source, target = deqe.wcm._read(pairs, source_ids, target_ids, 0)
         postings, targets, pair_updates = deqe.wcm._postings(
-            source, target, source_vocab, target_vocab, config
+            source, target, source_types, target_types, config
         )
         # pair_updates is the number of increments the rows take
         assert pair_updates == sum(len(targets[n]) for segs in postings.values() for n in segs)
@@ -153,7 +160,7 @@ def test_deterministic_across_threads_and_partitions(monkeypatch):
                 assert all(sid % n_parts == part for sid in part_rows)
                 rows.update(part_rows)
             token_rows: dict = {}
-            deqe.wcm._move_to_tokens(rows, source_vocab, target_vocab, token_rows)
+            deqe.wcm._move_to_tokens(rows, source_types, target_types, token_rows)
             union = CooccurrenceMatrix(
                 config, token_rows, base.excluded_source_tokens(), base.excluded_target_tokens()
             )
@@ -483,6 +490,14 @@ def test_load_rejects_bad_headers(tmp_path):
     )
     with pytest.raises(WcmFormatError):  # unknown count mode
         load_wcm(path)
+    for declared in (-1, sys.maxsize + 1):
+        path.write_text(
+            f"#wcm v1\n#min_cooccurrence 5\n#hifreq_cutoff 10\n#count_mode binary\n"
+            f"#entries {declared}\n#excluded_source\n#excluded_target\n"
+        )
+        with pytest.raises(WcmFormatError) as err:
+            load_wcm(path)
+        assert str(err.value) == f"{path}: invalid entry count {declared} in '#entries' header"
 
 
 _HEADER_2 = (
@@ -603,3 +618,46 @@ def test_round_trip_random_matrices(tmp_path):
         path = tmp_path / f"m{i}.wcm"
         save_wcm(matrix, path)
         assert load_wcm(path) == matrix
+
+
+# Characters that end a line for str.splitlines (which load_wcm cuts by) or
+# separate tokens for str.split (which tokenize cuts by), but not a line for
+# iter_lines; and words that carry a BOM or a decomposed accent.
+_BOUNDARY_SEPARATORS = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\r", "\t", " "]
+_BOUNDARY_WORDS = ["a", "b\ufeffc", "\ufeffd", "e\u0301", "x", "y", "z"]
+
+
+def _boundary_file(path, rng, n_lines):
+    lines = [
+        "".join(
+            rng.choice(_BOUNDARY_WORDS) + rng.choice(_BOUNDARY_SEPARATORS)
+            for _ in range(rng.randint(0, 6))
+        )
+        for _ in range(n_lines)
+    ]
+    # A BOM opens the file and every line ends in CRLF; the reader drops both.
+    path.write_bytes(("\ufeff" + "".join(line + "\r\n" for line in lines)).encode("utf-8"))
+    return path
+
+
+def test_text_boundaries_round_trip(tmp_path):
+    rng = random.Random(1300)
+    saw_bom_token = saw_exclusion = False
+    for trial in range(20):
+        n_train, n_test = rng.randint(1, 40), rng.randint(1, 10)
+        train = [_boundary_file(tmp_path / f"train{side}", rng, n_train) for side in "st"]
+        test = [_boundary_file(tmp_path / f"test{side}", rng, n_test) for side in "sh"]
+        config = WcmConfig(rng.choice([1, 2]), rng.choice([8, 10**9]), rng.choice(COUNT_MODES))
+        built = build_wcm_with_vocabularies(CorpusFiles(tuple(train)), config, progress_every=0)
+        path = tmp_path / f"m{trial}.wcm"
+        save_wcm(built, path)
+        loaded = load_wcm(path)
+        assert loaded == built
+        saw_bom_token |= any("\ufeff" in s for s, _, _ in loaded.entries())
+        saw_exclusion |= bool(loaded.excluded_source_tokens())
+        for src, hyp in CorpusFiles(tuple(test)):
+            for by_type in (False, True):
+                assert de_score(loaded, src, hyp, by_type=by_type) == de_score(
+                    built, src, hyp, by_type=by_type
+                )
+    assert saw_bom_token and saw_exclusion
