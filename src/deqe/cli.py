@@ -464,14 +464,15 @@ def cmd_bucket_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_histogram(args: argparse.Namespace) -> int:
-    from .analysis import histogram, render_histogram_svg
+    from .analysis import _float_text, histogram, render_histogram_svg
     from .corpus import atomic_write
 
     _distinct_outputs(("--out", args.out), ("--chart", args.chart))
     values = []
     for lineno, _, value in _read_values(args.scores):
         if not 0.0 <= value <= 100.0:
-            raise DataError(f"{args.scores}: line {lineno}: score {value:g} outside [0, 100]")
+            score = _float_text(value)
+            raise DataError(f"{args.scores}: line {lineno}: score {score} outside [0, 100]")
         values.append(value)
     report = histogram(values, args.bin_width)
     # One stack, so a failure before the end replaces neither file.

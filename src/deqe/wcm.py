@@ -2,32 +2,36 @@
 co-occurrence matrix.
 
 A cell (i, j) counts how often source word i and target word j appear in
-the same aligned segment pair. The build reads the corpus once, numbering
-the tokens, then counts one source word's row at a time and prunes the
-cells below the minimum co-occurrence threshold before it counts the next,
-so the mere presence of an entry is the strong-evidence predicate used by
-scoring. The matrix it returns is keyed by tokens, as its file is.
+the same aligned segment pair. The build counts each side's types, numbers
+only those that can reach a surviving cell as it reads the corpus again,
+then counts one source word's row at a time and prunes the cells below the
+minimum co-occurrence threshold before it counts the next, so the mere
+presence of an entry is the strong-evidence predicate used by scoring. The
+matrix it returns is keyed by tokens, as its file is.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import stat
 import sys
-from collections import Counter, defaultdict
+from collections import Counter
 from functools import partial
 from itertools import chain, compress, count, islice
 from operator import is_not, itemgetter
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, NoReturn, TextIO
+from typing import (
+    TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, NoReturn, TextIO
+)
 
 from .corpus import atomic_write
-from .errors import VocabularyMismatchError, WcmFormatError
+from .errors import DataError, VocabularyMismatchError, WcmFormatError
 
 if TYPE_CHECKING:
     from array import array
 
-    from .corpus import Vocabulary
+    from .corpus import CorpusFiles, Vocabulary
 
 log = logging.getLogger(__name__)
 
@@ -156,128 +160,43 @@ class CooccurrenceMatrix:
 _NO_ROW: Mapping[str, int] = MappingProxyType({})
 
 
-class _Types(NamedTuple):
-    """One side's types as the build numbers them: id i is ``tokens[i]``,
-    which occurs ``frequencies[i]`` times in the corpus."""
+class _Side(NamedTuple):
+    """One side as the build numbers it: id i is ``tokens[i]``, and only
+    the types it counts have an id; ``excluded`` holds the types over the
+    high-frequency cutoff."""
 
     tokens: list[str]
-    frequencies: list[int]
+    excluded: frozenset[str]
 
 
-def _excluded_tokens(types: _Types, cutoff: int) -> frozenset[str]:
-    return frozenset(compress(types.tokens, map(cutoff.__lt__, types.frequencies)))
-
-
-def _counted_ids(types: _Types, config: WcmConfig) -> list[int | None]:
-    """Indexed by id: the id itself for the types that are neither excluded
-    for high frequency nor, in binary mode, rare, and None for the rest. A
-    binary count never exceeds either type's corpus frequency, so a type
-    rarer than ``min_cooccurrence`` has no cell that survives pruning.
+def _side(tokens: Collection[str], frequencies: Collection[int], config: WcmConfig) -> _Side:
+    """Number, in the order of ``tokens``, the types that are neither
+    excluded for high frequency nor, in binary mode, rare. A binary count
+    never exceeds either type's corpus frequency, so a type rarer than
+    ``min_cooccurrence`` has no cell that survives pruning.
     """
     floor = config.min_cooccurrence if config.count_mode == COUNT_MODE_BINARY else 0
     cutoff = config.hifreq_cutoff
-    return [i if floor <= f <= cutoff else None for i, f in enumerate(types.frequencies)]
-
-
-def _distinct_types(counted: list[int | None], ids: array) -> tuple[int, ...]:
-    """The counted ids among ``ids``, each once."""
-    types = set(map(counted.__getitem__, ids))
-    types.discard(None)
-    return tuple(types)
+    counted = range(floor, cutoff + 1)
+    return _Side(
+        list(compress(tokens, map(counted.__contains__, frequencies))),
+        frozenset(compress(tokens, map(cutoff.__lt__, frequencies))),
+    )
 
 
 _is_not_none = partial(is_not, None)
 
 
-def _occurrences(counted: list[int | None], ids: array) -> tuple[int, ...]:
-    """The counted ids among ``ids``, one per occurrence."""
-    return tuple(filter(_is_not_none, map(counted.__getitem__, ids)))
-
-
-class _FlatSide(NamedTuple):
-    """One side of a corpus read into integers: the token ids of every
-    segment back to back, and where each segment ends."""
-
-    ids: array
-    ends: array
-
-
-def _read(
+def _encode(
     pairs: Iterable[tuple[list[str], list[str]]],
-    source_ids: Mapping[str, int],
-    target_ids: Mapping[str, int],
-    progress_every: int,
-) -> tuple[_FlatSide, _FlatSide]:
-    """Read ``pairs`` once, mapping every token to its id with ``[]``.
-
-    A ``defaultdict`` that hands out the next id numbers unseen tokens as
-    they come; with a closed map, the first segment that holds an unknown
-    token raises VocabularyMismatchError.
-    """
-    # Imported here, as loading it costs every CLI command memory.
-    from array import array
-
-    # Ids and offsets as 4-byte unsigned integers, which caps a side at
-    # 2**32 - 1 tokens.
-    source, target = _FlatSide(array("I"), array("I")), _FlatSide(array("I"), array("I"))
-    source_id, target_id = source_ids.__getitem__, target_ids.__getitem__
-    for index, (src_tokens, tgt_tokens) in enumerate(pairs):
-        if max(len(src_tokens), len(tgt_tokens)) > LONG_SEGMENT_TOKENS:
-            log.warning(
-                "segment %d is very long (%d/%d tokens); pair counting is quadratic",
-                index,
-                len(src_tokens),
-                len(tgt_tokens),
-            )
-        try:
-            source.ids.extend(map(source_id, src_tokens))
-            target.ids.extend(map(target_id, tgt_tokens))
-        except KeyError:
-            _raise_mismatch(index, (src_tokens, tgt_tokens), (source_ids, target_ids))
-        source.ends.append(len(source.ids))
-        target.ends.append(len(target.ids))
-        if progress_every and (index + 1) % progress_every == 0:
-            log.info("build-wcm: %d segments read", index + 1)
-    return source, target
-
-
-def _raise_mismatch(
-    index: int, segment: tuple[list[str], list[str]], maps: tuple[Mapping[str, int], ...]
-) -> NoReturn:
-    side, tokens, ids = next(
-        (side, tokens, ids)
-        for side, tokens, ids in zip(("source", "target"), segment, maps)
-        if not ids.keys() >= set(tokens)
-    )
-    token = next(t for t in tokens if t not in ids)
-    raise VocabularyMismatchError(
-        f"{side} token {token!r} in segment {index} is not in the "
-        f"{side} vocabulary; rebuild vocabularies from this corpus"
-    )
-
-
-def _frequencies(side: _FlatSide, n_types: int) -> list[int]:
-    """Each id's number of occurrences, in id order."""
-    frequencies = [0] * n_types
-    for i in side.ids:
-        frequencies[i] += 1
-    return frequencies
-
-
-def _segments(side: _FlatSide) -> Iterator[array]:
-    """Each segment's ids, in order."""
-    return map(side.ids.__getitem__, map(slice, chain((0,), side.ends), side.ends))
-
-
-def _postings(
-    source: _FlatSide,
-    target: _FlatSide,
-    source_types: _Types,
-    target_types: _Types,
+    source_id: Callable[[str], int | None],
+    target_id: Callable[[str], int | None],
+    n_source: int,
     config: WcmConfig,
-) -> tuple[dict[int, array], list[tuple[int, ...]], int]:
-    """Derive ``(postings, targets, pair_updates)`` from the read corpus,
-    emptying each side once it is used.
+    progress_every: int,
+) -> tuple[tuple[list[array], list[tuple[int, ...]], int], tuple[int, int, int]]:
+    """Read ``pairs`` once into ``(postings, targets, pair_updates)``, and
+    the numbers of segments, source tokens and target tokens read.
 
     ``targets[n]`` holds the counted target ids of the n-th segment that
     has both counted source and counted target types, and
@@ -286,34 +205,73 @@ def _postings(
     keeps one entry per occurrence, so counting the targets of a row's
     postings gives occurrences(i) * occurrences(j) summed over segments.
     ``pair_updates`` is the number of increments that counting takes.
+
+    ``source_id`` and ``target_id`` give a token's id, or None for a type
+    that is not counted. One that raises KeyError for a token makes the
+    first segment holding it a VocabularyMismatchError.
     """
+    # Imported here, as loading it costs every CLI command memory.
     from array import array
 
-    counted_source = _counted_ids(source_types, config)
-    counted_target = _counted_ids(target_types, config)
-    # Segment numbers as 4-byte unsigned integers, in source id order.
-    postings = {sid: array("I") for sid in counted_source if sid is not None}
-    types = _distinct_types if config.count_mode == COUNT_MODE_BINARY else _occurrences
-    segment_targets = [types(counted_target, ids) for ids in _segments(target)]
-    # An array emptied in place frees its buffer, whoever refers to it.
-    del target.ids[:], target.ends[:]
+    # Segment numbers as 4-byte unsigned integers, indexed by source id.
+    postings = [array("I") for _ in range(n_source)]
     targets: list[tuple[int, ...]] = []
-    pair_updates = 0
-    for tgt, ids in zip(segment_targets, _segments(source)):
-        if tgt:
-            src = types(counted_source, ids)
-            if src:
-                seg = len(targets)
-                targets.append(tgt)
-                for sid in src:
-                    postings[sid].append(seg)
-                pair_updates += len(src) * len(tgt)
-    del source.ids[:], source.ends[:]
-    return {sid: segs for sid, segs in postings.items() if segs}, targets, pair_updates
+    binary = config.count_mode == COUNT_MODE_BINARY
+    pair_updates = source_tokens = target_tokens = 0
+    index = -1
+    for index, segment in enumerate(pairs):
+        src_tokens, tgt_tokens = segment
+        n_src, n_tgt = len(src_tokens), len(tgt_tokens)
+        source_tokens += n_src
+        target_tokens += n_tgt
+        if n_src > LONG_SEGMENT_TOKENS or n_tgt > LONG_SEGMENT_TOKENS:
+            log.warning(
+                "segment %d is very long (%d/%d tokens); pair counting is quadratic",
+                index,
+                n_src,
+                n_tgt,
+            )
+        try:
+            if binary:
+                src = {*map(source_id, src_tokens)}
+                tgt = {*map(target_id, tgt_tokens)}
+                src.discard(None)
+                tgt.discard(None)
+            else:
+                src = tuple(filter(_is_not_none, map(source_id, src_tokens)))
+                tgt = tuple(filter(_is_not_none, map(target_id, tgt_tokens)))
+        except KeyError:
+            _raise_mismatch(index, segment, (source_id, target_id))
+        if src and tgt:
+            seg = len(targets)
+            targets.append(tuple(tgt))
+            for sid in src:
+                postings[sid].append(seg)
+            pair_updates += len(src) * len(tgt)
+        if progress_every and (index + 1) % progress_every == 0:
+            log.info("build-wcm: %d segments read", index + 1)
+    return (postings, targets, pair_updates), (index + 1, source_tokens, target_tokens)
+
+
+def _raise_mismatch(
+    index: int, segment: tuple[list[str], list[str]], lookups: tuple[Callable, ...]
+) -> NoReturn:
+    """Raise VocabularyMismatchError for the first token of ``segment``,
+    source side first, whose side's lookup raises KeyError."""
+    for side, tokens, lookup in zip(("source", "target"), segment, lookups):
+        for token in tokens:
+            try:
+                lookup(token)
+            except KeyError:
+                raise VocabularyMismatchError(
+                    f"{side} token {token!r} in segment {index} is not in the "
+                    f"{side} vocabulary; rebuild vocabularies from this corpus"
+                ) from None
+    raise AssertionError("a KeyError with no unknown token in the segment")
 
 
 def _count_rows(
-    postings: dict[int, array],
+    postings: list[array],
     targets: list[tuple[int, ...]],
     floor: int,
     part: int = 0,
@@ -328,8 +286,9 @@ def _count_rows(
     segment_targets = targets.__getitem__
     at_floor = floor.__le__
     survivors: dict[int, dict[int, int]] = {}
-    for sid, segs in postings.items():
-        if sid % n_parts == part:
+    for sid in range(part, len(postings), n_parts):
+        segs = postings[sid]
+        if segs:
             row = Counter(chain.from_iterable(map(segment_targets, segs)))
             kept = dict(compress(row.items(), map(at_floor, row.values())))
             if kept:
@@ -402,63 +361,79 @@ def build_wcm(
     ``threads > 1`` and enough pair updates to pay for the pool, the rows
     are split by source id modulo ``threads`` among worker processes; the
     survivors are disjoint, so the matrix is the same for every thread
-    count. The ids stay inside the build: each token is numbered by its
-    place in its vocabulary's token list, and the surviving rows are keyed
-    by the tokens at the end.
+    count. The ids stay inside the build: the counted types of each
+    vocabulary are numbered in its token order, and the surviving rows are
+    keyed by the tokens at the end.
     """
     if config is None:
         config = WcmConfig()
-    source_types = _Types(source_vocab.tokens, source_vocab.frequencies)
-    target_types = _Types(target_vocab.tokens, target_vocab.frequencies)
-    source_ids, target_ids = _closed_ids(source_vocab.tokens), _closed_ids(target_vocab.tokens)
-    source, target = _read(pairs, source_ids, target_ids, progress_every)
-    encoded = _postings(source, target, source_types, target_types, config)
-    return _count(encoded, source_types, target_types, config, threads)
+    source = _side(source_vocab.tokens, source_vocab.frequencies, config)
+    target = _side(target_vocab.tokens, target_vocab.frequencies, config)
+    source_ids = _closed_ids(source_vocab.tokens, source.tokens)
+    target_ids = _closed_ids(target_vocab.tokens, target.tokens)
+    source_id, target_id = source_ids.__getitem__, target_ids.__getitem__
+    encoded, _ = _encode(pairs, source_id, target_id, len(source.tokens), config, progress_every)
+    del source_ids, target_ids
+    return _count(encoded, source, target, config, threads)
 
 
-def _closed_ids(tokens: list[str]) -> dict[str, int]:
-    return {tok: i for i, tok in enumerate(tokens)}
+def _closed_ids(vocabulary: list[str], counted: list[str]) -> dict[str, int | None]:
+    """Every token of ``vocabulary`` mapped to its id among ``counted``, or
+    to None if it is not counted."""
+    ids: dict[str, int | None] = dict.fromkeys(vocabulary)
+    ids.update(zip(counted, count()))
+    return ids
 
 
 def build_wcm_with_vocabularies(
-    pairs: Iterable[tuple[list[str], list[str]]],
+    corpus: CorpusFiles,
     config: WcmConfig | None = None,
     *,
     threads: int = 1,
     progress_every: int = PROGRESS_EVERY,
 ) -> CooccurrenceMatrix:
-    """Build the matrix in one read of ``pairs``, numbering the types as
-    it reads them.
+    """Build the matrix from the files of ``corpus`` in two passes.
 
-    Each token is numbered at its first occurrence, so the ids and
-    frequencies are those of the vocabularies ``build_vocabulary`` makes
-    from the same corpus, and the matrix is the one ``build_wcm`` counts
-    with them. The read keeps 4 bytes per token per side until the
-    postings are derived from it.
+    The first counts each side's types (``CorpusFiles.token_counts``), and
+    only the types that can reach a surviving cell get an id, in
+    first-occurrence order. The second is the strict read of ``corpus``,
+    which raises every input error, and derives what counting needs from
+    each segment. The matrix is the one ``build_wcm`` counts with the
+    vocabularies ``build_vocabulary`` makes from the same corpus. A path
+    that is not a regular file, and a side whose token total differs
+    between the passes, are DataErrors.
     """
     if config is None:
         config = WcmConfig()
-    source_ids, target_ids = defaultdict(count().__next__), defaultdict(count().__next__)
-    source, target = _read(pairs, source_ids, target_ids, progress_every)
-    source_types = _Types(list(source_ids), _frequencies(source, len(source_ids)))
-    target_types = _Types(list(target_ids), _frequencies(target, len(target_ids)))
-    # The maps are not needed once the read is done.
-    del source_ids, target_ids
-    log.info(
-        "build-wcm: read %d segments, %d source types, %d target types",
-        len(source.ends),
-        len(source_types.tokens),
-        len(target_types.tokens),
+    for path in corpus.paths:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise DataError(f"{path}: not a regular file; the build reads its corpus twice")
+    sides, n_types, totals = [], [], []
+    for counts in corpus.token_counts():
+        sides.append(_side(counts.keys(), counts.values(), config))
+        n_types.append(len(counts))
+        totals.append(sum(counts.values()))
+        # Only the counted types are kept, and one side's counts at a time.
+        del counts
+    source, target = sides
+    source_ids = dict(zip(source.tokens, count()))
+    target_ids = dict(zip(target.tokens, count()))
+    encoded, (segments, *read) = _encode(
+        corpus, source_ids.get, target_ids.get, len(source.tokens), config, progress_every
     )
-    # The read is emptied before counting, and before any worker is forked.
-    encoded = _postings(source, target, source_types, target_types, config)
-    return _count(encoded, source_types, target_types, config, threads)
+    del source_ids, target_ids
+    paths = corpus.paths * 2 if corpus.tsv else corpus.paths
+    for path, counted, tokens in zip(paths, totals, read):
+        if counted != tokens:
+            raise DataError(f"{path}: changed while being read")
+    log.info("build-wcm: read %d segments, %d source types, %d target types", segments, *n_types)
+    return _count(encoded, source, target, config, threads)
 
 
 def _count(
-    encoded: tuple[dict[int, array], list[tuple[int, ...]], int],
-    source_types: _Types,
-    target_types: _Types,
+    encoded: tuple[list[array], list[tuple[int, ...]], int],
+    source: _Side,
+    target: _Side,
     config: WcmConfig,
     threads: int,
 ) -> CooccurrenceMatrix:
@@ -474,21 +449,16 @@ def _count(
         ctx = multiprocessing.get_context()
         with ProcessPoolExecutor(threads, ctx, _init_worker, job) as pool:
             for part_rows in pool.map(_count_worker_rows, range(threads)):
-                _move_to_tokens(part_rows, source_types, target_types, rows)
+                _move_to_tokens(part_rows, source.tokens, target.tokens, rows)
     else:
-        _move_to_tokens(_count_rows(postings, targets, floor), source_types, target_types, rows)
-    return CooccurrenceMatrix(
-        config,
-        rows,
-        _excluded_tokens(source_types, config.hifreq_cutoff),
-        _excluded_tokens(target_types, config.hifreq_cutoff),
-    )
+        _move_to_tokens(_count_rows(postings, targets, floor), source.tokens, target.tokens, rows)
+    return CooccurrenceMatrix(config, rows, source.excluded, target.excluded)
 
 
 def _move_to_tokens(
     id_rows: dict[int, dict[int, int]],
-    source_types: _Types,
-    target_types: _Types,
+    source_tokens: list[str],
+    target_tokens: list[str],
     rows: dict[str, dict[str, int]],
 ) -> None:
     """Move each row of ``id_rows`` into ``rows``, keyed by the tokens the
@@ -498,7 +468,7 @@ def _move_to_tokens(
     held twice. The tokens are the build's own strings, so a cell still
     costs one dict slot.
     """
-    source_token, target_token = source_types.tokens.__getitem__, target_types.tokens.__getitem__
+    source_token, target_token = source_tokens.__getitem__, target_tokens.__getitem__
     while id_rows:
         sid, row = id_rows.popitem()
         rows[source_token(sid)] = dict(zip(map(target_token, row), row.values()))

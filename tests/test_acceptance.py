@@ -5,8 +5,10 @@ PASS line (visible with ``pytest -v -s`` or in the captured-output
 sections) so the gate can be read off the run log.
 """
 
+import logging
 import math
 import random
+import re
 import resource
 import time
 
@@ -16,7 +18,7 @@ import deqe.cli
 import deqe.wcm
 from deqe.analysis import BucketSpec, bucket_eval, filter_corpus
 from deqe.cli import main as cli_main
-from deqe.corpus import build_vocabulary, load_parallel_corpus, tokenize
+from deqe.corpus import CorpusFiles, build_vocabulary, load_parallel_corpus, tokenize
 from deqe.metrics import corpus_bleu, pearson, sentence_bleu, student_t_two_tailed
 from deqe.scoring import de_score, reverse_de_score
 from deqe.wcm import (
@@ -294,7 +296,7 @@ def test_criterion_6_synthetic_gradation(synth_train):
     )
 
 
-def test_criterion_7_scale_smoke(tmp_path):
+def test_criterion_7_scale_smoke(tmp_path, caplog):
     rng = random.Random(70_001)
     lexicon = [f"w{i:04d}" for i in range(2_000)]
     translations = [f"v{i:04d}" for i in range(2_000)]
@@ -320,20 +322,19 @@ def test_criterion_7_scale_smoke(tmp_path):
             sf.write("\n".join(batch_s) + "\n")
             tf.write("\n".join(batch_t) + "\n")
 
-    # the timed region mirrors the CLI build: one read that numbers the
-    # vocabularies and keeps what counting needs, then counting
-    n = 0
-
-    def pairs():
-        nonlocal n
-        for n, p in enumerate(load_parallel_corpus(src_path, tgt_path), start=1):
-            yield tokenize(p.source), tokenize(p.target)
-
+    # the timed region is the CLI build: a pass that counts each side's
+    # types, then the read that keeps what counting needs, then counting
     t0 = time.perf_counter()
-    matrix = build_wcm_with_vocabularies(
-        pairs(), WcmConfig(min_cooccurrence=20), threads=1, progress_every=0
-    )
+    with caplog.at_level(logging.INFO, logger="deqe.wcm"):
+        matrix = build_wcm_with_vocabularies(
+            CorpusFiles((src_path, tgt_path)),
+            WcmConfig(min_cooccurrence=20),
+            threads=1,
+            progress_every=0,
+        )
     elapsed = time.perf_counter() - t0
+    (read,) = [rec.getMessage() for rec in caplog.records if "read" in rec.getMessage()]
+    n = int(re.search(r"read (\d+) segments", read).group(1))
     assert n == n_segments
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     assert matrix.n_entries > 0

@@ -252,28 +252,58 @@ def test_build_wcm_byte_identical_across_threads(tmp_path, toy_corpus, monkeypat
     assert outs[0] == outs[1]
 
 
-def test_build_wcm_opens_each_input_once(tmp_path, toy_corpus, monkeypatch):
+def test_build_wcm_counts_then_reads_each_input_once(tmp_path, toy_corpus, monkeypatch):
+    """Each side is counted in a text-mode pass of its own, then each file
+    is read once in binary by the strict read; a TSV file is counted once
+    per side."""
     src, tgt = toy_corpus
     tsv = tmp_path / "train.tsv"
     write_lines(
         tsv, [f"{s}\t{t}" for s, t in zip(src.read_text().splitlines(), tgt.read_text().splitlines())]
     )
     opened = []
-    iter_lines = deqe.corpus.iter_lines
 
-    def logged(path):
-        opened.append(os.fspath(path))
-        return iter_lines(path)
+    def logged(path, mode="r", *args, **kwargs):
+        if mode in ("r", "rb"):
+            opened.append((mode, os.fspath(path)))
+        return open(path, mode, *args, **kwargs)
 
-    monkeypatch.setattr(deqe.corpus, "iter_lines", logged)
+    monkeypatch.setattr(deqe.corpus, "open", logged, raising=False)
     outs = []
-    for inputs in (["--source", str(src), "--target", str(tgt)], ["--tsv", str(tsv)]):
+    for inputs, expected in (
+        (["--source", str(src), "--target", str(tgt)],
+         [("r", str(src)), ("r", str(tgt)), ("rb", str(src)), ("rb", str(tgt))]),
+        (["--tsv", str(tsv)], [("r", str(tsv)), ("r", str(tsv)), ("rb", str(tsv))]),
+    ):
         opened.clear()
         out = tmp_path / f"{len(inputs)}.wcm"
         assert main(["build-wcm", *inputs, "--out", str(out), "--min-cooc", "2", "--quiet"]) == 0
-        assert sorted(opened) == sorted(inputs[1::2])
+        assert opened == expected
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("flag", ["--target", "--tsv"])
+def test_build_wcm_refuses_a_pipe(tmp_path, toy_corpus, flag):
+    """The build reads its corpus twice, so a named pipe is refused before
+    it is opened; opening it would wait for a writer."""
+    src, _ = toy_corpus
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    inputs = ["--tsv", str(fifo)] if flag == "--tsv" else ["--source", str(src), "--target", str(fifo)]
+    result = subprocess.run(
+        [sys.executable, "-m", "deqe.cli", "build-wcm", *inputs, "--out", str(tmp_path / "o.wcm")],
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stderr == (
+        f"de-qe: error: {fifo}: not a regular file; the build reads its corpus twice\n"
+    )
+    assert not (tmp_path / "o.wcm").exists()
 
 
 # The golden bytes below are what the build and the score report were before
@@ -673,6 +703,15 @@ def test_histogram_bad_value_exit_2(tmp_path, capsys):
     assert main(["histogram", "--scores", str(tmp_path / "vals")]) == 2
     write_lines(tmp_path / "vals2", ["0", "120"])
     assert main(["histogram", "--scores", str(tmp_path / "vals2")]) == 2
+
+
+def test_histogram_out_of_range_value_echoed_as_read(tmp_path, capsys):
+    path = tmp_path / "vals"
+    write_lines(path, ["0", "100.0000001"])
+    assert main(["histogram", "--scores", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"de-qe: error: {path}: line 2: score 100.0000001 outside [0, 100]\n"
+    )
 
 
 def test_filter_outputs(tmp_path, toy_wcm, capsys):

@@ -1,5 +1,6 @@
 import pickle
 import random
+import weakref
 
 import pytest
 
@@ -179,6 +180,26 @@ def test_corpus_files_reiterable_and_picklable(tmp_path):
     for corpus in (files, tsv, pickle.loads(pickle.dumps(files))):
         assert list(corpus) == list(corpus) == expected
     assert [p.source for p in tsv.segments()] == ["The cat", "A dog"]
+
+
+@pytest.mark.parametrize("tsv", [False, True], ids=["two-files", "tsv"])
+def test_token_counts_frees_each_side_before_the_next(tmp_path, tsv):
+    """The count pass keeps no reference to a side's counts once it has
+    handed them over, so a build holds one side's counts at a time."""
+    write_lines(tmp_path / "c.src", ["The cat", "A dog"])
+    write_lines(tmp_path / "c.tgt", ["le Chat", "un chien"])
+    write_lines(tmp_path / "c.tsv", ["The cat\tle Chat", "A dog\tun chien"])
+    corpus = CorpusFiles((tmp_path / "c.tsv",), tsv=True) if tsv else CorpusFiles(
+        (tmp_path / "c.src", tmp_path / "c.tgt")
+    )
+    sides = corpus.token_counts()
+    counts = next(sides)
+    assert counts == {"The": 1, "cat": 1, "A": 1, "dog": 1}
+    freed = weakref.ref(counts)
+    del counts
+    assert freed() is None
+    assert next(sides) == {"le": 1, "Chat": 1, "un": 1, "chien": 1}
+    assert next(sides, None) is None
 
 
 @pytest.mark.parametrize("line,ntabs", [("no tabs here", 0), ("a\tb\tc", 2)])

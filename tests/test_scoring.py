@@ -1,7 +1,7 @@
 import random
 
 from deqe.scoring import DeScore, de_score, reverse_de_score
-from deqe.corpus import build_vocabulary
+from deqe.corpus import CorpusFiles, build_vocabulary
 from deqe.wcm import (
     CooccurrenceMatrix,
     WcmConfig,
@@ -10,7 +10,7 @@ from deqe.wcm import (
     save_wcm,
 )
 
-from helpers import entries_by_token, make_matrix, random_matrix, zipf_corpus
+from helpers import entries_by_token, make_matrix, random_matrix, write_lines, zipf_corpus
 from oracles import naive_de_score
 
 
@@ -183,7 +183,12 @@ def test_built_and_loaded_matrices_score_alike(tmp_path):
     # "p" and "q" occur 3 times, but with no partner 3 times: pruned
     pairs += [(["p"], [f"pt{i}"]) for i in range(3)] + [([f"qs{i}"], ["q"]) for i in range(3)]
     min_cooc, cutoff = 3, 60
-    built = build_wcm_with_vocabularies(pairs, WcmConfig(min_cooc, cutoff), progress_every=0)
+    paths = (tmp_path / "train.src", tmp_path / "train.tgt")
+    for side, path in enumerate(paths):
+        write_lines(path, [" ".join(pair[side]) for pair in pairs])
+    built = build_wcm_with_vocabularies(
+        CorpusFiles(paths), WcmConfig(min_cooc, cutoff), progress_every=0
+    )
     save_wcm(built, tmp_path / "m.wcm")
     loaded = load_wcm(tmp_path / "m.wcm")
     assert loaded == built

@@ -2,13 +2,14 @@ import logging
 import os
 import random
 import sys
+from collections import Counter
 from itertools import chain
 
 import pytest
 
 from deqe.analysis import BucketSpec
-from deqe.corpus import CorpusFiles, build_vocabulary
-from deqe.errors import VocabularyMismatchError, WcmFormatError
+from deqe.corpus import CorpusFiles, TokenizerConfig, build_vocabulary
+from deqe.errors import DataError, VocabularyMismatchError, WcmFormatError
 from deqe.scoring import de_score
 from deqe.wcm import (
     COUNT_MODES,
@@ -28,11 +29,20 @@ from helpers import (
     make_matrix,
     random_corpus,
     random_matrix,
+    write_lines,
     zipf_corpus,
 )
 from oracles import brute_force_excluded, brute_force_wcm
 
 TOY = [("a b", "x y"), ("a c", "x z")]
+
+
+@pytest.fixture
+def toy_files(tmp_path):
+    paths = (tmp_path / "train.src", tmp_path / "train.tgt")
+    for side, path in enumerate(paths):
+        write_lines(path, [pair[side] for pair in TOY])
+    return paths
 
 
 def test_config_validation():
@@ -143,16 +153,16 @@ def test_deterministic_across_threads_and_partitions(monkeypatch):
         base = build_wcm(pairs, source_vocab, target_vocab, config, threads=1)
         assert base.excluded_source_tokens()
         assert entries_by_token(base) == brute_force_wcm(pairs, 2, cutoff, mode)
-        source_types = deqe.wcm._Types(source_vocab.tokens, source_vocab.frequencies)
-        target_types = deqe.wcm._Types(target_vocab.tokens, target_vocab.frequencies)
-        source_ids = deqe.wcm._closed_ids(source_vocab.tokens)
-        target_ids = deqe.wcm._closed_ids(target_vocab.tokens)
-        source, target = deqe.wcm._read(pairs, source_ids, target_ids, 0)
-        postings, targets, pair_updates = deqe.wcm._postings(
-            source, target, source_types, target_types, config
+        source = deqe.wcm._side(source_vocab.tokens, source_vocab.frequencies, config)
+        target = deqe.wcm._side(target_vocab.tokens, target_vocab.frequencies, config)
+        source_ids = deqe.wcm._closed_ids(source_vocab.tokens, source.tokens)
+        target_ids = deqe.wcm._closed_ids(target_vocab.tokens, target.tokens)
+        (postings, targets, pair_updates), read = deqe.wcm._encode(
+            pairs, source_ids.__getitem__, target_ids.__getitem__, len(source.tokens), config, 0
         )
         # pair_updates is the number of increments the rows take
-        assert pair_updates == sum(len(targets[n]) for segs in postings.values() for n in segs)
+        assert pair_updates == sum(len(targets[n]) for segs in postings for n in segs)
+        assert read == (len(pairs), source_vocab.total_tokens(), target_vocab.total_tokens())
         for n_parts in (1, 2, 3, 7):
             rows: dict = {}
             for part in range(n_parts):
@@ -160,7 +170,7 @@ def test_deterministic_across_threads_and_partitions(monkeypatch):
                 assert all(sid % n_parts == part for sid in part_rows)
                 rows.update(part_rows)
             token_rows: dict = {}
-            deqe.wcm._move_to_tokens(rows, source_types, target_types, token_rows)
+            deqe.wcm._move_to_tokens(rows, source.tokens, target.tokens, token_rows)
             union = CooccurrenceMatrix(
                 config, token_rows, base.excluded_source_tokens(), base.excluded_target_tokens()
             )
@@ -257,8 +267,16 @@ def test_vocabulary_mismatch_raised_once_while_reading():
     assert "'new' in segment 1" in messages[0]
 
 
+def _write_corpus(tmp_path, pairs) -> CorpusFiles:
+    """``pairs`` written one segment a line to two files, as a corpus."""
+    paths = (tmp_path / "train.src", tmp_path / "train.tgt")
+    for side, path in enumerate(paths):
+        write_lines(path, [" ".join(pair[side]) for pair in pairs])
+    return CorpusFiles(paths)
+
+
 @pytest.mark.parametrize("mode", ["binary", "product"])
-def test_one_read_build_matches_caller_vocabularies(mode, monkeypatch, caplog):
+def test_file_build_matches_caller_vocabularies(mode, tmp_path, monkeypatch, caplog):
     rng = random.Random(600)
     pairs = zipf_corpus(rng)
     pairs[3:3] = [([], ["t0"]), (["s0"], []), ([], [])]
@@ -277,7 +295,9 @@ def test_one_read_build_matches_caller_vocabularies(mode, monkeypatch, caplog):
     for threads in (1, 2):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="deqe.wcm"):
-            matrix = build_wcm_with_vocabularies(pairs, config, threads=threads, progress_every=0)
+            matrix = build_wcm_with_vocabularies(
+                _write_corpus(tmp_path, pairs), config, threads=threads, progress_every=0
+            )
         warned = [rec.getMessage() for rec in caplog.records if "long" in rec.getMessage()]
         assert len(warned) == 1 and f"segment {long_index} " in warned[0]
         assert matrix == expected
@@ -661,3 +681,121 @@ def test_text_boundaries_round_trip(tmp_path):
                     built, src, hyp, by_type=by_type
                 )
     assert saw_bom_token and saw_exclusion
+
+
+# Words that casefold, carry punctuation at an edge, a BOM or a decomposed
+# accent; separators that str.split cuts at but iter_lines does not end a
+# line at. A TSV line keeps its one tab.
+_EQUIVALENCE_WORDS = [
+    "a", "A", "b", "\u00c9", "e\u0301", "\u00e9", "x.", "(y)", "!", "\u00df", "SS", "z\ufeff"
+]
+_EQUIVALENCE_SEPARATORS = [
+    " ", "  ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\r", "\u00a0"
+]
+
+
+def _equivalence_text(rng, tsv):
+    separators = _EQUIVALENCE_SEPARATORS + ([] if tsv else ["\t"])
+    if rng.random() < 0.15:  # blank, or only separators
+        return "".join(rng.choices(separators, k=rng.randint(0, 2)))
+    return "".join(
+        rng.choice(_EQUIVALENCE_WORDS) + rng.choice(separators) for _ in range(rng.randint(1, 7))
+    )
+
+
+def _equivalence_file(path, rng, lines):
+    breaks = rng.choices(["\n", "\r\n"], k=len(lines))
+    if lines[-1] and rng.random() < 0.3:
+        breaks[-1] = ""  # no line break after the last line
+    text = "".join(map(str.__add__, lines, breaks))
+    if rng.random() < 0.5:
+        text = "\ufeff" + text
+    path.write_bytes(text.encode("utf-8"))
+
+
+def _equivalence_corpus(tmp_path, rng, tsv, tokenizer):
+    n = rng.randint(1, 60)
+    sides = [[_equivalence_text(rng, tsv) for _ in range(n)] for _ in range(2)]
+    if tsv:
+        path = tmp_path / "train.tsv"
+        _equivalence_file(path, rng, [f"{s}\t{t}" for s, t in zip(*sides)])
+        return CorpusFiles((path,), tsv=True, tokenizer=tokenizer)
+    paths = (tmp_path / "train.src", tmp_path / "train.tgt")
+    for path, lines in zip(paths, sides):
+        _equivalence_file(path, rng, lines)
+    return CorpusFiles(paths, tokenizer=tokenizer)
+
+
+def test_file_build_equals_caller_vocabulary_build_and_oracle(tmp_path, monkeypatch):
+    """Counting each side before the strict read gives the matrix that the
+    strict read's tokens give: for two files and TSV, every tokenizer, both
+    count modes and a forced pool."""
+    monkeypatch.setattr(deqe.wcm, "POOL_MIN_PAIR_UPDATES", 0)
+    rng = random.Random(1400)
+    saw_entries = saw_exclusion = 0
+    for trial in range(24):
+        tsv = trial % 2 == 1
+        tokenizer = TokenizerConfig(lowercase=rng.random() < 0.5, strip_punct=rng.random() < 0.5)
+        corpus = _equivalence_corpus(tmp_path, rng, tsv, tokenizer)
+        pairs = list(corpus)
+        assert list(corpus.token_counts()) == [Counter(chain(*side)) for side in zip(*pairs)]
+        source_vocab = build_vocabulary([p[0] for p in pairs], "source")
+        target_vocab = build_vocabulary([p[1] for p in pairs], "target")
+        min_cooc, cutoff = rng.choice([1, 2, 3]), rng.choice([6, 12, 10**9])
+        for mode in COUNT_MODES:
+            config = WcmConfig(min_cooc, cutoff, mode)
+            expected = build_wcm(pairs, source_vocab, target_vocab, config, progress_every=0)
+            assert entries_by_token(expected) == brute_force_wcm(pairs, min_cooc, cutoff, mode)
+            assert (expected.excluded_source_tokens(), expected.excluded_target_tokens()) == (
+                brute_force_excluded(pairs, cutoff)
+            )
+            for threads in (1, 2):
+                built = build_wcm_with_vocabularies(
+                    corpus, config, threads=threads, progress_every=0
+                )
+                assert built == expected, (trial, mode, threads)
+            saw_entries += expected.n_entries > 0
+            saw_exclusion += bool(expected.excluded_source_tokens())
+    assert saw_entries > 20 and saw_exclusion > 5
+
+
+def test_file_build_refuses_a_path_that_is_not_a_regular_file(tmp_path, toy_files):
+    src, tgt = toy_files
+    for corpus, named in (
+        (CorpusFiles((src, tmp_path)), tmp_path),
+        (CorpusFiles((tmp_path,), tsv=True), tmp_path),
+    ):
+        with pytest.raises(DataError) as err:
+            build_wcm_with_vocabularies(corpus, progress_every=0)
+        assert str(err.value) == f"{named}: not a regular file; the build reads its corpus twice"
+    # A missing file is the OSError that opening it raises.
+    with pytest.raises(FileNotFoundError) as err:
+        build_wcm_with_vocabularies(CorpusFiles((src, tmp_path / "nope")), progress_every=0)
+    assert err.value.filename == str(tmp_path / "nope")
+
+
+@pytest.mark.parametrize("tsv", [False, True], ids=["two-files", "tsv"])
+@pytest.mark.parametrize("side", [0, 1], ids=["source", "target"])
+def test_file_build_refuses_a_corpus_that_changed_while_read(
+    tmp_path, toy_files, monkeypatch, tsv, side
+):
+    """A side whose count pass found another token total than the strict
+    read is a DataError naming its file."""
+    src, tgt = toy_files
+    if tsv:
+        path = tmp_path / "train.tsv"
+        write_lines(path, [f"{s}\t{t}" for s, t in TOY])
+        corpus, named = CorpusFiles((path,), tsv=True), path
+    else:
+        corpus, named = CorpusFiles((src, tgt)), (src, tgt)[side]
+    token_counts = CorpusFiles.token_counts
+
+    def grown(self):
+        for n, counts in enumerate(token_counts(self)):
+            counts["late"] += n == side
+            yield counts
+
+    monkeypatch.setattr(CorpusFiles, "token_counts", grown)
+    with pytest.raises(DataError) as err:
+        build_wcm_with_vocabularies(corpus, progress_every=0)
+    assert str(err.value) == f"{named}: changed while being read"
