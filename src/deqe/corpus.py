@@ -193,29 +193,25 @@ class CorpusFiles:
 
     def token_counts(self) -> Iterator[Counter[str]]:
         """Each side's {token: count}, counted only when it is asked for, in
-        C-level passes that check nothing: a line without its tab, a byte
+        one pass that checks nothing: a line without its tab, a byte
         that is not UTF-8 or files of unequal length are raised only by
         iterating, which yields the same tokens from a valid corpus. Lines
         split on "\\n" only and a leading BOM is dropped, as ``iter_lines``
         reads them; a TSV side is field 0 or 2 of ``str.partition("\\t")``.
+        Each line is split by ``tokenize``, as iterating splits it.
         """
         paths = self.paths * 2 if self.tsv else self.paths
         fields = (0, 2) if self.tsv else (None,) * len(paths)
+        configs = itertools.repeat(self.tokenizer)
         for path, field in zip(paths, fields):
             with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="\n") as fh:
                 texts: Iterable[str] = fh
                 if field is not None:
                     partitions = map(str.partition, fh, itertools.repeat("\t"))
                     texts = map(operator.itemgetter(field), partitions)
-                texts = map(unicodedata.normalize, itertools.repeat("NFC"), texts)
-                if self.tokenizer.lowercase:
-                    texts = map(str.casefold, texts)
-                tokens = itertools.chain.from_iterable(map(str.split, texts))
-                if self.tokenizer.strip_punct:
-                    tokens = filter(None, map(_strip_edge_punct, tokens))
                 # Not bound to a name here, so the caller can free one side's
                 # counts before the next side is counted.
-                yield Counter(tokens)
+                yield Counter(itertools.chain.from_iterable(map(tokenize, texts, configs)))
 
 
 class Vocabulary:

@@ -19,7 +19,7 @@ import sys
 from collections import Counter
 from functools import partial
 from itertools import chain, compress, count, islice
-from operator import is_not, itemgetter
+from operator import attrgetter, is_not, itemgetter
 from types import MappingProxyType
 from typing import (
     TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, NoReturn, TextIO
@@ -34,6 +34,10 @@ if TYPE_CHECKING:
     from .corpus import CorpusFiles, Vocabulary
 
 log = logging.getLogger(__name__)
+
+# A file's device, inode, size and modification time: rewriting, replacing
+# or touching it changes at least one of them.
+_file_identity = attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 
 FORMAT_VERSION = "v1"
 COUNT_MODE_BINARY = "binary"
@@ -194,9 +198,9 @@ def _encode(
     n_source: int,
     config: WcmConfig,
     progress_every: int,
-) -> tuple[tuple[list[array], list[tuple[int, ...]], int], tuple[int, int, int]]:
+) -> tuple[tuple[list[array], list[tuple[int, ...]], int], int]:
     """Read ``pairs`` once into ``(postings, targets, pair_updates)``, and
-    the numbers of segments, source tokens and target tokens read.
+    the number of segments read.
 
     ``targets[n]`` holds the counted target ids of the n-th segment that
     has both counted source and counted target types, and
@@ -217,13 +221,11 @@ def _encode(
     postings = [array("I") for _ in range(n_source)]
     targets: list[tuple[int, ...]] = []
     binary = config.count_mode == COUNT_MODE_BINARY
-    pair_updates = source_tokens = target_tokens = 0
+    pair_updates = 0
     index = -1
     for index, segment in enumerate(pairs):
         src_tokens, tgt_tokens = segment
         n_src, n_tgt = len(src_tokens), len(tgt_tokens)
-        source_tokens += n_src
-        target_tokens += n_tgt
         if n_src > LONG_SEGMENT_TOKENS or n_tgt > LONG_SEGMENT_TOKENS:
             log.warning(
                 "segment %d is very long (%d/%d tokens); pair counting is quadratic",
@@ -250,7 +252,7 @@ def _encode(
             pair_updates += len(src) * len(tgt)
         if progress_every and (index + 1) % progress_every == 0:
             log.info("build-wcm: %d segments read", index + 1)
-    return (postings, targets, pair_updates), (index + 1, source_tokens, target_tokens)
+    return (postings, targets, pair_updates), index + 1
 
 
 def _raise_mismatch(
@@ -400,31 +402,31 @@ def build_wcm_with_vocabularies(
     which raises every input error, and derives what counting needs from
     each segment. The matrix is the one ``build_wcm`` counts with the
     vocabularies ``build_vocabulary`` makes from the same corpus. A path
-    that is not a regular file, and a side whose token total differs
-    between the passes, are DataErrors.
+    that is not a regular file is a DataError, and so is a file whose
+    device, inode, size or modification time after the second pass differs
+    from before the first.
     """
     if config is None:
         config = WcmConfig()
-    for path in corpus.paths:
-        if not stat.S_ISREG(os.stat(path).st_mode):
+    before = [os.stat(path) for path in corpus.paths]
+    for path, st in zip(corpus.paths, before):
+        if not stat.S_ISREG(st.st_mode):
             raise DataError(f"{path}: not a regular file; the build reads its corpus twice")
-    sides, n_types, totals = [], [], []
+    sides, n_types = [], []
     for counts in corpus.token_counts():
         sides.append(_side(counts.keys(), counts.values(), config))
         n_types.append(len(counts))
-        totals.append(sum(counts.values()))
         # Only the counted types are kept, and one side's counts at a time.
         del counts
     source, target = sides
     source_ids = dict(zip(source.tokens, count()))
     target_ids = dict(zip(target.tokens, count()))
-    encoded, (segments, *read) = _encode(
+    encoded, segments = _encode(
         corpus, source_ids.get, target_ids.get, len(source.tokens), config, progress_every
     )
     del source_ids, target_ids
-    paths = corpus.paths * 2 if corpus.tsv else corpus.paths
-    for path, counted, tokens in zip(paths, totals, read):
-        if counted != tokens:
+    for path, st in zip(corpus.paths, before):
+        if _file_identity(os.stat(path)) != _file_identity(st):
             raise DataError(f"{path}: changed while being read")
     log.info("build-wcm: read %d segments, %d source types, %d target types", segments, *n_types)
     return _count(encoded, source, target, config, threads)

@@ -157,12 +157,12 @@ def test_deterministic_across_threads_and_partitions(monkeypatch):
         target = deqe.wcm._side(target_vocab.tokens, target_vocab.frequencies, config)
         source_ids = deqe.wcm._closed_ids(source_vocab.tokens, source.tokens)
         target_ids = deqe.wcm._closed_ids(target_vocab.tokens, target.tokens)
-        (postings, targets, pair_updates), read = deqe.wcm._encode(
+        (postings, targets, pair_updates), segments = deqe.wcm._encode(
             pairs, source_ids.__getitem__, target_ids.__getitem__, len(source.tokens), config, 0
         )
         # pair_updates is the number of increments the rows take
         assert pair_updates == sum(len(targets[n]) for segs in postings for n in segs)
-        assert read == (len(pairs), source_vocab.total_tokens(), target_vocab.total_tokens())
+        assert segments == len(pairs)
         for n_parts in (1, 2, 3, 7):
             rows: dict = {}
             for part in range(n_parts):
@@ -774,28 +774,51 @@ def test_file_build_refuses_a_path_that_is_not_a_regular_file(tmp_path, toy_file
     assert err.value.filename == str(tmp_path / "nope")
 
 
-@pytest.mark.parametrize("tsv", [False, True], ids=["two-files", "tsv"])
-@pytest.mark.parametrize("side", [0, 1], ids=["source", "target"])
+def _touch(path):
+    st = os.stat(path)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+
+
+def _edit_in_place(path):
+    """Swap one word for another of the same length: the size and the
+    token totals stay, the modification time moves on."""
+    with open(path, "r+b") as fh:
+        text = fh.read()
+        fh.seek(0)
+        fh.write(text.replace(b"a", b"q", 1).replace(b"x", b"w", 1))
+    _touch(path)  # as a later write would, whatever the timestamp granularity
+
+
+def _replace(path):
+    new = f"{path}.new"
+    with open(path, "rb") as fh, open(new, "wb") as out:
+        out.write(fh.read())
+    os.replace(new, path)
+
+
+@pytest.mark.parametrize(
+    "change", [_touch, _edit_in_place, _replace], ids=["touched", "edited", "replaced"]
+)
+@pytest.mark.parametrize("which", ["source", "target", "tsv"])
 def test_file_build_refuses_a_corpus_that_changed_while_read(
-    tmp_path, toy_files, monkeypatch, tsv, side
+    tmp_path, toy_files, monkeypatch, change, which
 ):
-    """A side whose count pass found another token total than the strict
-    read is a DataError naming its file."""
-    src, tgt = toy_files
-    if tsv:
+    """A file touched, edited in place (even keeping its size and token
+    totals) or replaced between the count pass and the strict read is a
+    DataError naming it."""
+    if which == "tsv":
         path = tmp_path / "train.tsv"
         write_lines(path, [f"{s}\t{t}" for s, t in TOY])
         corpus, named = CorpusFiles((path,), tsv=True), path
     else:
-        corpus, named = CorpusFiles((src, tgt)), (src, tgt)[side]
+        corpus, named = CorpusFiles(toy_files), toy_files[which == "target"]
     token_counts = CorpusFiles.token_counts
 
-    def grown(self):
-        for n, counts in enumerate(token_counts(self)):
-            counts["late"] += n == side
-            yield counts
+    def then_changed(self):
+        yield from token_counts(self)
+        change(named)
 
-    monkeypatch.setattr(CorpusFiles, "token_counts", grown)
+    monkeypatch.setattr(CorpusFiles, "token_counts", then_changed)
     with pytest.raises(DataError) as err:
         build_wcm_with_vocabularies(corpus, progress_every=0)
     assert str(err.value) == f"{named}: changed while being read"
