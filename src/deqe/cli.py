@@ -65,23 +65,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message, usage=self.format_usage())
 
 
-class _StderrLogHandler(logging.Handler):
-    """Resolves sys.stderr at emit time so captured streams still work."""
-
-    def emit(self, record):
-        sys.stderr.write(self.format(record) + "\n")
-
-
 @contextlib.contextmanager
 def _logging_to_stderr(quiet: bool) -> Iterator[None]:
     """Send the package's log records to stderr for one invocation.
 
-    The handler and level are removed again on exit, so library callers and
-    later invocations in the same process see the logger as it was.
+    The handler writes to the ``sys.stderr`` of this invocation, so a
+    stream a caller put in its place receives the records. The handler and
+    level are removed again on exit, so library callers and later
+    invocations in the same process see the logger as it was.
     """
     logger = logging.getLogger("deqe")
     level = logging.WARNING if quiet else logging.INFO
-    handler = _StderrLogHandler()
+    handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter(f"{PROG}: %(message)s"))
     saved_level = logger.level
     logger.setLevel(level)
@@ -189,12 +184,22 @@ def _test_segments(args: argparse.Namespace, *paths: str) -> Iterator[tuple[list
     return itertools.chain([first], segments)
 
 
-def _distinct_outputs(*outputs: tuple[str, str | None]) -> None:
-    """Raise UsageError if two of the (flag, path) ``outputs`` name the same
-    file, which both would write through one temporary file; a path of None
-    is stdout."""
-    flags: dict[str, str] = {}
-    for flag, path in outputs:
+# The keys of the flags that name a file a subcommand reads.
+_INPUT_FLAGS = ("source", "target", "tsv", "wcm", "hypothesis", "reference", "x", "y", "scores")
+
+
+def _distinct_outputs(args: argparse.Namespace, *outputs: tuple[str, str | None]) -> None:
+    """Raise UsageError if ``--out`` or one of the other (flag, path)
+    ``outputs`` names a file that one of the command's input flags names,
+    which writing it would replace, or the file another output names,
+    which both would write through one temporary file; a path of None is
+    stdout."""
+    flags = {
+        os.path.realpath(path): f"--{key}"
+        for key in _INPUT_FLAGS
+        if (path := getattr(args, key, None)) is not None
+    }
+    for flag, path in (("--out", args.out), *outputs):
         if path is not None:
             other = flags.setdefault(os.path.realpath(path), flag)
             if other != flag:
@@ -307,6 +312,7 @@ def _bucket_list(text: str) -> list[BucketSpec]:
 def cmd_vocab_stats(args: argparse.Namespace) -> int:
     from .corpus import build_parallel_vocabularies, vocab_stats
 
+    _distinct_outputs(args)
     corpus = _corpus_files(args)
     source_vocab, target_vocab, n = build_parallel_vocabularies(
         corpus.segments(), corpus.tokenizer
@@ -344,6 +350,7 @@ def cmd_vocab_stats(args: argparse.Namespace) -> int:
 def cmd_build_wcm(args: argparse.Namespace) -> int:
     from .wcm import WcmConfig, build_wcm_with_vocabularies, save_wcm
 
+    _distinct_outputs(args)
     threads = _resolve_threads(args.threads)
     corpus = _corpus_files(args)
     config = WcmConfig(
@@ -367,6 +374,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     from .scoring import de_score, reverse_de_score
     from .wcm import load_wcm
 
+    _distinct_outputs(args)
     matrix = load_wcm(args.wcm)
     segments = _test_segments(args, args.source, args.hypothesis)
 
@@ -389,6 +397,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_bleu(args: argparse.Namespace) -> int:
     from .metrics import bleu_stats, pooled_bleu, sentence_bleu
 
+    _distinct_outputs(args)
     segments = _test_segments(args, args.hypothesis, args.reference)
     if args.sentence_level:
         columns = f"{_INDEX_COLUMNS} bleu"
@@ -415,6 +424,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     from .corpus import _in_step
     from .metrics import pearson
 
+    _distinct_outputs(args)
     # Only the two value columns are kept.
     xs, ys = array("d"), array("d")
     rows = _in_step((_read_values(args.x), _read_values(args.y)), (args.x, args.y), "value")
@@ -444,6 +454,7 @@ def cmd_bucket_eval(args: argparse.Namespace) -> int:
     from .scoring import de_score
     from .wcm import load_wcm
 
+    _distinct_outputs(args)
     matrix = load_wcm(args.wcm)
     segments = _test_segments(args, args.source, args.hypothesis, args.reference)
     report = fold_buckets(
@@ -467,7 +478,7 @@ def cmd_histogram(args: argparse.Namespace) -> int:
     from .analysis import _float_text, histogram, render_histogram_svg
     from .corpus import atomic_write
 
-    _distinct_outputs(("--out", args.out), ("--chart", args.chart))
+    _distinct_outputs(args, ("--chart", args.chart))
     values = []
     for lineno, _, value in _read_values(args.scores):
         if not 0.0 <= value <= 100.0:
@@ -491,7 +502,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     from .wcm import load_wcm
 
     _distinct_outputs(
-        ("--out", args.out),
+        args,
         ("--kept-prefix", f"{args.kept_prefix}.source"),
         ("--kept-prefix", f"{args.kept_prefix}.target"),
         ("--dropped-prefix", f"{args.dropped_prefix}.source"),

@@ -21,9 +21,7 @@ from functools import partial
 from itertools import chain, compress, count, islice
 from operator import attrgetter, is_not, itemgetter
 from types import MappingProxyType
-from typing import (
-    TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, NoReturn, TextIO
-)
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 from .corpus import atomic_write
 from .errors import DataError, VocabularyMismatchError, WcmFormatError
@@ -193,15 +191,16 @@ _is_not_none = partial(is_not, None)
 
 def _encode(
     pairs: Iterable[tuple[list[str], list[str]]],
-    source_id: Callable[[str], int | None],
-    target_id: Callable[[str], int | None],
-    n_source: int,
+    source: _Side,
+    target: _Side,
     config: WcmConfig,
     progress_every: int,
 ) -> tuple[tuple[list[array], list[tuple[int, ...]], int], int]:
     """Read ``pairs`` once into ``(postings, targets, pair_updates)``, and
     the number of segments read.
 
+    The counted types of ``source`` and ``target`` are numbered here, in
+    their order, and a token of no counted type is skipped.
     ``targets[n]`` holds the counted target ids of the n-th segment that
     has both counted source and counted target types, and
     ``postings[sid]`` the numbers n of the segments source id ``sid`` is
@@ -209,22 +208,19 @@ def _encode(
     keeps one entry per occurrence, so counting the targets of a row's
     postings gives occurrences(i) * occurrences(j) summed over segments.
     ``pair_updates`` is the number of increments that counting takes.
-
-    ``source_id`` and ``target_id`` give a token's id, or None for a type
-    that is not counted. One that raises KeyError for a token makes the
-    first segment holding it a VocabularyMismatchError.
     """
     # Imported here, as loading it costs every CLI command memory.
     from array import array
 
+    source_id = dict(zip(source.tokens, count())).get
+    target_id = dict(zip(target.tokens, count())).get
     # Segment numbers as 4-byte unsigned integers, indexed by source id.
-    postings = [array("I") for _ in range(n_source)]
+    postings = [array("I") for _ in source.tokens]
     targets: list[tuple[int, ...]] = []
     binary = config.count_mode == COUNT_MODE_BINARY
     pair_updates = 0
     index = -1
-    for index, segment in enumerate(pairs):
-        src_tokens, tgt_tokens = segment
+    for index, (src_tokens, tgt_tokens) in enumerate(pairs):
         n_src, n_tgt = len(src_tokens), len(tgt_tokens)
         if n_src > LONG_SEGMENT_TOKENS or n_tgt > LONG_SEGMENT_TOKENS:
             log.warning(
@@ -233,17 +229,14 @@ def _encode(
                 n_src,
                 n_tgt,
             )
-        try:
-            if binary:
-                src = {*map(source_id, src_tokens)}
-                tgt = {*map(target_id, tgt_tokens)}
-                src.discard(None)
-                tgt.discard(None)
-            else:
-                src = tuple(filter(_is_not_none, map(source_id, src_tokens)))
-                tgt = tuple(filter(_is_not_none, map(target_id, tgt_tokens)))
-        except KeyError:
-            _raise_mismatch(index, segment, (source_id, target_id))
+        if binary:
+            src = {*map(source_id, src_tokens)}
+            tgt = {*map(target_id, tgt_tokens)}
+            src.discard(None)
+            tgt.discard(None)
+        else:
+            src = tuple(filter(_is_not_none, map(source_id, src_tokens)))
+            tgt = tuple(filter(_is_not_none, map(target_id, tgt_tokens)))
         if src and tgt:
             seg = len(targets)
             targets.append(tuple(tgt))
@@ -253,23 +246,6 @@ def _encode(
         if progress_every and (index + 1) % progress_every == 0:
             log.info("build-wcm: %d segments read", index + 1)
     return (postings, targets, pair_updates), index + 1
-
-
-def _raise_mismatch(
-    index: int, segment: tuple[list[str], list[str]], lookups: tuple[Callable, ...]
-) -> NoReturn:
-    """Raise VocabularyMismatchError for the first token of ``segment``,
-    source side first, whose side's lookup raises KeyError."""
-    for side, tokens, lookup in zip(("source", "target"), segment, lookups):
-        for token in tokens:
-            try:
-                lookup(token)
-            except KeyError:
-                raise VocabularyMismatchError(
-                    f"{side} token {token!r} in segment {index} is not in the "
-                    f"{side} vocabulary; rebuild vocabularies from this corpus"
-                ) from None
-    raise AssertionError("a KeyError with no unknown token in the segment")
 
 
 def _count_rows(
@@ -354,37 +330,40 @@ def build_wcm(
     ``config.min_cooccurrence`` are pruned. In binary mode, types rarer than
     ``config.min_cooccurrence`` are skipped too; that is exact, and they are
     not exclusions. Frequencies are the vocabularies' own. The vocabularies
-    must come from this corpus or a superset of it; a token missing from
-    them raises VocabularyMismatchError.
+    must come from this corpus or a superset of it: each segment is checked
+    against them as it is read, and the first segment holding a token they
+    lack raises VocabularyMismatchError naming the first such token, source
+    side first, before any later segment is read.
 
-    ``pairs`` may be any iterable; it is read once, in this process, into
-    each counted source word's segment numbers and each segment's counted
-    target ids. Each row is then counted and pruned on its own. With
-    ``threads > 1`` and enough pair updates to pay for the pool, the rows
-    are split by source id modulo ``threads`` among worker processes; the
-    survivors are disjoint, so the matrix is the same for every thread
-    count. The ids stay inside the build: the counted types of each
-    vocabulary are numbered in its token order, and the surviving rows are
-    keyed by the tokens at the end.
+    ``pairs`` may be any iterable; it is read once, in this process, and
+    counted as ``build_wcm_with_vocabularies`` counts the strict read of its
+    files, with the counted types of each vocabulary numbered in its token
+    order. With ``threads > 1`` and enough pair updates to pay for the pool,
+    the rows are counted in worker processes; the matrix is the same for
+    every thread count.
     """
     if config is None:
         config = WcmConfig()
+    vocabularies = (
+        ("source", frozenset(source_vocab.tokens)),
+        ("target", frozenset(target_vocab.tokens)),
+    )
+
+    def checked() -> Iterator[tuple[list[str], list[str]]]:
+        for index, segment in enumerate(pairs):
+            for (side, known), tokens in zip(vocabularies, segment):
+                if not known.issuperset(tokens):
+                    token = next(tok for tok in tokens if tok not in known)
+                    raise VocabularyMismatchError(
+                        f"{side} token {token!r} in segment {index} is not in the "
+                        f"{side} vocabulary; rebuild vocabularies from this corpus"
+                    )
+            yield segment
+
     source = _side(source_vocab.tokens, source_vocab.frequencies, config)
     target = _side(target_vocab.tokens, target_vocab.frequencies, config)
-    source_ids = _closed_ids(source_vocab.tokens, source.tokens)
-    target_ids = _closed_ids(target_vocab.tokens, target.tokens)
-    source_id, target_id = source_ids.__getitem__, target_ids.__getitem__
-    encoded, _ = _encode(pairs, source_id, target_id, len(source.tokens), config, progress_every)
-    del source_ids, target_ids
+    encoded, _ = _encode(checked(), source, target, config, progress_every)
     return _count(encoded, source, target, config, threads)
-
-
-def _closed_ids(vocabulary: list[str], counted: list[str]) -> dict[str, int | None]:
-    """Every token of ``vocabulary`` mapped to its id among ``counted``, or
-    to None if it is not counted."""
-    ids: dict[str, int | None] = dict.fromkeys(vocabulary)
-    ids.update(zip(counted, count()))
-    return ids
 
 
 def build_wcm_with_vocabularies(
@@ -392,7 +371,6 @@ def build_wcm_with_vocabularies(
     config: WcmConfig | None = None,
     *,
     threads: int = 1,
-    progress_every: int = PROGRESS_EVERY,
 ) -> CooccurrenceMatrix:
     """Build the matrix from the files of ``corpus`` in two passes.
 
@@ -404,7 +382,8 @@ def build_wcm_with_vocabularies(
     vocabularies ``build_vocabulary`` makes from the same corpus. A path
     that is not a regular file is a DataError, and so is a file whose
     device, inode, size or modification time after the second pass differs
-    from before the first.
+    from before the first. A progress record is logged at INFO every
+    ``PROGRESS_EVERY`` segments.
     """
     if config is None:
         config = WcmConfig()
@@ -419,12 +398,7 @@ def build_wcm_with_vocabularies(
         # Only the counted types are kept, and one side's counts at a time.
         del counts
     source, target = sides
-    source_ids = dict(zip(source.tokens, count()))
-    target_ids = dict(zip(target.tokens, count()))
-    encoded, segments = _encode(
-        corpus, source_ids.get, target_ids.get, len(source.tokens), config, progress_every
-    )
-    del source_ids, target_ids
+    encoded, segments = _encode(corpus, source, target, config, PROGRESS_EVERY)
     for path, st in zip(corpus.paths, before):
         if _file_identity(os.stat(path)) != _file_identity(st):
             raise DataError(f"{path}: changed while being read")
@@ -439,6 +413,11 @@ def _count(
     config: WcmConfig,
     threads: int,
 ) -> CooccurrenceMatrix:
+    """Count and prune each row of ``encoded`` on its own, and key the
+    survivors by token. With ``threads > 1`` and enough pair updates to pay
+    for the pool, the rows are split by source id modulo ``threads`` among
+    worker processes; the survivors are disjoint, so the matrix is the same
+    for every thread count."""
     postings, targets, pair_updates = encoded
     floor = config.min_cooccurrence
     rows: dict[str, dict[str, int]] = {}

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import tempfile
 
-from deqe.corpus import build_vocabulary, tokenize
-from deqe.wcm import CooccurrenceMatrix, WcmConfig, build_wcm
+from deqe.corpus import CorpusFiles
+from deqe.wcm import CooccurrenceMatrix, WcmConfig, build_wcm_with_vocabularies
 
 
 def build_from_raw(
@@ -15,18 +17,19 @@ def build_from_raw(
     count_mode: str = "binary",
     threads: int = 1,
 ) -> CooccurrenceMatrix:
-    """Tokenize raw sentence pairs, build vocabularies, and build a matrix."""
-    token_pairs = [(tokenize(s), tokenize(t)) for s, t in raw_pairs]
-    source_vocab = build_vocabulary([p[0] for p in token_pairs], "source")
-    target_vocab = build_vocabulary([p[1] for p in token_pairs], "target")
+    """Write raw sentence pairs one per line to two files, and build a
+    matrix from them as ``build-wcm`` does."""
+    assert not any("\n" in text for pair in raw_pairs for text in pair)
     config = WcmConfig(
         min_cooccurrence=min_cooccurrence,
         hifreq_cutoff=hifreq_cutoff,
         count_mode=count_mode,
     )
-    return build_wcm(
-        token_pairs, source_vocab, target_vocab, config, threads=threads, progress_every=0
-    )
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = (os.path.join(tmp, "train.src"), os.path.join(tmp, "train.tgt"))
+        for side, path in enumerate(paths):
+            write_lines(path, [pair[side] for pair in raw_pairs])
+        return build_wcm_with_vocabularies(CorpusFiles(paths), config, threads=threads)
 
 
 def make_matrix(

@@ -330,10 +330,10 @@ def test_criterion_7_scale_smoke(tmp_path, caplog):
             CorpusFiles((src_path, tgt_path)),
             WcmConfig(min_cooccurrence=20),
             threads=1,
-            progress_every=0,
         )
     elapsed = time.perf_counter() - t0
-    (read,) = [rec.getMessage() for rec in caplog.records if "read" in rec.getMessage()]
+    messages = [rec.getMessage() for rec in caplog.records]
+    (read,) = [message for message in messages if message.startswith("build-wcm: read ")]
     n = int(re.search(r"read (\d+) segments", read).group(1))
     assert n == n_segments
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

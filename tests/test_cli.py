@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import os
 import re
@@ -832,6 +833,45 @@ def test_outputs_naming_one_file_exit_1(tmp_path, toy_wcm, capsys, argv, flags):
     assert main([arg.format(d=tmp_path) for arg in argv]) == 1
     assert f"de-qe: error: {flags} name the same file: " in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["vocab-stats", "--tsv", "{d}/c.tsv", "--out", "{d}/c.tsv"], "--tsv and --out"),
+        (["build-wcm", "--source", "{d}/s", "--target", "{d}/h", "--out", "{d}/./h"],
+         "--target and --out"),
+        (["score", "--wcm", "{w}", "--source", "{d}/s", "--hypothesis", "{d}/h", "--out", "{d}/s"],
+         "--source and --out"),
+        (["bleu", "--hypothesis", "{d}/h", "--reference", "{d}/r", "--out", "{d}/r"],
+         "--reference and --out"),
+        (["correlate", "--x", "{d}/v", "--y", "{d}/v", "--out", "{d}/v"], "--y and --out"),
+        (["bucket-eval", "--wcm", "{w}", "--source", "{d}/s", "--hypothesis", "{d}/h",
+          "--reference", "{d}/r", "--out", "{w}"], "--wcm and --out"),
+        (["histogram", "--scores", "{d}/v", "--chart", "{d}/v"], "--scores and --chart"),
+        (["filter", "--wcm", "{w}", "--source", "{d}/k.source", "--target", "{d}/h",
+          "--min-de", "50", "--kept-prefix", "{d}/k", "--dropped-prefix", "{d}/x"],
+         "--source and --kept-prefix"),
+    ],
+    ids=["vocab-stats", "build-wcm", "score", "bleu", "correlate", "bucket-eval", "histogram",
+         "filter"],
+)
+def test_output_naming_an_input_exit_1(tmp_path, toy_wcm, capsys, argv, flags):
+    """Writing an output that names an input would replace the input; the
+    command is refused before any file is opened."""
+    for name in ("s", "h", "r", "k.source"):
+        write_lines(tmp_path / name, ["a b", "x y", "a c"])
+    write_lines(tmp_path / "v", ["10", "20", "35"])
+    write_lines(tmp_path / "c.tsv", ["a b\tx y"])
+
+    def digests():
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+
+    before = digests()
+    assert main([arg.format(d=tmp_path, w=toy_wcm) for arg in argv]) == 1
+    assert f"de-qe: error: {flags} name the same file: " in capsys.readouterr().err
+    assert digests() == before
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_cli_import_loads_no_pool_or_tempfile_modules():

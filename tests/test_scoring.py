@@ -186,9 +186,7 @@ def test_built_and_loaded_matrices_score_alike(tmp_path):
     paths = (tmp_path / "train.src", tmp_path / "train.tgt")
     for side, path in enumerate(paths):
         write_lines(path, [" ".join(pair[side]) for pair in pairs])
-    built = build_wcm_with_vocabularies(
-        CorpusFiles(paths), WcmConfig(min_cooc, cutoff), progress_every=0
-    )
+    built = build_wcm_with_vocabularies(CorpusFiles(paths), WcmConfig(min_cooc, cutoff))
     save_wcm(built, tmp_path / "m.wcm")
     loaded = load_wcm(tmp_path / "m.wcm")
     assert loaded == built

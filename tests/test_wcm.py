@@ -155,10 +155,8 @@ def test_deterministic_across_threads_and_partitions(monkeypatch):
         assert entries_by_token(base) == brute_force_wcm(pairs, 2, cutoff, mode)
         source = deqe.wcm._side(source_vocab.tokens, source_vocab.frequencies, config)
         target = deqe.wcm._side(target_vocab.tokens, target_vocab.frequencies, config)
-        source_ids = deqe.wcm._closed_ids(source_vocab.tokens, source.tokens)
-        target_ids = deqe.wcm._closed_ids(target_vocab.tokens, target.tokens)
         (postings, targets, pair_updates), segments = deqe.wcm._encode(
-            pairs, source_ids.__getitem__, target_ids.__getitem__, len(source.tokens), config, 0
+            pairs, source, target, config, 0
         )
         # pair_updates is the number of increments the rows take
         assert pair_updates == sum(len(targets[n]) for segs in postings for n in segs)
@@ -267,6 +265,46 @@ def test_vocabulary_mismatch_raised_once_while_reading():
     assert "'new' in segment 1" in messages[0]
 
 
+def test_vocabulary_mismatch_names_the_first_unknown_token_random():
+    """Unknown tokens at random segments, sides and positions: the error
+    names the first one of the first segment holding any, source side
+    first, and no later segment is read."""
+    rng = random.Random(1500)
+    saw_both_sides = saw_later_source = False
+    for trial in range(40):
+        pairs = random_corpus(rng, max_segments=60, max_vocab=10, max_len=8)
+        source_vocab = build_vocabulary([p[0] for p in pairs], "source")
+        target_vocab = build_vocabulary([p[1] for p in pairs], "target")
+        bad = [(list(src), list(tgt)) for src, tgt in pairs]
+        injected = set()
+        for k in range(rng.randint(1, 6)):
+            index, side = rng.randrange(len(bad)), rng.randrange(2)
+            tokens = bad[index][side]
+            tokens.insert(rng.randint(0, len(tokens)), f"unknown{k}")
+            injected.add((index, side))
+        first, side = min(injected)
+        name = ("source", "target")[side]
+        token = next(tok for tok in bad[first][side] if tok.startswith("unknown"))
+        saw_both_sides |= {(first, 0), (first, 1)} <= injected
+        saw_later_source |= any(index > first and not side for index, side in injected)
+        pulled = []
+
+        def segments():
+            for segment in bad:
+                pulled.append(segment)
+                yield segment
+
+        config = WcmConfig(rng.randint(1, 3), rng.choice([2, 10**9]), rng.choice(COUNT_MODES))
+        with pytest.raises(VocabularyMismatchError) as err:
+            build_wcm(segments(), source_vocab, target_vocab, config, threads=1 + trial % 2)
+        assert str(err.value) == (
+            f"{name} token {token!r} in segment {first} is not in the {name} "
+            "vocabulary; rebuild vocabularies from this corpus"
+        ), trial
+        assert len(pulled) == first + 1
+    assert saw_both_sides and saw_later_source
+
+
 def _write_corpus(tmp_path, pairs) -> CorpusFiles:
     """``pairs`` written one segment a line to two files, as a corpus."""
     paths = (tmp_path / "train.src", tmp_path / "train.tgt")
@@ -296,7 +334,7 @@ def test_file_build_matches_caller_vocabularies(mode, tmp_path, monkeypatch, cap
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="deqe.wcm"):
             matrix = build_wcm_with_vocabularies(
-                _write_corpus(tmp_path, pairs), config, threads=threads, progress_every=0
+                _write_corpus(tmp_path, pairs), config, threads=threads
             )
         warned = [rec.getMessage() for rec in caplog.records if "long" in rec.getMessage()]
         assert len(warned) == 1 and f"segment {long_index} " in warned[0]
@@ -668,7 +706,7 @@ def test_text_boundaries_round_trip(tmp_path):
         train = [_boundary_file(tmp_path / f"train{side}", rng, n_train) for side in "st"]
         test = [_boundary_file(tmp_path / f"test{side}", rng, n_test) for side in "sh"]
         config = WcmConfig(rng.choice([1, 2]), rng.choice([8, 10**9]), rng.choice(COUNT_MODES))
-        built = build_wcm_with_vocabularies(CorpusFiles(tuple(train)), config, progress_every=0)
+        built = build_wcm_with_vocabularies(CorpusFiles(tuple(train)), config)
         path = tmp_path / f"m{trial}.wcm"
         save_wcm(built, path)
         loaded = load_wcm(path)
@@ -750,9 +788,7 @@ def test_file_build_equals_caller_vocabulary_build_and_oracle(tmp_path, monkeypa
                 brute_force_excluded(pairs, cutoff)
             )
             for threads in (1, 2):
-                built = build_wcm_with_vocabularies(
-                    corpus, config, threads=threads, progress_every=0
-                )
+                built = build_wcm_with_vocabularies(corpus, config, threads=threads)
                 assert built == expected, (trial, mode, threads)
             saw_entries += expected.n_entries > 0
             saw_exclusion += bool(expected.excluded_source_tokens())
@@ -766,11 +802,11 @@ def test_file_build_refuses_a_path_that_is_not_a_regular_file(tmp_path, toy_file
         (CorpusFiles((tmp_path,), tsv=True), tmp_path),
     ):
         with pytest.raises(DataError) as err:
-            build_wcm_with_vocabularies(corpus, progress_every=0)
+            build_wcm_with_vocabularies(corpus)
         assert str(err.value) == f"{named}: not a regular file; the build reads its corpus twice"
     # A missing file is the OSError that opening it raises.
     with pytest.raises(FileNotFoundError) as err:
-        build_wcm_with_vocabularies(CorpusFiles((src, tmp_path / "nope")), progress_every=0)
+        build_wcm_with_vocabularies(CorpusFiles((src, tmp_path / "nope")))
     assert err.value.filename == str(tmp_path / "nope")
 
 
@@ -820,5 +856,5 @@ def test_file_build_refuses_a_corpus_that_changed_while_read(
 
     monkeypatch.setattr(CorpusFiles, "token_counts", then_changed)
     with pytest.raises(DataError) as err:
-        build_wcm_with_vocabularies(corpus, progress_every=0)
+        build_wcm_with_vocabularies(corpus)
     assert str(err.value) == f"{named}: changed while being read"
