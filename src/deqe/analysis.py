@@ -10,7 +10,7 @@ from bisect import bisect_right
 from collections import Counter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import SegmentPair, TokenizerConfig, tokenize
+from .corpus import PROGRESS_EVERY, SegmentPair, TokenizerConfig, tokenize
 from .metrics import BleuResult, bleu_stats, pooled_bleu
 from .scoring import DeScore, de_score
 
@@ -18,8 +18,6 @@ if TYPE_CHECKING:
     from .wcm import CooccurrenceMatrix
 
 log = logging.getLogger(__name__)
-
-PROGRESS_EVERY = 100_000
 
 KIND_BELOW = "below"
 KIND_AT_OR_ABOVE = "at_or_above"

@@ -40,9 +40,6 @@ log = logging.getLogger(__name__)
 
 PROG = "de-qe"
 
-# ``score`` logs a progress line after every this many segments.
-_PROGRESS_EVERY = 100_000
-
 # Namespace entries that configure execution rather than the computation;
 # they are excluded from report headers so identical analyses emit
 # identical bytes regardless of thread count or destination.
@@ -310,17 +307,18 @@ def _bucket_list(text: str) -> list[BucketSpec]:
 
 
 def cmd_vocab_stats(args: argparse.Namespace) -> int:
-    from .corpus import build_parallel_vocabularies, vocab_stats
+    from .corpus import vocab_stats
 
     _distinct_outputs(args)
     corpus = _corpus_files(args)
-    source_vocab, target_vocab, n = build_parallel_vocabularies(
-        corpus.segments(), corpus.tokenizer
-    )
-    log.info("vocab-stats: %d segments read", n)
+    with corpus.unchanged():
+        # The strict read raises every input error; the count pass checks none.
+        log.info("vocab-stats: %d segments read", sum(1 for _ in corpus.segments()))
+        # ``map`` drops each side's counts before the next side is counted.
+        settings = itertools.repeat(args.thresholds), itertools.repeat(args.hifreq_cutoff)
+        report = list(map(vocab_stats, ("source", "target"), corpus.token_counts(), *settings))
     rows = []
-    for vocab in (source_vocab, target_vocab):
-        stats = vocab_stats(vocab, args.thresholds, args.hifreq_cutoff)
+    for stats in report:
         side = stats.side
         rows.append(f"{side}\tvocab_size\t{stats.vocab_size}\t-")
         rows.append(f"{side}\ttoken_count\t{stats.token_count}\t-")
@@ -371,6 +369,7 @@ def cmd_build_wcm(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    from .corpus import PROGRESS_EVERY
     from .scoring import de_score, reverse_de_score
     from .wcm import load_wcm
 
@@ -385,7 +384,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             if args.reverse:
                 row += f"\t{reverse_de_score(matrix, src, hyp, by_type=args.by_type).value:.6f}"
             yield row
-            if (index + 1) % _PROGRESS_EVERY == 0:
+            if (index + 1) % PROGRESS_EVERY == 0:
                 log.info("score: %d segments scored", index + 1)
 
     columns = f"{_INDEX_COLUMNS} de eligible evidenced" + (" reverse_de" if args.reverse else "")

@@ -6,11 +6,20 @@ import contextlib
 import itertools
 import operator
 import os
+import stat
 import unicodedata
 from collections import Counter
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import AlignmentError, DataError, EncodingError
+
+# The build, ``score`` and ``filter`` log a progress record after every this
+# many segments.
+PROGRESS_EVERY = 100_000
+
+# A file's device, inode, size and modification time: rewriting, replacing
+# or touching it changes at least one of them.
+_file_identity = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 
 
 class TokenizerConfig(NamedTuple):
@@ -213,6 +222,22 @@ class CorpusFiles:
                 # counts before the next side is counted.
                 yield Counter(itertools.chain.from_iterable(map(tokenize, texts, configs)))
 
+    @contextlib.contextmanager
+    def unchanged(self) -> Iterator[None]:
+        """Hold the files to what they are on entry, for a block that reads
+        them more than once. A path that is not a regular file (a named pipe
+        would wait on its second open) is a DataError before any file is
+        opened, and so is, on a normal exit, a file whose device, inode, size
+        or modification time differs from on entry."""
+        before = [os.stat(path) for path in self.paths]
+        for path, st in zip(self.paths, before):
+            if not stat.S_ISREG(st.st_mode):
+                raise DataError(f"{path}: not a regular file; the corpus is read twice")
+        yield
+        for path, st in zip(self.paths, before):
+            if _file_identity(os.stat(path)) != _file_identity(st):
+                raise DataError(f"{path}: changed while being read")
+
 
 class Vocabulary:
     """One side's token types and their raw corpus frequencies, in
@@ -230,9 +255,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def total_tokens(self) -> int:
-        return sum(self.frequencies)
 
     def items(self) -> Iterator[tuple[str, int, int]]:
         """Iterate (token, id, frequency), where the id is the token's
@@ -290,19 +312,21 @@ class VocabStats(NamedTuple):
 
 
 def vocab_stats(
-    vocab: Vocabulary,
+    side: str,
+    counts: Mapping[str, int],
     thresholds: Sequence[int],
     hifreq_cutoff: int | None = None,
 ) -> VocabStats:
-    """Frequency-distribution summary of a vocabulary.
+    """Frequency-distribution summary of one side's {token: count}, such as
+    a Counter that ``CorpusFiles.token_counts`` yields.
 
     For each threshold t, counts types with frequency >= t and < t. When
     ``hifreq_cutoff`` is given, also lists the types whose frequency
-    exceeds it, most frequent first.
+    exceeds it, most frequent first, then by token.
     """
     if not thresholds:
         raise ValueError("thresholds must be non-empty")
-    freqs = vocab.frequencies
+    freqs = counts.values()
     rows = []
     for t in thresholds:
         ge = sum(1 for f in freqs if f >= t)
@@ -310,13 +334,13 @@ def vocab_stats(
     singletons = sum(1 for f in freqs if f == 1)
     hifreq: tuple[str, ...] = ()
     if hifreq_cutoff is not None:
-        over = [(tok, f) for tok, _, f in vocab.items() if f > hifreq_cutoff]
+        over = [(tok, f) for tok, f in counts.items() if f > hifreq_cutoff]
         over.sort(key=lambda pair: (-pair[1], pair[0]))
         hifreq = tuple(tok for tok, _ in over)
     return VocabStats(
-        side=vocab.side,
-        vocab_size=len(vocab),
-        token_count=vocab.total_tokens(),
+        side=side,
+        vocab_size=len(counts),
+        token_count=sum(freqs),
         singleton_types=singletons,
         thresholds=tuple(rows),
         hifreq_cutoff=hifreq_cutoff,

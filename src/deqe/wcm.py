@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import logging
 import os
-import stat
 import sys
 from collections import Counter
 from functools import partial
 from itertools import chain, compress, count, islice
-from operator import attrgetter, is_not, itemgetter
+from operator import is_not, itemgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, NamedTuple, TextIO
 
-from .corpus import atomic_write
-from .errors import DataError, VocabularyMismatchError, WcmFormatError
+from .corpus import PROGRESS_EVERY, atomic_write
+from .errors import VocabularyMismatchError, WcmFormatError
 
 if TYPE_CHECKING:
     from array import array
@@ -33,16 +32,11 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-# A file's device, inode, size and modification time: rewriting, replacing
-# or touching it changes at least one of them.
-_file_identity = attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
-
 FORMAT_VERSION = "v1"
 COUNT_MODE_BINARY = "binary"
 COUNT_MODE_PRODUCT = "product"
 COUNT_MODES = (COUNT_MODE_BINARY, COUNT_MODE_PRODUCT)
 
-PROGRESS_EVERY = 100_000
 LONG_SEGMENT_TOKENS = 1_000
 
 
@@ -379,29 +373,22 @@ def build_wcm_with_vocabularies(
     first-occurrence order. The second is the strict read of ``corpus``,
     which raises every input error, and derives what counting needs from
     each segment. The matrix is the one ``build_wcm`` counts with the
-    vocabularies ``build_vocabulary`` makes from the same corpus. A path
-    that is not a regular file is a DataError, and so is a file whose
-    device, inode, size or modification time after the second pass differs
-    from before the first. A progress record is logged at INFO every
-    ``PROGRESS_EVERY`` segments.
+    vocabularies ``build_vocabulary`` makes from the same corpus. Both
+    passes run under ``CorpusFiles.unchanged``: a path that is not a regular
+    file, or a file that changes between them, is a DataError. A progress
+    record is logged at INFO every ``PROGRESS_EVERY`` segments.
     """
     if config is None:
         config = WcmConfig()
-    before = [os.stat(path) for path in corpus.paths]
-    for path, st in zip(corpus.paths, before):
-        if not stat.S_ISREG(st.st_mode):
-            raise DataError(f"{path}: not a regular file; the build reads its corpus twice")
     sides, n_types = [], []
-    for counts in corpus.token_counts():
-        sides.append(_side(counts.keys(), counts.values(), config))
-        n_types.append(len(counts))
-        # Only the counted types are kept, and one side's counts at a time.
-        del counts
-    source, target = sides
-    encoded, segments = _encode(corpus, source, target, config, PROGRESS_EVERY)
-    for path, st in zip(corpus.paths, before):
-        if _file_identity(os.stat(path)) != _file_identity(st):
-            raise DataError(f"{path}: changed while being read")
+    with corpus.unchanged():
+        for counts in corpus.token_counts():
+            sides.append(_side(counts.keys(), counts.values(), config))
+            n_types.append(len(counts))
+            # Only the counted types are kept, and one side's counts at a time.
+            del counts
+        source, target = sides
+        encoded, segments = _encode(corpus, source, target, config, PROGRESS_EVERY)
     log.info("build-wcm: read %d segments, %d source types, %d target types", segments, *n_types)
     return _count(encoded, source, target, config, threads)
 

@@ -127,3 +127,49 @@ def write_lines(path, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line + "\n")
+
+
+# Words that casefold, carry punctuation at an edge, a BOM or a decomposed
+# accent; separators that str.split cuts at but iter_lines does not end a
+# line at. A TSV line keeps its one tab.
+_EQUIVALENCE_WORDS = [
+    "a", "A", "b", "\u00c9", "e\u0301", "\u00e9", "x.", "(y)", "!", "\u00df", "SS", "z\ufeff"
+]
+_EQUIVALENCE_SEPARATORS = [
+    " ", "  ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\r", "\u00a0"
+]
+
+
+def _equivalence_text(rng, tsv):
+    separators = _EQUIVALENCE_SEPARATORS + ([] if tsv else ["\t"])
+    if rng.random() < 0.15:  # blank, or only separators
+        return "".join(rng.choices(separators, k=rng.randint(0, 2)))
+    return "".join(
+        rng.choice(_EQUIVALENCE_WORDS) + rng.choice(separators) for _ in range(rng.randint(1, 7))
+    )
+
+
+def _equivalence_file(path, rng, lines):
+    breaks = rng.choices(["\n", "\r\n"], k=len(lines))
+    if lines[-1] and rng.random() < 0.3:
+        breaks[-1] = ""  # no line break after the last line
+    text = "".join(map(str.__add__, lines, breaks))
+    if rng.random() < 0.5:
+        text = "\ufeff" + text
+    path.write_bytes(text.encode("utf-8"))
+
+
+def equivalence_corpus(tmp_path, rng, tsv, tokenizer) -> CorpusFiles:
+    """A random corpus of up to 60 segments in ``tmp_path``, two files or one
+    TSV, with CRLF or LF line breaks and perhaps a BOM, in the words and
+    separators above."""
+    n = rng.randint(1, 60)
+    sides = [[_equivalence_text(rng, tsv) for _ in range(n)] for _ in range(2)]
+    if tsv:
+        path = tmp_path / "train.tsv"
+        _equivalence_file(path, rng, [f"{s}\t{t}" for s, t in zip(*sides)])
+        return CorpusFiles((path,), tsv=True, tokenizer=tokenizer)
+    paths = (tmp_path / "train.src", tmp_path / "train.tgt")
+    for path, lines in zip(paths, sides):
+        _equivalence_file(path, rng, lines)
+    return CorpusFiles(paths, tokenizer=tokenizer)

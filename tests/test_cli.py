@@ -254,9 +254,9 @@ def test_build_wcm_byte_identical_across_threads(tmp_path, toy_corpus, monkeypat
 
 
 def test_build_wcm_counts_then_reads_each_input_once(tmp_path, toy_corpus, monkeypatch):
-    """Each side is counted in a text-mode pass of its own, then each file
-    is read once in binary by the strict read; a TSV file is counted once
-    per side."""
+    """``build-wcm`` counts each side in a text-mode pass of its own, then
+    the strict read reads each file once in binary; ``vocab-stats`` makes
+    the strict read first. A TSV file is counted once per side."""
     src, tgt = toy_corpus
     tsv = tmp_path / "train.tsv"
     write_lines(
@@ -270,41 +270,46 @@ def test_build_wcm_counts_then_reads_each_input_once(tmp_path, toy_corpus, monke
         return open(path, mode, *args, **kwargs)
 
     monkeypatch.setattr(deqe.corpus, "open", logged, raising=False)
-    outs = []
-    for inputs, expected in (
-        (["--source", str(src), "--target", str(tgt)],
-         [("r", str(src)), ("r", str(tgt)), ("rb", str(src)), ("rb", str(tgt))]),
-        (["--tsv", str(tsv)], [("r", str(tsv)), ("r", str(tsv)), ("rb", str(tsv))]),
-    ):
+    files = ["--source", str(src), "--target", str(tgt)]
+    counted = [("r", str(src)), ("r", str(tgt))]
+    read = [("rb", str(src)), ("rb", str(tgt))]
+    for n, (command, inputs, expected) in enumerate((
+        ("build-wcm", files, counted + read),
+        ("build-wcm", ["--tsv", str(tsv)], [("r", str(tsv)), ("r", str(tsv)), ("rb", str(tsv))]),
+        ("vocab-stats", files, read + counted),
+        ("vocab-stats", ["--tsv", str(tsv)], [("rb", str(tsv)), ("r", str(tsv)), ("r", str(tsv))]),
+    )):
         opened.clear()
-        out = tmp_path / f"{len(inputs)}.wcm"
-        assert main(["build-wcm", *inputs, "--out", str(out), "--min-cooc", "2", "--quiet"]) == 0
-        assert opened == expected
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+        extra = ["--min-cooc", "2"] if command == "build-wcm" else []
+        assert main([command, *inputs, *extra, "--out", str(tmp_path / f"{n}.out"), "--quiet"]) == 0
+        assert opened == expected, (command, inputs)
+    # two files and one TSV give the same matrix
+    assert (tmp_path / "0.out").read_bytes() == (tmp_path / "1.out").read_bytes()
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.parametrize("flag", ["--target", "--tsv"])
 def test_build_wcm_refuses_a_pipe(tmp_path, toy_corpus, flag):
-    """The build reads its corpus twice, so a named pipe is refused before
-    it is opened; opening it would wait for a writer."""
+    """``build-wcm`` and ``vocab-stats`` read their corpus twice, so a named
+    pipe is refused before it is opened; opening it would wait for a
+    writer."""
     src, _ = toy_corpus
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
     inputs = ["--tsv", str(fifo)] if flag == "--tsv" else ["--source", str(src), "--target", str(fifo)]
-    result = subprocess.run(
-        [sys.executable, "-m", "deqe.cli", "build-wcm", *inputs, "--out", str(tmp_path / "o.wcm")],
-        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert result.returncode == 2
-    assert result.stderr == (
-        f"de-qe: error: {fifo}: not a regular file; the build reads its corpus twice\n"
-    )
-    assert not (tmp_path / "o.wcm").exists()
+    for command in ("build-wcm", "vocab-stats"):
+        result = subprocess.run(
+            [sys.executable, "-m", "deqe.cli", command, *inputs, "--out", str(tmp_path / "o.out")],
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 2, command
+        assert result.stderr == (
+            f"de-qe: error: {fifo}: not a regular file; the corpus is read twice\n"
+        )
+        assert not (tmp_path / "o.out").exists()
 
 
 # The golden bytes below are what the build and the score report were before
@@ -419,7 +424,7 @@ def test_score_line_count_mismatch_exit_2(tmp_path, capsys):
 
 
 def test_score_logs_progress(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_PROGRESS_EVERY", 2)
+    monkeypatch.setattr(deqe.corpus, "PROGRESS_EVERY", 2)
     assert _score(tmp_path, ["a"] * 5, ["x"] * 5) == 0
     progress = [line for line in capsys.readouterr().err.splitlines() if "scored" in line]
     assert progress == ["de-qe: score: 2 segments scored", "de-qe: score: 4 segments scored"]

@@ -1,6 +1,8 @@
 import pickle
 import random
 import weakref
+from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -10,6 +12,7 @@ from deqe.corpus import (
     TokenizerConfig,
     Vocabulary,
     atomic_write,
+    build_parallel_vocabularies,
     build_vocabulary,
     iter_aligned,
     load_parallel_corpus,
@@ -18,7 +21,7 @@ from deqe.corpus import (
 )
 from deqe.errors import AlignmentError, DataError, EncodingError
 
-from helpers import write_lines
+from helpers import equivalence_corpus, write_lines
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +228,13 @@ def test_build_vocabulary_hand_count():
     # ids follow first occurrence
     assert {tok: i for tok, i, _ in vocab.items()} == {"a": 0, "b": 1, "c": 2}
     assert list(vocab.items()) == [("a", 0, 2), ("b", 1, 1), ("c", 2, 1)]
-    assert vocab.total_tokens() == 4
+    assert sum(vocab.frequencies) == 4
 
 
 def test_build_vocabulary_empty():
     vocab = build_vocabulary([])
     assert len(vocab) == 0
-    assert vocab.total_tokens() == 0
+    assert sum(vocab.frequencies) == 0
     assert "anything" not in {tok for tok, _, _ in vocab.items()}
     assert list(vocab.items()) == []
 
@@ -269,9 +272,12 @@ def test_vocabulary_rejects_ragged_input():
 # vocab stats
 
 
+def _counts(segments):
+    return Counter(chain.from_iterable(segments))
+
+
 def test_vocab_stats_hand_case():
-    vocab = build_vocabulary([["a", "b"], ["a", "c"]])
-    stats = vocab_stats(vocab, [2])
+    stats = vocab_stats("source", _counts([["a", "b"], ["a", "c"]]), [2])
     line = stats.thresholds[0]
     assert (line.threshold, line.at_or_above, line.below) == (2, 1, 2)
     assert stats.pct_of_vocab(line.at_or_above) == pytest.approx(100.0 / 3.0)
@@ -280,7 +286,7 @@ def test_vocab_stats_hand_case():
 
 
 def test_vocab_stats_empty_vocab():
-    stats = vocab_stats(build_vocabulary([]), [1, 5])
+    stats = vocab_stats("source", _counts([]), [1, 5])
     assert stats.vocab_size == 0
     assert all(t.at_or_above == 0 and t.below == 0 for t in stats.thresholds)
     assert stats.pct_of_vocab(0) == 0.0
@@ -288,13 +294,13 @@ def test_vocab_stats_empty_vocab():
 
 def test_vocab_stats_requires_thresholds():
     with pytest.raises(ValueError):
-        vocab_stats(build_vocabulary([["a"]]), [])
+        vocab_stats("source", _counts([["a"]]), [])
 
 
 def test_vocab_stats_monotone():
     rng = random.Random(5)
     segments = [[rng.choice("abcdefgh") for _ in range(rng.randint(1, 10))] for _ in range(50)]
-    stats = vocab_stats(build_vocabulary(segments), [1, 2, 3, 5, 8, 13])
+    stats = vocab_stats("source", _counts(segments), [1, 2, 3, 5, 8, 13])
     counts = [t.at_or_above for t in stats.thresholds]
     assert counts == sorted(counts, reverse=True)
     # complementary split
@@ -302,9 +308,37 @@ def test_vocab_stats_monotone():
 
 
 def test_vocab_stats_hifreq_list():
-    vocab = build_vocabulary([["a"] * 7 + ["b"] * 5 + ["c"] * 5 + ["d"]])
-    stats = vocab_stats(vocab, [1], hifreq_cutoff=4)
+    counts = _counts([["a"] * 7 + ["b"] * 5 + ["c"] * 5 + ["d"]])
+    stats = vocab_stats("source", counts, [1], hifreq_cutoff=4)
     assert stats.hifreq_types == ("a", "b", "c")  # freq desc, then token
     # boundary: frequency equal to the cutoff is not excluded
-    stats = vocab_stats(vocab, [1], hifreq_cutoff=5)
+    stats = vocab_stats("source", counts, [1], hifreq_cutoff=5)
     assert stats.hifreq_types == ("a",)
+
+
+def test_vocab_stats_of_the_count_pass_equal_those_of_the_strict_read(tmp_path):
+    """``vocab_stats`` over the Counters of ``CorpusFiles.token_counts``
+    equals it over the vocabularies that ``build_parallel_vocabularies``
+    makes from the strict read: for two files and TSV, every tokenizer, and
+    text with a BOM, CRLF and the line boundaries that only
+    ``str.splitlines`` cuts at."""
+    rng = random.Random(1600)
+    saw_hifreq = 0
+    for trial in range(32):
+        tsv = trial % 2 == 1
+        tokenizer = TokenizerConfig(lowercase=bool(trial & 2), strip_punct=bool(trial & 4))
+        corpus = equivalence_corpus(tmp_path, rng, tsv, tokenizer)
+        thresholds = rng.sample(range(1, 9), rng.randint(1, 3))
+        cutoff = rng.choice([None, 1, 4, 12])
+        vocabularies = build_parallel_vocabularies(corpus.segments(), tokenizer)[:2]
+        expected = [
+            vocab_stats(v.side, dict(zip(v.tokens, v.frequencies)), thresholds, cutoff)
+            for v in vocabularies
+        ]
+        counted = [
+            vocab_stats(side, counts, thresholds, cutoff)
+            for side, counts in zip(("source", "target"), corpus.token_counts())
+        ]
+        assert counted == expected, trial
+        saw_hifreq += any(stats.hifreq_types for stats in counted)
+    assert saw_hifreq > 10

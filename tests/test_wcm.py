@@ -3,11 +3,12 @@ import os
 import random
 import sys
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 
 import pytest
 
 from deqe.analysis import BucketSpec
+from deqe.cli import main
 from deqe.corpus import CorpusFiles, TokenizerConfig, build_vocabulary
 from deqe.errors import DataError, VocabularyMismatchError, WcmFormatError
 from deqe.scoring import de_score
@@ -26,6 +27,7 @@ import deqe.wcm
 from helpers import (
     build_from_raw,
     entries_by_token,
+    equivalence_corpus,
     make_matrix,
     random_corpus,
     random_matrix,
@@ -721,49 +723,6 @@ def test_text_boundaries_round_trip(tmp_path):
     assert saw_bom_token and saw_exclusion
 
 
-# Words that casefold, carry punctuation at an edge, a BOM or a decomposed
-# accent; separators that str.split cuts at but iter_lines does not end a
-# line at. A TSV line keeps its one tab.
-_EQUIVALENCE_WORDS = [
-    "a", "A", "b", "\u00c9", "e\u0301", "\u00e9", "x.", "(y)", "!", "\u00df", "SS", "z\ufeff"
-]
-_EQUIVALENCE_SEPARATORS = [
-    " ", "  ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\r", "\u00a0"
-]
-
-
-def _equivalence_text(rng, tsv):
-    separators = _EQUIVALENCE_SEPARATORS + ([] if tsv else ["\t"])
-    if rng.random() < 0.15:  # blank, or only separators
-        return "".join(rng.choices(separators, k=rng.randint(0, 2)))
-    return "".join(
-        rng.choice(_EQUIVALENCE_WORDS) + rng.choice(separators) for _ in range(rng.randint(1, 7))
-    )
-
-
-def _equivalence_file(path, rng, lines):
-    breaks = rng.choices(["\n", "\r\n"], k=len(lines))
-    if lines[-1] and rng.random() < 0.3:
-        breaks[-1] = ""  # no line break after the last line
-    text = "".join(map(str.__add__, lines, breaks))
-    if rng.random() < 0.5:
-        text = "\ufeff" + text
-    path.write_bytes(text.encode("utf-8"))
-
-
-def _equivalence_corpus(tmp_path, rng, tsv, tokenizer):
-    n = rng.randint(1, 60)
-    sides = [[_equivalence_text(rng, tsv) for _ in range(n)] for _ in range(2)]
-    if tsv:
-        path = tmp_path / "train.tsv"
-        _equivalence_file(path, rng, [f"{s}\t{t}" for s, t in zip(*sides)])
-        return CorpusFiles((path,), tsv=True, tokenizer=tokenizer)
-    paths = (tmp_path / "train.src", tmp_path / "train.tgt")
-    for path, lines in zip(paths, sides):
-        _equivalence_file(path, rng, lines)
-    return CorpusFiles(paths, tokenizer=tokenizer)
-
-
 def test_file_build_equals_caller_vocabulary_build_and_oracle(tmp_path, monkeypatch):
     """Counting each side before the strict read gives the matrix that the
     strict read's tokens give: for two files and TSV, every tokenizer, both
@@ -774,7 +733,7 @@ def test_file_build_equals_caller_vocabulary_build_and_oracle(tmp_path, monkeypa
     for trial in range(24):
         tsv = trial % 2 == 1
         tokenizer = TokenizerConfig(lowercase=rng.random() < 0.5, strip_punct=rng.random() < 0.5)
-        corpus = _equivalence_corpus(tmp_path, rng, tsv, tokenizer)
+        corpus = equivalence_corpus(tmp_path, rng, tsv, tokenizer)
         pairs = list(corpus)
         assert list(corpus.token_counts()) == [Counter(chain(*side)) for side in zip(*pairs)]
         source_vocab = build_vocabulary([p[0] for p in pairs], "source")
@@ -803,7 +762,7 @@ def test_file_build_refuses_a_path_that_is_not_a_regular_file(tmp_path, toy_file
     ):
         with pytest.raises(DataError) as err:
             build_wcm_with_vocabularies(corpus)
-        assert str(err.value) == f"{named}: not a regular file; the build reads its corpus twice"
+        assert str(err.value) == f"{named}: not a regular file; the corpus is read twice"
     # A missing file is the OSError that opening it raises.
     with pytest.raises(FileNotFoundError) as err:
         build_wcm_with_vocabularies(CorpusFiles((src, tmp_path / "nope")))
@@ -837,24 +796,46 @@ def _replace(path):
 )
 @pytest.mark.parametrize("which", ["source", "target", "tsv"])
 def test_file_build_refuses_a_corpus_that_changed_while_read(
-    tmp_path, toy_files, monkeypatch, change, which
+    tmp_path, toy_files, monkeypatch, capsys, change, which
 ):
     """A file touched, edited in place (even keeping its size and token
-    totals) or replaced between the count pass and the strict read is a
-    DataError naming it."""
+    totals) or replaced between the two reads of a corpus is a DataError
+    naming it: in the build, between the count pass and the strict read,
+    and in ``vocab-stats``, between the strict read and the count pass,
+    which leaves the report file as it was."""
     if which == "tsv":
         path = tmp_path / "train.tsv"
         write_lines(path, [f"{s}\t{t}" for s, t in TOY])
         corpus, named = CorpusFiles((path,), tsv=True), path
+        inputs = ["--tsv", str(path)]
     else:
         corpus, named = CorpusFiles(toy_files), toy_files[which == "target"]
-    token_counts = CorpusFiles.token_counts
+        inputs = ["--source", str(toy_files[0]), "--target", str(toy_files[1])]
 
-    def then_changed(self):
-        yield from token_counts(self)
-        change(named)
+    def changed_after(read, items=None):
+        """``read`` with ``change`` made after its first ``items`` items, or
+        after all of them."""
 
-    monkeypatch.setattr(CorpusFiles, "token_counts", then_changed)
-    with pytest.raises(DataError) as err:
-        build_wcm_with_vocabularies(corpus)
+        def then_changed(self):
+            rest = read(self)
+            yield from islice(rest, items)
+            change(named)
+            yield from rest
+
+        return then_changed
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CorpusFiles, "token_counts", changed_after(CorpusFiles.token_counts))
+        with pytest.raises(DataError) as err:
+            build_wcm_with_vocabularies(corpus)
     assert str(err.value) == f"{named}: changed while being read"
+
+    out = tmp_path / "vocab.tsv"
+    out.write_text("an earlier report\n")
+    # after the strict read, and after the source side is counted
+    for method, items in (("segments", None), ("token_counts", 1)):
+        with monkeypatch.context() as patch:
+            patch.setattr(CorpusFiles, method, changed_after(getattr(CorpusFiles, method), items))
+            assert main(["vocab-stats", *inputs, "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"de-qe: error: {named}: changed while being read\n"
+        assert out.read_text() == "an earlier report\n"
