@@ -8,8 +8,9 @@ import operator
 import os
 import stat
 import unicodedata
-from collections import Counter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from collections import Counter, deque
+from functools import partial
+from typing import AnyStr, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import AlignmentError, DataError, EncodingError
 
@@ -50,9 +51,13 @@ def tokenize(text: str, config: TokenizerConfig = _DEFAULT_TOKENIZER) -> list[st
     if config.lowercase:
         text = text.casefold()
     tokens = text.split()
-    if config.strip_punct:
-        tokens = [t for t in (_strip_edge_punct(t) for t in tokens) if t]
-    return tokens
+    return _without_edge_punct(tokens) if config.strip_punct else tokens
+
+
+def _without_edge_punct(tokens: list[str]) -> list[str]:
+    """``tokens`` with their leading and trailing punctuation removed, and
+    those that were only punctuation dropped."""
+    return [t for t in map(_strip_edge_punct, tokens) if t]
 
 
 def _strip_edge_punct(token: str) -> str:
@@ -72,28 +77,97 @@ class SegmentPair(NamedTuple):
     target: str
 
 
+# The strict reader reads a file this many bytes at a time, and decodes and
+# splits the whole lines of each read in one call each.
+_BLOCK_BYTES = 1 << 16
+
+
+def _whole_line_blocks(chunks: Iterable[AnyStr], newline: AnyStr) -> Iterator[AnyStr]:
+    """Join ``chunks`` (all ``bytes`` or all ``str``) into blocks that each
+    end just after a ``newline``; the last holds what follows the last
+    ``newline``, and is left out when that is nothing. A chunk without a
+    ``newline`` is held until one arrives."""
+    empty = newline[:0]
+    pending: list[AnyStr] = []
+    for chunk in chunks:
+        end = chunk.rfind(newline) + 1
+        if not end:
+            pending.append(chunk)
+            continue
+        pending.append(chunk[:end])
+        yield empty.join(pending)
+        pending = [chunk[end:]]
+    tail = empty.join(pending)
+    if tail:
+        yield tail
+
+
+def _runs(path) -> Iterator[str]:
+    """The lines of ``path``, as ``iter_lines`` yields them, joined by "\\n"
+    in runs of the whole lines of about ``_BLOCK_BYTES`` bytes.
+
+    Each run is decoded in one call. A byte that is not UTF-8 is an
+    EncodingError naming its line and the reason that decoding that line
+    alone gives, raised once the runs of the lines before it are yielded.
+    Each read returns what the file has ready, so a pipe is read as its
+    writer writes.
+    """
+    with open(path, "rb") as fh:
+        lineno = 1  # of the first line of ``block``
+        for block in _whole_line_blocks(iter(partial(fh.read1, _BLOCK_BYTES), b""), b"\n"):
+            try:
+                text = block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                good = block.rfind(b"\n", 0, exc.start) + 1
+                if good:
+                    yield _run(block[:good].decode("utf-8"), lineno)
+                raise _encoding_error(path, block[good:], lineno + block.count(b"\n", 0, good))
+            yield _run(text, lineno)
+            lineno += block.count(b"\n")
+
+
+def _run(text: str, lineno: int) -> str:
+    """The decoded lines ``text``, the first of which is line ``lineno``,
+    joined by "\\n" without the last one's line break: a single CR before
+    each LF, or at the end, goes, and so does a BOM at the start of line 1."""
+    text = text.replace("\r\n", "\n")
+    if text.endswith(("\n", "\r")):
+        text = text[:-1]
+    if lineno == 1 and text.startswith("\ufeff"):
+        text = text[1:]
+    return text
+
+
+def _encoding_error(path, rest: bytes, lineno: int) -> EncodingError:
+    """The EncodingError of line ``lineno`` of ``path``, the first line of
+    ``rest`` and the first that is not UTF-8, with the reason that decoding
+    that line alone gives. The reason of its block can differ: a sequence
+    cut short just before a line break is an "invalid continuation byte"
+    in the block and "unexpected end of data" on its own."""
+    raw = rest.split(b"\n", 1)[0]
+    if raw.endswith(b"\r"):
+        raw = raw[:-1]
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        reason = exc.reason
+    return EncodingError(f"{path}: invalid UTF-8 on line {lineno}: {reason}")
+
+
+def _split_runs(runs: Iterable[str]) -> Iterator[str]:
+    """The lines of ``runs``."""
+    return itertools.chain.from_iterable(map(str.split, runs, itertools.repeat("\n")))
+
+
 def iter_lines(path) -> Iterator[str]:
     """Yield decoded lines without their line terminator.
 
-    Reads in binary so an invalid byte can be reported with its line
-    number. Accepts LF or CRLF endings (a single trailing CR is stripped)
-    and drops a UTF-8 BOM on the first line.
+    Reads in binary, a block of lines at a time (see ``_runs``), so an
+    invalid byte can be reported with its line number. Accepts LF or CRLF
+    endings (a single trailing CR is stripped) and drops a UTF-8 BOM on the
+    first line.
     """
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if raw.endswith(b"\n"):
-                raw = raw[:-1]
-            if raw.endswith(b"\r"):
-                raw = raw[:-1]
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise EncodingError(
-                    f"{path}: invalid UTF-8 on line {lineno}: {exc.reason}"
-                ) from None
-            if lineno == 1 and line.startswith("\ufeff"):
-                line = line[1:]
-            yield line
+    return _split_runs(_runs(path))
 
 
 @contextlib.contextmanager
@@ -131,20 +205,49 @@ def iter_aligned(*paths) -> Iterator[tuple[str, ...]]:
 
 
 def _in_step(readers: Sequence[Iterator], names: Sequence, unit: str) -> Iterator[tuple]:
-    """One tuple of the items of ``readers`` per position, read in step. A
+    """One tuple of the items of ``readers`` per position, zipped in C. A
     reader that ends early is an AlignmentError naming each one's count of
-    ``unit``s (the rest of each longer one is consumed to count it)."""
-    for index, items in enumerate(itertools.zip_longest(*readers)):
-        if None in items:
-            counts = (
-                index + (item is not None) + sum(1 for _ in reader)
-                for item, reader in zip(items, readers)
-            )
-            raise AlignmentError(
-                f"{unit} count mismatch: "
-                + ", ".join(f"{name} has {n} {unit}s" for name, n in zip(names, counts))
-            )
-        yield items
+    ``unit``s, raised after the last full tuple.
+
+    An error a reader raises wins as it would in a read that takes one item
+    from every reader at each position: the readers that ``zip`` did not
+    reach at the position where it stopped are read at it, and then the
+    rest of each is consumed, in order, to count it.
+    """
+    counters = [itertools.count() for _ in readers]
+    # ``zip`` takes from a counter only what its reader yields.
+    counted = [
+        map(_first, zip(reader, counter)) for reader, counter in zip(readers, counters)
+    ]
+    return itertools.chain(zip(*counted), _same_lengths(counted, counters, names, unit))
+
+
+_first = operator.itemgetter(0)
+
+
+def _same_lengths(
+    readers: Sequence[Iterator], counters: Sequence[Iterator[int]], names: Sequence, unit: str
+) -> Iterator[tuple]:
+    """Yield nothing; raise AlignmentError if the ``readers`` that ``zip``
+    stopped on differ in length. ``zip`` ended at the first reader to end,
+    having taken one item more from each reader before it."""
+    # Each counter yields the count of items its reader gave, and is then
+    # one ahead of it.
+    taken = [next(counter) for counter in counters]
+    shortest = min(taken)
+    for reader, n in zip(readers, taken):
+        if n == shortest:
+            next(reader, None)
+    for reader in readers:
+        deque(reader, maxlen=0)
+    totals = [next(counter) - 1 for counter in counters]
+    if len(set(totals)) > 1:
+        raise AlignmentError(
+            f"{unit} count mismatch: "
+            + ", ".join(f"{name} has {n} {unit}s" for name, n in zip(names, totals))
+        )
+    return
+    yield
 
 
 def load_parallel_corpus(source_path, target_path) -> Iterator[SegmentPair]:
@@ -156,16 +259,46 @@ def load_parallel_corpus(source_path, target_path) -> Iterator[SegmentPair]:
     return CorpusFiles((source_path, target_path)).segments()
 
 
-def _tsv_fields(path) -> Iterator[list[str]]:
-    """The [source, target] fields of each line of a TSV corpus; a line
-    without exactly one tab is a DataError naming the file and line."""
-    for lineno, line in enumerate(iter_lines(path), start=1):
-        fields = line.split("\t")
-        if len(fields) != 2:
+def _tsv_columns(path, runs: Iterable[str]) -> Iterator[tuple[list[str], list[str]]]:
+    """The source and target fields of the lines of each of ``runs``, the
+    runs of a TSV corpus; a line without exactly one tab is a DataError
+    naming the file and line, raised once the fields of the lines before
+    it are yielded."""
+    lineno = 0  # lines in the runs before ``run``
+    for run in runs:
+        lines = run.split("\n")
+        tabs = list(map(str.count, lines, itertools.repeat("\t")))
+        good = len(lines)
+        if tabs.count(1) != good:
+            good = next(i for i, n in enumerate(tabs) if n != 1)
+        parts = list(map(str.partition, lines[:good], itertools.repeat("\t")))
+        yield list(map(_first, parts)), list(map(_third, parts))
+        if good < len(lines):
             raise DataError(
-                f"{path}: line {lineno}: expected exactly one tab, found {len(fields) - 1}"
+                f"{path}: line {lineno + good + 1}: expected exactly one tab, "
+                f"found {tabs[good]}"
             )
-        yield fields
+        lineno += len(lines)
+
+
+_third = operator.itemgetter(2)
+
+
+def _normalized(runs: Iterable[str], config: TokenizerConfig) -> Iterator[str]:
+    """``runs`` as ``tokenize`` sees text before it splits it: NFC, and
+    case-folded with ``config.lowercase``. Case folding maps one code point
+    at a time, and NFC never composes or reorders across "\\n", a starter
+    that composes with nothing, so both act on a run of lines as on each
+    line."""
+    runs = map(unicodedata.normalize, itertools.repeat("NFC"), runs)
+    return map(str.casefold, runs) if config.lowercase else runs
+
+
+def _tokens(texts: Iterable[str], config: TokenizerConfig) -> Iterator[list[str]]:
+    """The tokens of each of ``texts``, normalized as ``_normalized`` leaves
+    them, as ``tokenize`` splits them."""
+    tokens = map(str.split, texts)
+    return map(_without_edge_punct, tokens) if config.strip_punct else tokens
 
 
 class CorpusFiles:
@@ -173,7 +306,8 @@ class CorpusFiles:
 
     ``paths`` is any number of one-segment-per-line files read in step, or
     (tsv,) with ``tsv`` set. Iterating reads the files once and yields one
-    tuple of token lists per line, one list per file (two for a TSV).
+    tuple of token lists per line, one list per file (two for a TSV). Each
+    file is read and decoded a block of lines at a time (see ``_runs``).
     """
 
     def __init__(
@@ -186,9 +320,11 @@ class CorpusFiles:
         self.tsv = tsv
         self.tokenizer = tokenizer
 
-    def _texts(self) -> Iterator[Sequence[str]]:
+    def _texts(self) -> Iterator[tuple[str, ...]]:
         if self.tsv:
-            return _tsv_fields(*self.paths)
+            (path,) = self.paths
+            columns = _tsv_columns(path, _runs(path))
+            return itertools.chain.from_iterable(itertools.starmap(zip, columns))
         return iter_aligned(*self.paths)
 
     def segments(self) -> Iterator[SegmentPair]:
@@ -196,9 +332,18 @@ class CorpusFiles:
         return (SegmentPair(index, *texts) for index, texts in enumerate(self._texts()))
 
     def __iter__(self) -> Iterator[tuple[list[str], ...]]:
-        configs = itertools.repeat(self.tokenizer)  # ``map`` stops at the last text
-        for texts in self._texts():
-            yield tuple(map(tokenize, texts, configs))
+        config = self.tokenizer
+        if self.tsv:
+            (path,) = self.paths
+            columns = _tsv_columns(path, _normalized(_runs(path), config))
+            return itertools.chain.from_iterable(
+                zip(_tokens(sources, config), _tokens(targets, config))
+                for sources, targets in columns
+            )
+        readers = [
+            _tokens(_split_runs(_normalized(_runs(path), config)), config) for path in self.paths
+        ]
+        return _in_step(readers, self.paths, "line")
 
     def token_counts(self) -> Iterator[Counter[str]]:
         """Each side's {token: count}, counted only when it is asked for, in

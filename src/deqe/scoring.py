@@ -50,14 +50,17 @@ def de_score(
     """
     hypothesis = set(hypothesis_tokens)
     excluded = matrix.excluded_source_tokens()
-    row = matrix.row
     if by_type:
         eligible = set(source_tokens).difference(excluded)
     else:
         eligible = [tok for tok in source_tokens if tok not in excluded]
+    # The flat kernel: one lookup in the rows per eligible token, and no
+    # call to ``matrix.row``, which wraps a miss in a read-only mapping.
+    row = matrix._rows.get
     evidenced = 0
     for tok in eligible:
-        if not row(tok).keys().isdisjoint(hypothesis):
+        cells = row(tok)
+        if cells is not None and not cells.keys().isdisjoint(hypothesis):
             evidenced += 1
     return DeScore.from_counts(len(eligible), evidenced)
 

@@ -22,7 +22,7 @@ from operator import is_not, itemgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, NamedTuple, TextIO
 
-from .corpus import PROGRESS_EVERY, atomic_write
+from .corpus import PROGRESS_EVERY, _whole_line_blocks, atomic_write
 from .errors import VocabularyMismatchError, WcmFormatError
 
 if TYPE_CHECKING:
@@ -173,11 +173,15 @@ def _side(tokens: Collection[str], frequencies: Collection[int], config: WcmConf
     """
     floor = config.min_cooccurrence if config.count_mode == COUNT_MODE_BINARY else 0
     cutoff = config.hifreq_cutoff
-    counted = range(floor, cutoff + 1)
-    return _Side(
-        list(compress(tokens, map(counted.__contains__, frequencies))),
-        frozenset(compress(tokens, map(cutoff.__lt__, frequencies))),
-    )
+    excluded: list[str] = []
+    # One pass: a type over the cutoff is appended to ``excluded``, and
+    # ``append`` returns None, so it is not counted.
+    counted = [
+        tok
+        for tok, f in zip(tokens, frequencies)
+        if (f <= cutoff or excluded.append(tok)) and f >= floor
+    ]
+    return _Side(counted, frozenset(excluded))
 
 
 _is_not_none = partial(is_not, None)
@@ -509,19 +513,10 @@ def _line_blocks(fh: TextIO, size: int = 1 << 14) -> Iterator[list[str]]:
     a read ends on is a complete one. A file that is not valid UTF-8 is a
     WcmFormatError naming it.
     """
-    pending: list[str] = []
     try:
-        for chunk in iter(partial(fh.read, size), ""):
-            end = chunk.rfind("\n") + 1
-            if not end:
-                pending.append(chunk)
-                continue
-            pending.append(chunk[:end])
-            yield "".join(pending).splitlines()
-            pending = [chunk[end:]]
+        yield from map(str.splitlines, _whole_line_blocks(iter(partial(fh.read, size), ""), "\n"))
     except UnicodeDecodeError as exc:
         raise WcmFormatError(f"{fh.name}: invalid UTF-8: {exc.reason}") from None
-    yield "".join(pending).splitlines()
 
 
 def _read_header(

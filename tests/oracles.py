@@ -116,3 +116,93 @@ def naive_de_score(
         if any((word, h) in entries for h in hypothesis):
             evidenced += 1
     return eligible, evidenced
+
+
+# ---------------------------------------------------------------------------
+# The strict corpus reader, one line at a time
+
+
+class OracleEncodingError(Exception):
+    """What the per-line reader raises for a byte that is not UTF-8."""
+
+
+class OracleAlignmentError(Exception):
+    """What the per-line reader raises for files of unequal length."""
+
+
+class OracleTabError(Exception):
+    """What the per-line reader raises for a TSV line without one tab."""
+
+
+def per_line_iter_lines(path):
+    """Decoded lines without their line break, read and decoded one line at
+    a time: a single trailing CR goes, and so does a BOM on line 1."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if raw.endswith(b"\n"):
+                raw = raw[:-1]
+            if raw.endswith(b"\r"):
+                raw = raw[:-1]
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise OracleEncodingError(
+                    f"{path}: invalid UTF-8 on line {lineno}: {exc.reason}"
+                ) from None
+            if lineno == 1 and line.startswith("\ufeff"):
+                line = line[1:]
+            yield line
+
+
+def per_line_aligned(readers, names, unit="line"):
+    """One tuple per position, taking one item from every reader at each;
+    a reader that ends early is an error naming each one's count, the rest
+    of each longer one read to count it."""
+    import itertools
+
+    for index, items in enumerate(itertools.zip_longest(*readers)):
+        if None in items:
+            counts = [
+                index + (item is not None) + sum(1 for _ in reader)
+                for item, reader in zip(items, readers)
+            ]
+            raise OracleAlignmentError(
+                f"{unit} count mismatch: "
+                + ", ".join(f"{name} has {n} {unit}s" for name, n in zip(names, counts))
+            )
+        yield items
+
+
+def per_line_tsv(path):
+    """The (source, target) fields of each line of a TSV file."""
+    for lineno, line in enumerate(per_line_iter_lines(path), start=1):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise OracleTabError(
+                f"{path}: line {lineno}: expected exactly one tab, found {len(fields) - 1}"
+            )
+        yield tuple(fields)
+
+
+def per_line_tokens(text, lowercase=False, strip_punct=False):
+    """NFC, then case-folding if asked, a split on whitespace and, if asked,
+    punctuation removed from each token's ends, by a walk over its
+    characters."""
+    import unicodedata
+
+    text = unicodedata.normalize("NFC", text)
+    if lowercase:
+        text = text.casefold()
+    tokens = text.split()
+    if not strip_punct:
+        return tokens
+    out = []
+    for token in tokens:
+        chars = list(token)
+        while chars and unicodedata.category(chars[0])[0] == "P":
+            chars.pop(0)
+        while chars and unicodedata.category(chars[-1])[0] == "P":
+            chars.pop()
+        if chars:
+            out.append("".join(chars))
+    return out

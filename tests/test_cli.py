@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,7 +15,9 @@ from deqe.cli import main
 from deqe.corpus import build_vocabulary
 from deqe.wcm import WcmConfig, build_wcm, save_wcm
 
+import oracles
 from helpers import make_matrix, write_lines
+from oracles import naive_de_score
 
 
 @pytest.fixture
@@ -421,6 +424,48 @@ def test_score_line_count_mismatch_exit_2(tmp_path, capsys):
     assert _score(tmp_path, ["a", "b"], ["x"], "--quiet") == 2
     err = capsys.readouterr().err
     assert f"line count mismatch: {tmp_path / 'src'} has 2 lines, {tmp_path / 'hyp'} has 1 lines" in err
+
+
+def test_score_streams_the_rows_before_a_bad_byte(tmp_path, capsys, monkeypatch):
+    """``score`` to stdout prints, at every block size the reader takes, the
+    rows of the segments before the first line that is not UTF-8, as a read
+    of one line at a time does, then exits 2 naming that line; a cut-short
+    character just before a line break among them."""
+    entries = {("a", "x"): 20, ("b", "y"): 20}
+    save_wcm(make_matrix(entries), tmp_path / "ab.wcm")
+    paths = [tmp_path / "src", tmp_path / "hyp"]
+    argv = ["score", "--wcm", str(tmp_path / "ab.wcm"), "--source", str(paths[0]),
+            "--hypothesis", str(paths[1]), "--quiet"]
+    rng = random.Random(1702)
+    for trial in range(8):
+        n = rng.randint(1, 40)
+        sides = [
+            [" ".join(rng.choices(alphabet, k=rng.randint(0, 5))) for _ in range(n)]
+            for alphabet in ("abc", "xyz")
+        ]
+        bad, at = rng.randrange(2), rng.randrange(n)
+        for side, (path, lines) in enumerate(zip(paths, sides)):
+            raw = [line.encode() for line in lines]
+            if side == bad:
+                col = len(raw[at]) if trial % 2 else rng.randint(0, len(raw[at]))
+                bad_bytes = rng.choice([b"\xff", b"\xe2\x82", b"\xf0\x9f"])
+                raw[at] = raw[at][:col] + bad_bytes + raw[at][col:]
+            path.write_bytes(b"".join(line + b"\n" for line in raw))
+        with pytest.raises(oracles.OracleEncodingError) as oracle:
+            list(oracles.per_line_iter_lines(paths[bad]))
+        rows = []
+        for index, (src, hyp) in enumerate(zip(*sides)):
+            if index == at:
+                break
+            eligible, evidenced = naive_de_score(entries, set(), src.split(), hyp.split())
+            value = 100.0 * evidenced / eligible if eligible else 0.0
+            rows.append(f"{index}\t{value:.6f}\t{eligible}\t{evidenced}")
+        for size in (1, 2, 3, 5, 65_536):
+            monkeypatch.setattr(deqe.corpus, "_BLOCK_BYTES", size)
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert _data_lines(out) == rows, (trial, size)
+            assert err == f"de-qe: error: {oracle.value}\n", (trial, size)
 
 
 def test_score_logs_progress(tmp_path, capsys, monkeypatch):

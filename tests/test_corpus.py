@@ -3,9 +3,11 @@ import random
 import weakref
 from collections import Counter
 from itertools import chain
+from pathlib import Path
 
 import pytest
 
+import deqe.corpus
 from deqe.corpus import (
     CorpusFiles,
     SegmentPair,
@@ -15,13 +17,20 @@ from deqe.corpus import (
     build_parallel_vocabularies,
     build_vocabulary,
     iter_aligned,
+    iter_lines,
     load_parallel_corpus,
     tokenize,
     vocab_stats,
 )
 from deqe.errors import AlignmentError, DataError, EncodingError
 
-from helpers import equivalence_corpus, write_lines
+import oracles
+from helpers import (
+    _EQUIVALENCE_SEPARATORS,
+    _EQUIVALENCE_WORDS,
+    equivalence_corpus,
+    write_lines,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -342,3 +351,214 @@ def test_vocab_stats_of_the_count_pass_equal_those_of_the_strict_read(tmp_path):
         assert counted == expected, trial
         saw_hifreq += any(stats.hifreq_types for stats in counted)
     assert saw_hifreq > 10
+
+
+# ---------------------------------------------------------------------------
+# the block reader against the per-line reader
+
+_BLOCK_SIZES = [1, 2, 3, 5, 65_536]
+_TOKENIZERS = [TokenizerConfig(lower, strip) for lower in (False, True) for strip in (False, True)]
+# Characters of 2, 3 and 4 bytes in UTF-8.
+_WIDE = ["\u00e9", "\u20ac", "\U0001f600"]
+_ORACLE_ERRORS = {
+    EncodingError: "encoding",
+    AlignmentError: "alignment",
+    DataError: "tab",
+    oracles.OracleEncodingError: "encoding",
+    oracles.OracleAlignmentError: "alignment",
+    oracles.OracleTabError: "tab",
+}
+
+
+def _outcome(items):
+    """The items of ``items`` and the kind and text of the error that ends
+    them, if any."""
+    seen = []
+    try:
+        for item in items:
+            seen.append(item)
+    except tuple(_ORACLE_ERRORS) as exc:
+        return seen, (_ORACLE_ERRORS[type(exc)], str(exc))
+    return seen, None
+
+
+def _block_text(rng, tsv):
+    """A line of the equivalence words, wide characters and separators, a
+    lone CR among them, perhaps starting with a BOM that is not the file's;
+    a TSV line holds its one tab in the middle."""
+    words = _EQUIVALENCE_WORDS + _WIDE + [w * 3 for w in _WIDE] + ["\ufeffw"]
+    separators = _EQUIVALENCE_SEPARATORS + ([] if tsv else ["\t"])
+
+    def text():
+        if rng.random() < 0.15:  # blank, or only separators
+            return "".join(rng.choices(separators, k=rng.randint(0, 2)))
+        return "".join(
+            rng.choice(words) + rng.choice(separators) for _ in range(rng.randint(1, 5))
+        )
+
+    return f"{text()}\t{text()}" if tsv else text()
+
+
+def _block_file(path, rng, lines):
+    """Write ``lines`` with LF or CRLF breaks, perhaps a BOM and perhaps no
+    break after the last line; no lines is an empty file."""
+    breaks = rng.choices(["\n", "\r\n"], k=len(lines))
+    if lines and rng.random() < 0.3:
+        breaks[-1] = ""
+    text = "".join(map(str.__add__, lines, breaks))
+    if lines and rng.random() < 0.3:
+        text = "\ufeff" + text
+    path.write_bytes(text.encode("utf-8"))
+
+
+def _per_line_corpus(paths, tsv, tokenizer=None):
+    """The tuples the per-line reader yields for the corpus at ``paths``:
+    lines, or token lists with ``tokenizer``."""
+    if tsv:
+        rows = oracles.per_line_tsv(*paths)
+    else:
+        readers = [oracles.per_line_iter_lines(path) for path in paths]
+        rows = oracles.per_line_aligned(readers, paths)
+    if tokenizer is None:
+        return rows
+    return (tuple(oracles.per_line_tokens(text, *tokenizer) for text in row) for row in rows)
+
+
+@pytest.mark.parametrize("layout", ["two-files", "three-files", "tsv"])
+def test_block_reader_equals_the_per_line_reader(tmp_path, monkeypatch, layout):
+    """At blocks of 1, 2, 3, 5 and 65,536 bytes, ``iter_lines``,
+    ``iter_aligned``, ``segments()``, iteration and ``token_counts()`` give
+    what the per-line reader gives, under every tokenizer: wide characters
+    fall across every block edge, and the files may be empty, lack a final
+    line break, start with a BOM or hold a lone CR."""
+    tsv = layout == "tsv"
+    n_files = {"two-files": 2, "three-files": 3, "tsv": 1}[layout]
+    rng = random.Random(f"1700:{layout}")
+    paths = [str(tmp_path / f"c{i}") for i in range(n_files)]
+    for trial in range(12):
+        n = 0 if trial == 0 else rng.randint(1, 25)
+        for path in paths:
+            _block_file(Path(path), rng, [_block_text(rng, tsv) for _ in range(n)])
+        for size in _BLOCK_SIZES:
+            monkeypatch.setattr(deqe.corpus, "_BLOCK_BYTES", size)
+            where = (trial, size)
+            for path in paths:
+                expected = _outcome(oracles.per_line_iter_lines(path))
+                assert _outcome(iter_lines(path)) == expected, where
+            if not tsv:
+                expected = _outcome(_per_line_corpus(paths, tsv))
+                assert _outcome(iter_aligned(*paths)) == expected, where
+            for tokenizer in _TOKENIZERS:
+                corpus = CorpusFiles(tuple(paths), tsv=tsv, tokenizer=tokenizer)
+                expected = _outcome(_per_line_corpus(paths, tsv, tokenizer))
+                assert expected[1] is None
+                assert _outcome(corpus) == expected, (where, tokenizer)
+                if layout != "three-files":
+                    segments = [tuple(pair) for pair in corpus.segments()]
+                    texts = list(_per_line_corpus(paths, tsv))
+                    assert segments == [(i, *row) for i, row in enumerate(texts)], where
+                sides = zip(*expected[0]) if n else [()] * (2 if tsv else n_files)
+                assert list(corpus.token_counts()) == [
+                    Counter(chain.from_iterable(side)) for side in sides
+                ], (where, tokenizer)
+
+
+def _bad_bytes(rng):
+    """An invalid byte sequence: a stray continuation or invalid byte, or a
+    wide character cut short."""
+    wide = rng.choice(_WIDE).encode("utf-8")
+    return rng.choice([b"\xff", b"\x80", b"\xc0\xaf", wide[: rng.randint(1, len(wide) - 1)]])
+
+
+def _corrupt(path, rng):
+    """Put an invalid sequence into a random line of ``path``, at a random
+    byte or right before the line break."""
+    lines = Path(path).read_bytes().split(b"\n")
+    if not lines[-1]:
+        lines.pop()
+    at = rng.randrange(len(lines))
+    line = lines[at]
+    body, cr = (line[:-1], b"\r") if line.endswith(b"\r") else (line, b"")
+    col = len(body) if rng.random() < 0.4 else rng.randint(0, len(body))
+    lines[at] = body[:col] + _bad_bytes(rng) + body[col:] + cr
+    Path(path).write_bytes(b"\n".join(lines) + b"\n")
+
+
+@pytest.mark.parametrize("layout", ["two-files", "three-files", "tsv"])
+def test_block_reader_raises_the_per_line_readers_error(tmp_path, monkeypatch, layout):
+    """Invalid bytes at seeded lines and columns, a wide character cut
+    short just before a line break among them, in files of equal or
+    unequal length: at every block size the block reader yields the same
+    items as the per-line reader before the same error, with the same text,
+    whichever error that is."""
+    tsv = layout == "tsv"
+    n_files = {"two-files": 2, "three-files": 3, "tsv": 1}[layout]
+    rng = random.Random(f"1701:{layout}")
+    paths = [str(tmp_path / f"c{i}") for i in range(n_files)]
+    kinds = Counter()
+    for trial in range(30):
+        n = rng.randint(1, 12)
+        for path in paths:
+            length = n if rng.random() < 0.5 else rng.randint(1, n)
+            lines = [_block_text(rng, tsv) for _ in range(length)]
+            if tsv and rng.random() < 0.2:
+                lines[rng.randrange(length)] += "\t"
+            _block_file(Path(path), rng, lines)
+            if rng.random() < 0.8 / n_files:
+                _corrupt(path, rng)
+        expected_lines = _outcome(_per_line_corpus(paths, tsv))
+        kinds[expected_lines[1] and expected_lines[1][0]] += 1
+        for size in _BLOCK_SIZES:
+            monkeypatch.setattr(deqe.corpus, "_BLOCK_BYTES", size)
+            for path in paths:
+                expected = _outcome(oracles.per_line_iter_lines(path))
+                assert _outcome(iter_lines(path)) == expected, (trial, size)
+            corpus = CorpusFiles(tuple(paths), tsv=tsv)
+            assert _outcome(corpus._texts()) == expected_lines, (trial, size)
+            tokenizer = rng.choice(_TOKENIZERS)
+            corpus = CorpusFiles(tuple(paths), tsv=tsv, tokenizer=tokenizer)
+            expected = _outcome(_per_line_corpus(paths, tsv, tokenizer))
+            assert _outcome(corpus) == expected, (trial, size, tokenizer)
+    assert kinds["encoding"] >= 10
+    if not tsv:
+        assert kinds["alignment"] >= 2
+
+
+@pytest.mark.parametrize("shorter", [0, 1])
+def test_block_reader_error_precedence_past_the_shorter_end(tmp_path, monkeypatch, shorter):
+    """One file is shorter and the other has a bad byte past its end: the
+    per-line reader reads the longer file on to count its lines and meets
+    the bad byte, so the EncodingError wins over the AlignmentError; without
+    the bad byte the AlignmentError is raised."""
+    paths = [str(tmp_path / "a"), str(tmp_path / "b")]
+    longer = 1 - shorter
+    write_lines(paths[shorter], ["x", "y"])
+    Path(paths[longer]).write_bytes(b"x\ny\nz\n\xe2\x82\n")
+    for size in _BLOCK_SIZES:
+        monkeypatch.setattr(deqe.corpus, "_BLOCK_BYTES", size)
+        expected = _outcome(_per_line_corpus(paths, False))
+        assert expected == (
+            [("x", "x"), ("y", "y")],
+            ("encoding", f"{paths[longer]}: invalid UTF-8 on line 4: unexpected end of data"),
+        )
+        assert _outcome(iter_aligned(*paths)) == expected
+    write_lines(paths[longer], ["x", "y", "z", "w"])
+    assert _outcome(iter_aligned(*paths))[1][0] == "alignment"
+
+
+def test_block_reader_error_precedence_at_the_shorter_end(tmp_path, monkeypatch):
+    """Where the shortest file ends, every longer file is read at that line
+    before any is read on: the third file's bad line 3 wins over the first
+    file's bad line 4, though the first is read first."""
+    paths = [str(tmp_path / name) for name in "abc"]
+    Path(paths[0]).write_bytes(b"x\ny\nz\n\xff\n")
+    write_lines(paths[1], ["x", "y"])
+    Path(paths[2]).write_bytes(b"x\ny\n\xff\n")
+    for size in _BLOCK_SIZES:
+        monkeypatch.setattr(deqe.corpus, "_BLOCK_BYTES", size)
+        expected = _outcome(_per_line_corpus(paths, False))
+        assert expected == (
+            [("x", "x", "x"), ("y", "y", "y")],
+            ("encoding", f"{paths[2]}: invalid UTF-8 on line 3: invalid start byte"),
+        )
+        assert _outcome(iter_aligned(*paths)) == expected
