@@ -21,6 +21,7 @@ log = logging.getLogger(__name__)
 
 KIND_BELOW = "below"
 KIND_AT_OR_ABOVE = "at_or_above"
+_SVG_WIDTH, _SVG_HEIGHT = 640, 400  # the histogram chart's size, in pixels
 
 
 def _float_text(value: float) -> str:
@@ -172,32 +173,32 @@ def histogram(scores: Iterable[float], bin_width: float = 5.0) -> HistogramRepor
     return HistogramReport(bin_width, tuple(zip(edges, counts)))
 
 
-def render_histogram_svg(report: HistogramReport, width: int = 640, height: int = 400) -> str:
+def render_histogram_svg(report: HistogramReport) -> str:
     """A minimal deterministic SVG bar chart; the TSV report remains the
     data contract, this is a convenience rendering."""
     margin = 40
-    plot_w = width - 2 * margin
-    plot_h = height - 2 * margin
+    plot_w = _SVG_WIDTH - 2 * margin
+    plot_h = _SVG_HEIGHT - 2 * margin
     peak = max((c for _, c in report.bins), default=0) or 1
     n = len(report.bins)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}">',
+        f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
+        f'<line x1="{margin}" y1="{_SVG_HEIGHT - margin}" x2="{_SVG_WIDTH - margin}" '
+        f'y2="{_SVG_HEIGHT - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
+        f'y2="{_SVG_HEIGHT - margin}" stroke="black"/>',
     ]
     for i, (lower, count) in enumerate(report.bins):
         bar_h = plot_h * count / peak
         x = margin + plot_w * i / n
-        y = height - margin - bar_h
+        y = _SVG_HEIGHT - margin - bar_h
         parts.append(
             f'<rect x="{x:.2f}" y="{y:.2f}" width="{plot_w / n:.2f}" '
             f'height="{bar_h:.2f}" fill="steelblue" stroke="black" stroke-width="0.5"/>'
         )
         parts.append(
-            f'<text x="{x:.2f}" y="{height - margin + 14}" font-size="9">{lower:g}</text>'
+            f'<text x="{x:.2f}" y="{_SVG_HEIGHT - margin + 14}" font-size="9">{lower:g}</text>'
         )
     parts.append(
         f'<text x="{margin}" y="{margin - 8}" font-size="10">count (max {peak})</text>'

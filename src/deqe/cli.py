@@ -312,7 +312,7 @@ def cmd_vocab_stats(args: argparse.Namespace) -> int:
     _distinct_outputs(args)
     corpus = _corpus_files(args)
     with corpus.unchanged():
-        # The strict read raises every input error; the count pass checks none.
+        # The strict read raises every input error; the count pass reports none.
         log.info("vocab-stats: %d segments read", sum(1 for _ in corpus.segments()))
         # ``map`` drops each side's counts before the next side is counted.
         settings = itertools.repeat(args.thresholds), itertools.repeat(args.hifreq_cutoff)

@@ -281,7 +281,7 @@ def _tsv_columns(path, runs: Iterable[str]) -> Iterator[tuple[list[str], list[st
         lineno += len(lines)
 
 
-_third = operator.itemgetter(2)
+_second, _third = operator.itemgetter(1), operator.itemgetter(2)
 
 
 def _normalized(runs: Iterable[str], config: TokenizerConfig) -> Iterator[str]:
@@ -301,13 +301,21 @@ def _tokens(texts: Iterable[str], config: TokenizerConfig) -> Iterator[list[str]
     return map(_without_edge_punct, tokens) if config.strip_punct else tokens
 
 
+def _counted(texts: Iterable[str], config: TokenizerConfig) -> Counter[str]:
+    """The tokens of ``texts``, counted up to their first DataError."""
+    counts: Counter[str] = Counter()
+    with contextlib.suppress(DataError):
+        counts.update(itertools.chain.from_iterable(_tokens(texts, config)))
+    return counts
+
+
 class CorpusFiles:
     """Aligned files on disk, read with one tokenizer.
 
     ``paths`` is any number of one-segment-per-line files read in step, or
     (tsv,) with ``tsv`` set. Iterating reads the files once and yields one
-    tuple of token lists per line, one list per file (two for a TSV). Each
-    file is read and decoded a block of lines at a time (see ``_runs``).
+    tuple of token lists per line, one list per file (two for a TSV). Every
+    read, the count pass's too, decodes a block of lines at a time (``_runs``).
     """
 
     def __init__(
@@ -346,26 +354,19 @@ class CorpusFiles:
         return _in_step(readers, self.paths, "line")
 
     def token_counts(self) -> Iterator[Counter[str]]:
-        """Each side's {token: count}, counted only when it is asked for, in
-        one pass that checks nothing: a line without its tab, a byte
-        that is not UTF-8 or files of unequal length are raised only by
-        iterating, which yields the same tokens from a valid corpus. Lines
-        split on "\\n" only and a leading BOM is dropped, as ``iter_lines``
-        reads them; a TSV side is field 0 or 2 of ``str.partition("\\t")``.
-        Each line is split by ``tokenize``, as iterating splits it.
-        """
-        paths = self.paths * 2 if self.tsv else self.paths
-        fields = (0, 2) if self.tsv else (None,) * len(paths)
-        configs = itertools.repeat(self.tokenizer)
-        for path, field in zip(paths, fields):
-            with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="\n") as fh:
-                texts: Iterable[str] = fh
-                if field is not None:
-                    partitions = map(str.partition, fh, itertools.repeat("\t"))
-                    texts = map(operator.itemgetter(field), partitions)
-                # Not bound to a name here, so the caller can free one side's
-                # counts before the next side is counted.
-                yield Counter(itertools.chain.from_iterable(map(tokenize, texts, configs)))
+        """Each side's {token: count}, counted when it is asked for from the
+        tokens iterating yields: each file, or a TSV's source and then target
+        fields, is read alone by the same reader. A side is counted up to its
+        first DataError and no further; iterating raises the errors in order."""
+        config = self.tokenizer
+        if self.tsv:
+            (path,) = self.paths
+            columns = (_tsv_columns(path, _normalized(_runs(path), config)) for _ in range(2))
+            sides = map(itertools.chain.from_iterable, map(map, (_first, _second), columns))
+        else:
+            sides = (_split_runs(_normalized(_runs(path), config)) for path in self.paths)
+        # ``map`` keeps no side's counts once it has handed them over.
+        return map(_counted, sides, itertools.repeat(config))
 
     @contextlib.contextmanager
     def unchanged(self) -> Iterator[None]:

@@ -413,13 +413,11 @@ def _count(
     floor = config.min_cooccurrence
     rows: dict[str, dict[str, int]] = {}
     if threads > 1 and pair_updates >= POOL_MIN_PAIR_UPDATES:
-        # Imported here, as importing them costs every CLI command start-up time.
-        import multiprocessing
+        # Imported here, as importing it costs every CLI command start-up time.
         from concurrent.futures import ProcessPoolExecutor
 
         job = (postings, targets, floor, threads)
-        ctx = multiprocessing.get_context()
-        with ProcessPoolExecutor(threads, ctx, _init_worker, job) as pool:
+        with ProcessPoolExecutor(threads, initializer=_init_worker, initargs=job) as pool:
             for part_rows in pool.map(_count_worker_rows, range(threads)):
                 _move_to_tokens(part_rows, source.tokens, target.tokens, rows)
     else:

@@ -12,7 +12,8 @@ import deqe.corpus
 import deqe.wcm
 from deqe import cli
 from deqe.cli import main
-from deqe.corpus import build_vocabulary
+from deqe.corpus import CorpusFiles, build_vocabulary
+from deqe.errors import EncodingError
 from deqe.wcm import WcmConfig, build_wcm, save_wcm
 
 import oracles
@@ -257,9 +258,9 @@ def test_build_wcm_byte_identical_across_threads(tmp_path, toy_corpus, monkeypat
 
 
 def test_build_wcm_counts_then_reads_each_input_once(tmp_path, toy_corpus, monkeypatch):
-    """``build-wcm`` counts each side in a text-mode pass of its own, then
-    the strict read reads each file once in binary; ``vocab-stats`` makes
-    the strict read first. A TSV file is counted once per side."""
+    """``build-wcm`` counts each side in a pass of its own, then the strict
+    read reads each file once; ``vocab-stats`` makes the strict read first.
+    Every pass reads in binary. A TSV file is counted once per side."""
     src, tgt = toy_corpus
     tsv = tmp_path / "train.tsv"
     write_lines(
@@ -274,13 +275,13 @@ def test_build_wcm_counts_then_reads_each_input_once(tmp_path, toy_corpus, monke
 
     monkeypatch.setattr(deqe.corpus, "open", logged, raising=False)
     files = ["--source", str(src), "--target", str(tgt)]
-    counted = [("r", str(src)), ("r", str(tgt))]
+    counted = [("rb", str(src)), ("rb", str(tgt))]
     read = [("rb", str(src)), ("rb", str(tgt))]
     for n, (command, inputs, expected) in enumerate((
         ("build-wcm", files, counted + read),
-        ("build-wcm", ["--tsv", str(tsv)], [("r", str(tsv)), ("r", str(tsv)), ("rb", str(tsv))]),
+        ("build-wcm", ["--tsv", str(tsv)], [("rb", str(tsv)), ("rb", str(tsv)), ("rb", str(tsv))]),
         ("vocab-stats", files, read + counted),
-        ("vocab-stats", ["--tsv", str(tsv)], [("rb", str(tsv)), ("r", str(tsv)), ("r", str(tsv))]),
+        ("vocab-stats", ["--tsv", str(tsv)], [("rb", str(tsv)), ("rb", str(tsv)), ("rb", str(tsv))]),
     )):
         opened.clear()
         extra = ["--min-cooc", "2"] if command == "build-wcm" else []
@@ -288,6 +289,36 @@ def test_build_wcm_counts_then_reads_each_input_once(tmp_path, toy_corpus, monke
         assert opened == expected, (command, inputs)
     # two files and one TSV give the same matrix
     assert (tmp_path / "0.out").read_bytes() == (tmp_path / "1.out").read_bytes()
+
+
+def test_the_first_bad_byte_in_step_is_reported(tmp_path):
+    """The count pass reports no error, so of a bad byte on target line 3
+    and another on source line 7, ``build-wcm`` and ``vocab-stats`` both
+    report the target's, the first that reading both files in step meets,
+    and write nothing."""
+    src, tgt = tmp_path / "train.src", tmp_path / "train.tgt"
+    for path, bad in ((src, 6), (tgt, 2)):
+        path.write_bytes(b"".join(b"w\xff\n" if i == bad else b"w v\n" for i in range(10)))
+    message = f"{tgt}: invalid UTF-8 on line 3: invalid start byte"
+    corpus = CorpusFiles((str(src), str(tgt)))
+    assert len(list(corpus.token_counts())) == 2
+    with pytest.raises(EncodingError) as err:
+        list(corpus)
+    assert str(err.value) == message
+    inputs = ["--source", str(src), "--target", str(tgt)]
+    for command in ("build-wcm", "vocab-stats"):
+        out = tmp_path / f"{command}.out"
+        result = subprocess.run(
+            [sys.executable, "-m", "deqe.cli", command, *inputs, "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 2, command
+        assert result.stderr == f"de-qe: error: {message}\n", command
+        assert not out.exists()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
