@@ -688,21 +688,15 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as err:
-        sys.stderr.write(err.usage)
-        sys.stderr.write(f"{PROG}: error: {err}\n")
-        return 1
-    except SystemExit as exc:  # argparse --help / --version
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         with _logging_to_stderr(args.quiet):
             return args.handler(args)
+    except SystemExit as exc:  # argparse --help / --version
+        return int(exc.code or 0)
     except UsageError as err:
-        usage = err.usage or getattr(args, "parser", parser).format_usage()
-        sys.stderr.write(usage)
+        # A parse error carries its parser's usage; a handler's takes its subcommand's.
+        sys.stderr.write(err.usage or args.parser.format_usage())
         sys.stderr.write(f"{PROG}: error: {err}\n")
         return 1
     except DataError as err:

@@ -45,13 +45,11 @@ def tokenize(text: str, config: TokenizerConfig = _DEFAULT_TOKENIZER) -> list[st
     ``config.lowercase`` tokens are case-folded; with ``config.strip_punct``
     leading/trailing punctuation is removed and tokens that were pure
     punctuation are dropped. Total function: empty or whitespace-only text
-    yields an empty list.
+    yields an empty list. These are the stages of every ``CorpusFiles``
+    read (``_normalized``, then ``_tokens``), run on one text.
     """
-    text = unicodedata.normalize("NFC", text)
-    if config.lowercase:
-        text = text.casefold()
-    tokens = text.split()
-    return _without_edge_punct(tokens) if config.strip_punct else tokens
+    (tokens,) = _tokens(_normalized((text,), config), config)
+    return tokens
 
 
 def _without_edge_punct(tokens: list[str]) -> list[str]:
@@ -130,7 +128,8 @@ def _run(text: str, lineno: int) -> str:
     """The decoded lines ``text``, the first of which is line ``lineno``,
     joined by "\\n" without the last one's line break: a single CR before
     each LF, or at the end, goes, and so does a BOM at the start of line 1."""
-    text = text.replace("\r\n", "\n")
+    if "\r" in text:  # a cheap test that spares LF-only files the scan
+        text = text.replace("\r\n", "\n")
     if text.endswith(("\n", "\r")):
         text = text[:-1]
     if lineno == 1 and text.startswith("\ufeff"):
@@ -285,18 +284,18 @@ _second, _third = operator.itemgetter(1), operator.itemgetter(2)
 
 
 def _normalized(runs: Iterable[str], config: TokenizerConfig) -> Iterator[str]:
-    """``runs`` as ``tokenize`` sees text before it splits it: NFC, and
-    case-folded with ``config.lowercase``. Case folding maps one code point
-    at a time, and NFC never composes or reorders across "\\n", a starter
-    that composes with nothing, so both act on a run of lines as on each
-    line."""
+    """``tokenize``'s first stage on each of ``runs``: NFC, then case folding
+    with ``config.lowercase``. Case folding maps one code point at a time,
+    and NFC never composes or reorders across "\\n", a starter that
+    composes with nothing, so both act on a run of lines as on each line."""
     runs = map(unicodedata.normalize, itertools.repeat("NFC"), runs)
     return map(str.casefold, runs) if config.lowercase else runs
 
 
 def _tokens(texts: Iterable[str], config: TokenizerConfig) -> Iterator[list[str]]:
-    """The tokens of each of ``texts``, normalized as ``_normalized`` leaves
-    them, as ``tokenize`` splits them."""
+    """``tokenize``'s second stage: the tokens of each of ``texts``, as
+    ``_normalized`` leaves them. "\\n" is whitespace to ``str.split`` and
+    ``strip_punct`` works token by token, so a run's tokens are its lines'."""
     tokens = map(str.split, texts)
     return map(_without_edge_punct, tokens) if config.strip_punct else tokens
 
@@ -354,9 +353,10 @@ class CorpusFiles:
         return _in_step(readers, self.paths, "line")
 
     def token_counts(self) -> Iterator[Counter[str]]:
-        """Each side's {token: count}, counted when it is asked for from the
-        tokens iterating yields: each file, or a TSV's source and then target
-        fields, is read alone by the same reader. A side is counted up to its
+        """Each side's {token: count}, counted when it is asked for by the
+        reader iterating uses: each file is read alone and its normalized runs
+        are counted whole (``_tokens``), and a TSV is read once for its source
+        fields, then once for its target fields. A side is counted up to its
         first DataError and no further; iterating raises the errors in order."""
         config = self.tokenizer
         if self.tsv:
@@ -364,7 +364,7 @@ class CorpusFiles:
             columns = (_tsv_columns(path, _normalized(_runs(path), config)) for _ in range(2))
             sides = map(itertools.chain.from_iterable, map(map, (_first, _second), columns))
         else:
-            sides = (_split_runs(_normalized(_runs(path), config)) for path in self.paths)
+            sides = (_normalized(_runs(path), config) for path in self.paths)
         # ``map`` keeps no side's counts once it has handed them over.
         return map(_counted, sides, itertools.repeat(config))
 

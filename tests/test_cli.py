@@ -93,6 +93,36 @@ def test_tsv_conflicts_with_source(tmp_path, capsys):
     assert "--tsv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["build-wcm", "--source", "s", "--target", "t"],
+            "usage: de-qe build-wcm [-h] [--quiet] [--source SOURCE] [--target TARGET]\n"
+            "                       [--tsv TSV] [--lowercase] [--strip-punct] --out OUT\n"
+            "                       [--min-cooc MIN_COOC] [--hifreq-cutoff HIFREQ_CUTOFF]\n"
+            "                       [--count-mode {binary,product}] [--threads THREADS]\n"
+            "de-qe: error: the following arguments are required: --out\n",
+        ),
+        (
+            ["vocab-stats", "--tsv", "x", "--source", "y", "--target", "y"],
+            "usage: de-qe vocab-stats [-h] [--quiet] [--source SOURCE] [--target TARGET]\n"
+            "                         [--tsv TSV] [--lowercase] [--strip-punct]\n"
+            "                         [--thresholds THRESHOLDS]\n"
+            "                         [--hifreq-cutoff HIFREQ_CUTOFF] [--out OUT]\n"
+            "de-qe: error: --tsv cannot be combined with --source/--target\n",
+        ),
+    ],
+    ids=["parse-error", "handler-error"],
+)
+def test_usage_error_prints_the_subcommands_usage(monkeypatch, capsys, argv, expected):
+    """A usage error found by the parser and one found by the handler each
+    print the subcommand's own usage, then one error line, and exit 1."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", expected)
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 1
 

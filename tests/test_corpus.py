@@ -562,3 +562,40 @@ def test_block_reader_error_precedence_at_the_shorter_end(tmp_path, monkeypatch)
             ("encoding", f"{paths[2]}: invalid UTF-8 on line 3: invalid start byte"),
         )
         assert _outcome(iter_aligned(*paths)) == expected
+
+
+# ---------------------------------------------------------------------------
+# tokenize against the per-line oracle
+
+# Case folding turns U+01F0 and U+0390 into decomposed text that NFC
+# composes again, so folding before NFC gives other tokens.
+_TOKENIZE_WORDS = [
+    "e\u0301", "E\u0301", "A\u030a", "\u01f0", "J\u030c", "\u0390", "\u00df", "SS",
+    "\ufeffw", "z\ufeff", "w\ufeffv",
+    "x.", "(y)", "!", "...", "\u00abq\u00bb", "\u00bfW?", "'s'", "don't", "\u2014",
+]
+_TOKENIZE_SEPARATORS = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\r", "\t", " "]
+
+
+@pytest.mark.parametrize(
+    "tokenizer", _TOKENIZERS, ids=["default", "strip-punct", "lowercase", "lowercase-strip-punct"]
+)
+def test_tokenize_equals_the_per_line_oracle(tokenizer):
+    """``tokenize`` gives the oracle's tokens for seeded texts of one to four
+    lines, built from NFD accents, characters whose case folding NFC
+    recomposes, BOMs inside words, edge punctuation and every separator the
+    block reader must not cut a line at; a text's tokens are its lines'
+    tokens, one line after another."""
+    rng = random.Random(1900)
+    for trial in range(300):
+        lines = [
+            "".join(
+                rng.choice(_TOKENIZE_WORDS) + rng.choice(_TOKENIZE_SEPARATORS)
+                for _ in range(rng.randint(0, 6))
+            )
+            for _ in range(rng.randint(1, 4))
+        ]
+        text = "\n".join(lines)
+        per_line = chain.from_iterable(oracles.per_line_tokens(line, *tokenizer) for line in lines)
+        assert tokenize(text, tokenizer) == oracles.per_line_tokens(text, *tokenizer), trial
+        assert tokenize(text, tokenizer) == list(per_line), trial
