@@ -10,7 +10,7 @@ from bisect import bisect_right
 from collections import Counter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import PROGRESS_EVERY, SegmentPair, TokenizerConfig, tokenize
+from .corpus import PROGRESS_EVERY, SegmentPair, TokenizerConfig, _tokenized
 from .metrics import BleuResult, bleu_stats, pooled_bleu
 from .scoring import DeScore, de_score
 
@@ -232,17 +232,16 @@ def iter_filter(
 ) -> Iterator[FilterDecision]:
     """Score each pair (target side as hypothesis) and decide keep/drop.
 
-    Streams in input order; pairs with DE >= min_de are kept.
+    Streams in input order; pairs with DE >= min_de are kept. ``pairs`` may be
+    any objects with ``source`` and ``target`` texts, mapped through the
+    stages as one stream of line texts, as iterating ``CorpusFiles`` does.
     """
     if not 0.0 <= min_de <= 100.0:
         raise ValueError(f"min_de {min_de} outside [0, 100]")
-    for pair in pairs:
-        de = de_score(
-            matrix,
-            tokenize(pair.source, tokenizer),
-            tokenize(pair.target, tokenizer),
-            by_type=by_type,
-        )
+    pairs, texts = itertools.tee(pairs)
+    tokens = _tokenized(map(operator.attrgetter("source", "target"), texts), 2, tokenizer)
+    for pair, (source, target) in zip(pairs, tokens):
+        de = de_score(matrix, source, target, by_type=by_type)
         yield FilterDecision(pair, de, de.value >= min_de)
 
 

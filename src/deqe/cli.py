@@ -313,7 +313,7 @@ def cmd_vocab_stats(args: argparse.Namespace) -> int:
     corpus = _corpus_files(args)
     with corpus.unchanged():
         # The strict read raises every input error; the count pass reports none.
-        log.info("vocab-stats: %d segments read", sum(1 for _ in corpus.segments()))
+        log.info("vocab-stats: %d segments read", sum(1 for _ in corpus._texts()))
         # ``map`` drops each side's counts before the next side is counted.
         settings = itertools.repeat(args.thresholds), itertools.repeat(args.hifreq_cutoff)
         report = list(map(vocab_stats, ("source", "target"), corpus.token_counts(), *settings))

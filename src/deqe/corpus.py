@@ -45,8 +45,8 @@ def tokenize(text: str, config: TokenizerConfig = _DEFAULT_TOKENIZER) -> list[st
     ``config.lowercase`` tokens are case-folded; with ``config.strip_punct``
     leading/trailing punctuation is removed and tokens that were pure
     punctuation are dropped. Total function: empty or whitespace-only text
-    yields an empty list. These are the stages of every ``CorpusFiles``
-    read (``_normalized``, then ``_tokens``), run on one text.
+    yields an empty list. These are the stages every tokenizing read maps
+    over its line texts (``_normalized``, then ``_tokens``), run on one text.
     """
     (tokens,) = _tokens(_normalized((text,), config), config)
     return tokens
@@ -153,11 +153,6 @@ def _encoding_error(path, rest: bytes, lineno: int) -> EncodingError:
     return EncodingError(f"{path}: invalid UTF-8 on line {lineno}: {reason}")
 
 
-def _split_runs(runs: Iterable[str]) -> Iterator[str]:
-    """The lines of ``runs``."""
-    return itertools.chain.from_iterable(map(str.split, runs, itertools.repeat("\n")))
-
-
 def iter_lines(path) -> Iterator[str]:
     """Yield decoded lines without their line terminator.
 
@@ -166,7 +161,7 @@ def iter_lines(path) -> Iterator[str]:
     endings (a single trailing CR is stripped) and drops a UTF-8 BOM on the
     first line.
     """
-    return _split_runs(_runs(path))
+    return itertools.chain.from_iterable(map(str.split, _runs(path), itertools.repeat("\n")))
 
 
 @contextlib.contextmanager
@@ -266,16 +261,17 @@ def _tsv_columns(path, runs: Iterable[str]) -> Iterator[tuple[list[str], list[st
     lineno = 0  # lines in the runs before ``run``
     for run in runs:
         lines = run.split("\n")
-        tabs = list(map(str.count, lines, itertools.repeat("\t")))
+        parts = list(map(str.partition, lines, itertools.repeat("\t")))
+        # As many tabs as lines, and a tab in every line: one in each.
         good = len(lines)
-        if tabs.count(1) != good:
-            good = next(i for i, n in enumerate(tabs) if n != 1)
-        parts = list(map(str.partition, lines[:good], itertools.repeat("\t")))
+        if run.count("\t") != good or not all(map(_second, parts)):
+            good = next(i for i, line in enumerate(lines) if line.count("\t") != 1)
+            del parts[good:]
         yield list(map(_first, parts)), list(map(_third, parts))
         if good < len(lines):
+            found = lines[good].count("\t")
             raise DataError(
-                f"{path}: line {lineno + good + 1}: expected exactly one tab, "
-                f"found {tabs[good]}"
+                f"{path}: line {lineno + good + 1}: expected exactly one tab, found {found}"
             )
         lineno += len(lines)
 
@@ -283,13 +279,13 @@ def _tsv_columns(path, runs: Iterable[str]) -> Iterator[tuple[list[str], list[st
 _second, _third = operator.itemgetter(1), operator.itemgetter(2)
 
 
-def _normalized(runs: Iterable[str], config: TokenizerConfig) -> Iterator[str]:
-    """``tokenize``'s first stage on each of ``runs``: NFC, then case folding
-    with ``config.lowercase``. Case folding maps one code point at a time,
-    and NFC never composes or reorders across "\\n", a starter that
-    composes with nothing, so both act on a run of lines as on each line."""
-    runs = map(unicodedata.normalize, itertools.repeat("NFC"), runs)
-    return map(str.casefold, runs) if config.lowercase else runs
+def _normalized(texts: Iterable[str], config: TokenizerConfig) -> Iterator[str]:
+    """``tokenize``'s first stage on each of ``texts``: NFC, then case
+    folding with ``config.lowercase``. Case folding maps one code point at a
+    time, and NFC never composes or reorders across "\\n", a starter that
+    composes with nothing, so the count pass may map both over whole runs."""
+    texts = map(unicodedata.normalize, itertools.repeat("NFC"), texts)
+    return map(str.casefold, texts) if config.lowercase else texts
 
 
 def _tokens(texts: Iterable[str], config: TokenizerConfig) -> Iterator[list[str]]:
@@ -298,6 +294,16 @@ def _tokens(texts: Iterable[str], config: TokenizerConfig) -> Iterator[list[str]
     ``strip_punct`` works token by token, so a run's tokens are its lines'."""
     tokens = map(str.split, texts)
     return map(_without_edge_punct, tokens) if config.strip_punct else tokens
+
+
+def _tokenized(
+    rows: Iterable[tuple[str, ...]], width: int, config: TokenizerConfig
+) -> Iterator[tuple[list[str], ...]]:
+    """The token lists of ``rows``, tuples of ``width`` texts, a tuple of
+    ``width`` lists per row: the stages run once over the flattened texts,
+    and no row is read before its tokens are asked for."""
+    tokens = _tokens(_normalized(itertools.chain.from_iterable(rows), config), config)
+    return zip(*[tokens] * width)
 
 
 def _counted(texts: Iterable[str], config: TokenizerConfig) -> Counter[str]:
@@ -314,7 +320,9 @@ class CorpusFiles:
     ``paths`` is any number of one-segment-per-line files read in step, or
     (tsv,) with ``tsv`` set. Iterating reads the files once and yields one
     tuple of token lists per line, one list per file (two for a TSV). Every
-    read, the count pass's too, decodes a block of lines at a time (``_runs``).
+    read, the count pass's too, decodes a block of lines at a time (``_runs``);
+    only the count pass normalizes whole runs, and every other tokenizing
+    read maps the stages over line texts.
     """
 
     def __init__(
@@ -339,18 +347,9 @@ class CorpusFiles:
         return (SegmentPair(index, *texts) for index, texts in enumerate(self._texts()))
 
     def __iter__(self) -> Iterator[tuple[list[str], ...]]:
-        config = self.tokenizer
-        if self.tsv:
-            (path,) = self.paths
-            columns = _tsv_columns(path, _normalized(_runs(path), config))
-            return itertools.chain.from_iterable(
-                zip(_tokens(sources, config), _tokens(targets, config))
-                for sources, targets in columns
-            )
-        readers = [
-            _tokens(_split_runs(_normalized(_runs(path), config)), config) for path in self.paths
-        ]
-        return _in_step(readers, self.paths, "line")
+        """The token lists of the lines ``segments()`` reads, tokenized line
+        text by line text as they are asked for."""
+        return _tokenized(self._texts(), 2 if self.tsv else len(self.paths), self.tokenizer)
 
     def token_counts(self) -> Iterator[Counter[str]]:
         """Each side's {token: count}, counted when it is asked for by the
@@ -427,10 +426,10 @@ def build_parallel_vocabularies(
     source_counts: Counter[str] = Counter()
     target_counts: Counter[str] = Counter()
     n = 0
-    for pair in pairs:
-        source_counts.update(tokenize(pair.source, config))
-        target_counts.update(tokenize(pair.target, config))
-        n += 1
+    texts = map(operator.attrgetter("source", "target"), pairs)
+    for n, (source, target) in enumerate(_tokenized(texts, 2, config), start=1):
+        source_counts.update(source)
+        target_counts.update(target)
     source = Vocabulary("source", list(source_counts.keys()), list(source_counts.values()))
     target = Vocabulary("target", list(target_counts.keys()), list(target_counts.values()))
     return source, target, n

@@ -6,7 +6,7 @@ import os
 import random
 import tempfile
 
-from deqe.corpus import CorpusFiles
+from deqe.corpus import CorpusFiles, SegmentPair
 from deqe.wcm import CooccurrenceMatrix, WcmConfig, build_wcm_with_vocabularies
 
 
@@ -173,3 +173,29 @@ def equivalence_corpus(tmp_path, rng, tsv, tokenizer) -> CorpusFiles:
     for path, lines in zip(paths, sides):
         _equivalence_file(path, rng, lines)
     return CorpusFiles(paths, tokenizer=tokenizer)
+
+
+# Words that NFC, case folding or punctuation stripping change: NFD accents,
+# case pairs, BOMs inside words and edge punctuation. Case folding turns
+# U+01F0 and U+0390 into decomposed text that NFC composes again, so folding
+# before NFC gives other tokens. The separators are those str.split cuts at
+# and the block reader must not cut a line at.
+_TOKENIZE_WORDS = [
+    "e\u0301", "E\u0301", "A\u030a", "\u01f0", "J\u030c", "\u0390", "\u00df", "SS",
+    "\ufeffw", "z\ufeff", "w\ufeffv",
+    "x.", "(y)", "!", "...", "\u00abq\u00bb", "\u00bfW?", "'s'", "don't", "\u2014",
+]
+_TOKENIZE_SEPARATORS = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\r", "\t", " "]
+
+
+def tokenizer_pairs(rng, n) -> list[SegmentPair]:
+    """``n`` seeded pairs of texts of up to six of the words above, each
+    followed by one of the separators."""
+
+    def text():
+        return "".join(
+            rng.choice(_TOKENIZE_WORDS) + rng.choice(_TOKENIZE_SEPARATORS)
+            for _ in range(rng.randint(0, 6))
+        )
+
+    return [SegmentPair(i, text(), text()) for i in range(n)]

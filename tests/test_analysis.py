@@ -12,11 +12,11 @@ from deqe.analysis import (
     iter_filter,
     render_histogram_svg,
 )
-from deqe.corpus import SegmentPair, load_parallel_corpus
+from deqe.corpus import SegmentPair, TokenizerConfig, load_parallel_corpus, tokenize
 from deqe.metrics import bleu_stats, corpus_bleu
-from deqe.scoring import DeScore
+from deqe.scoring import DeScore, de_score
 
-from helpers import build_from_raw, make_matrix, write_lines
+from helpers import build_from_raw, make_matrix, tokenizer_pairs, write_lines
 
 
 def _scores(values):
@@ -259,3 +259,58 @@ def test_filter_min_de_out_of_range(toy_filter_setup):
             filter_corpus(
                 matrix, load_parallel_corpus(src, tgt), bad, keep=[].append, drop=[].append
             )
+
+
+_TOKENIZERS = [TokenizerConfig(lower, strip) for lower in (False, True) for strip in (False, True)]
+
+
+@pytest.mark.parametrize(
+    "tokenizer", _TOKENIZERS, ids=["default", "strip-punct", "lowercase", "lowercase-strip-punct"]
+)
+def test_iter_filter_scores_each_pair_as_tokenize_does(tokenizer):
+    """``iter_filter`` tokenizes its pairs as one stream of texts; each
+    decision is the one ``tokenize`` gives its pair alone, in input order,
+    on texts of NFD accents, case pairs, edge punctuation, BOMs inside words
+    and separators that ``str.split`` cuts at."""
+    rng = random.Random(2000)
+    pairs = tokenizer_pairs(rng, 200)
+    tokens = sorted({t for p in pairs for text in p[1:] for t in tokenize(text, tokenizer)})
+    matrix = make_matrix({(s, t): 20 for s in tokens for t in tokens if rng.random() < 0.3})
+    for by_type in (False, True):
+        expected = [
+            de_score(
+                matrix,
+                tokenize(p.source, tokenizer),
+                tokenize(p.target, tokenizer),
+                by_type=by_type,
+            )
+            for p in pairs
+        ]
+        decisions = list(
+            iter_filter(matrix, iter(pairs), 40.0, tokenizer=tokenizer, by_type=by_type)
+        )
+        assert [d.pair for d in decisions] == pairs
+        assert [d.de for d in decisions] == expected
+        assert [d.kept for d in decisions] == [de.value >= 40.0 for de in expected]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7])
+def test_iter_filter_decides_each_pair_before_the_stream_fails(k):
+    """A pair stream that raises after ``k`` pairs first gives ``k``
+    decisions, each made when no later pair has been read."""
+    pairs = tokenizer_pairs(random.Random(k), k)
+    matrix = make_matrix({("a", "a"): 20})
+    read = []
+
+    def failing():
+        for pair in pairs:
+            read.append(pair)
+            yield pair
+        raise OSError("pair stream failed")
+
+    decisions = iter_filter(matrix, failing(), 50.0)
+    for i, pair in enumerate(pairs):
+        assert next(decisions).pair == pair
+        assert read == pairs[: i + 1]
+    with pytest.raises(OSError, match="pair stream failed"):
+        next(decisions)

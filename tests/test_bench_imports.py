@@ -18,8 +18,15 @@ import pytest
 
 from deqe import cli
 from deqe.analysis import bucket_eval, iter_filter
-from deqe.corpus import SegmentPair, build_parallel_vocabularies, build_vocabulary
-from deqe.metrics import corpus_bleu
+from deqe.corpus import (
+    SegmentPair,
+    build_parallel_vocabularies,
+    build_vocabulary,
+    load_parallel_corpus,
+    tokenize,
+)
+from deqe.metrics import corpus_bleu, sentence_bleu
+from deqe.scoring import de_score, reverse_de_score
 from deqe.wcm import WcmConfig, build_wcm, load_wcm, save_wcm
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -83,11 +90,20 @@ def test_stage_build_wcm_call_binds():
         (corpus_bleu, 2),  # corpus_bleu(hyps, refs)
         (build_parallel_vocabularies, 1),  # build_parallel_vocabularies(pairs)
         (iter_filter, 3),  # iter_filter(matrix, pairs, min_de)
+        (tokenize, 1),  # tokenize(p.source)
+        (load_parallel_corpus, 2),  # load_parallel_corpus(source, target)
+        (de_score, 3),  # de_score(matrix, s, h)
+        (reverse_de_score, 3),  # reverse_de_score(matrix, s, h)
+        (sentence_bleu, 2),  # sentence_bleu(h, r)
+        (save_wcm, 2),  # save_wcm(matrix, out)
+        (load_wcm, 1),  # load_wcm(wcm)
+        (build_vocabulary, 2),  # build_vocabulary(segments, "source")
     ],
     ids=lambda value: getattr(value, "__name__", str(value)),
 )
 def test_trace_run_calls_bind(function, n_args):
-    # bench/trace_run.py makes these calls with positional arguments only.
+    # bench/trace_run.py and bench/stage.py make these calls with positional
+    # arguments only.
     inspect.signature(function).bind(*[None] * n_args)
 
 

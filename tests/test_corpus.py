@@ -28,7 +28,10 @@ import oracles
 from helpers import (
     _EQUIVALENCE_SEPARATORS,
     _EQUIVALENCE_WORDS,
+    _TOKENIZE_SEPARATORS,
+    _TOKENIZE_WORDS,
     equivalence_corpus,
+    tokenizer_pairs,
     write_lines,
 )
 
@@ -567,15 +570,6 @@ def test_block_reader_error_precedence_at_the_shorter_end(tmp_path, monkeypatch)
 # ---------------------------------------------------------------------------
 # tokenize against the per-line oracle
 
-# Case folding turns U+01F0 and U+0390 into decomposed text that NFC
-# composes again, so folding before NFC gives other tokens.
-_TOKENIZE_WORDS = [
-    "e\u0301", "E\u0301", "A\u030a", "\u01f0", "J\u030c", "\u0390", "\u00df", "SS",
-    "\ufeffw", "z\ufeff", "w\ufeffv",
-    "x.", "(y)", "!", "...", "\u00abq\u00bb", "\u00bfW?", "'s'", "don't", "\u2014",
-]
-_TOKENIZE_SEPARATORS = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\r", "\t", " "]
-
 
 @pytest.mark.parametrize(
     "tokenizer", _TOKENIZERS, ids=["default", "strip-punct", "lowercase", "lowercase-strip-punct"]
@@ -599,3 +593,34 @@ def test_tokenize_equals_the_per_line_oracle(tokenizer):
         per_line = chain.from_iterable(oracles.per_line_tokens(line, *tokenizer) for line in lines)
         assert tokenize(text, tokenizer) == oracles.per_line_tokens(text, *tokenizer), trial
         assert tokenize(text, tokenizer) == list(per_line), trial
+
+
+# ---------------------------------------------------------------------------
+# one tokenizing stream
+
+
+@pytest.mark.parametrize(
+    "tokenizer", _TOKENIZERS, ids=["default", "strip-punct", "lowercase", "lowercase-strip-punct"]
+)
+def test_build_parallel_vocabularies_count_each_pair_as_tokenize_does(tokenizer):
+    """Each side's vocabulary holds the counts of ``tokenize`` over that
+    side's texts, pair by pair, in first-occurrence order."""
+    pairs = tokenizer_pairs(random.Random(2001), 200)
+    source, target, n = build_parallel_vocabularies(iter(pairs), tokenizer)
+    assert n == len(pairs)
+    for vocab, side in ((source, "source"), (target, "target")):
+        counts = Counter()
+        for pair in pairs:
+            counts.update(tokenize(getattr(pair, side), tokenizer))
+        assert vocab.side == side
+        assert list(zip(vocab.tokens, vocab.frequencies)) == list(counts.items())
+
+
+@pytest.mark.parametrize("tsv", [False, True], ids=["two-files", "tsv"])
+def test_iterating_reads_nothing_before_the_first_row_is_asked_for(tmp_path, tsv):
+    write_lines(tmp_path / "other", ["a"])
+    missing = tmp_path / "missing"
+    paths = (missing,) if tsv else (missing, tmp_path / "other")
+    rows = iter(CorpusFiles(paths, tsv=tsv))
+    with pytest.raises(FileNotFoundError):
+        next(rows)

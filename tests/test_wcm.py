@@ -833,7 +833,7 @@ def test_file_build_refuses_a_corpus_that_changed_while_read(
     out = tmp_path / "vocab.tsv"
     out.write_text("an earlier report\n")
     # after the strict read, and after the source side is counted
-    for method, items in (("segments", None), ("token_counts", 1)):
+    for method, items in (("_texts", None), ("token_counts", 1)):
         with monkeypatch.context() as patch:
             patch.setattr(CorpusFiles, method, changed_after(getattr(CorpusFiles, method), items))
             assert main(["vocab-stats", *inputs, "--out", str(out), "--quiet"]) == 2
