@@ -10,7 +10,7 @@ import stat
 import unicodedata
 from collections import Counter, deque
 from functools import partial
-from typing import AnyStr, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import AlignmentError, DataError, EncodingError
 
@@ -80,22 +80,20 @@ class SegmentPair(NamedTuple):
 _BLOCK_BYTES = 1 << 16
 
 
-def _whole_line_blocks(chunks: Iterable[AnyStr], newline: AnyStr) -> Iterator[AnyStr]:
-    """Join ``chunks`` (all ``bytes`` or all ``str``) into blocks that each
-    end just after a ``newline``; the last holds what follows the last
-    ``newline``, and is left out when that is nothing. A chunk without a
-    ``newline`` is held until one arrives."""
-    empty = newline[:0]
-    pending: list[AnyStr] = []
+def _whole_line_blocks(chunks: Iterable[bytes]) -> Iterator[bytes]:
+    """Join ``chunks`` into blocks that each end just after a LF; the last
+    holds what follows the last LF, and is left out when that is nothing. A
+    chunk without a LF is held until one arrives."""
+    pending: list[bytes] = []
     for chunk in chunks:
-        end = chunk.rfind(newline) + 1
+        end = chunk.rfind(b"\n") + 1
         if not end:
             pending.append(chunk)
             continue
         pending.append(chunk[:end])
-        yield empty.join(pending)
+        yield b"".join(pending)
         pending = [chunk[end:]]
-    tail = empty.join(pending)
+    tail = b"".join(pending)
     if tail:
         yield tail
 
@@ -112,7 +110,7 @@ def _runs(path) -> Iterator[str]:
     """
     with open(path, "rb") as fh:
         lineno = 1  # of the first line of ``block``
-        for block in _whole_line_blocks(iter(partial(fh.read1, _BLOCK_BYTES), b""), b"\n"):
+        for block in _whole_line_blocks(iter(partial(fh.read1, _BLOCK_BYTES), b"")):
             try:
                 text = block.decode("utf-8")
             except UnicodeDecodeError as exc:

@@ -14,15 +14,17 @@ from __future__ import annotations
 
 import logging
 import os
+import reprlib
 import sys
 from collections import Counter
+from contextlib import closing
 from functools import partial
-from itertools import chain, compress, count, islice
+from itertools import chain, compress, count, islice, repeat
 from operator import is_not, itemgetter
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, NamedTuple, TextIO
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, NamedTuple
 
-from .corpus import PROGRESS_EVERY, _whole_line_blocks, atomic_write
+from .corpus import PROGRESS_EVERY, _runs, atomic_write
 from .errors import VocabularyMismatchError, WcmFormatError
 
 if TYPE_CHECKING:
@@ -458,10 +460,7 @@ def save_wcm(matrix: CooccurrenceMatrix, path) -> None:
     excluded_target = matrix.excluded_target_tokens()
     written = set(map(itemgetter(0), entries))
     written.update(map(itemgetter(1), entries), excluded_source, excluded_target)
-    # One pass over every character; the offending token is looked up only
-    # once there is one.
-    if any(map(str.isspace, "".join(written))):
-        token = min(tok for tok in written if any(ch.isspace() for ch in tok))
+    if (token := _spaced_token(written)) is not None:
         raise ValueError(f"token {token!r} contains whitespace and cannot be serialized")
     cfg = matrix.config
     with atomic_write(path) as fh:
@@ -478,6 +477,18 @@ def save_wcm(matrix: CooccurrenceMatrix, path) -> None:
 
 def _join_tokens(tokens: frozenset[str]) -> str:
     return "".join(" " + t for t in sorted(tokens))
+
+
+def _spaced_token(tokens: Collection[str]) -> str | None:
+    """The least of ``tokens`` that holds whitespace, or None: one C-level
+    pass over every character, and the offender is looked up only once
+    there is one."""
+    joined = "".join(tokens)
+    # ``str.split`` cuts at the characters ``str.isspace`` accepts, and
+    # gives back ``[joined]`` itself when it finds none.
+    if joined and joined.split() != [joined]:
+        return min(tok for tok in tokens if any(map(str.isspace, tok)))
+    return None
 
 
 def _header_rest(lines: list[str], idx: int, tag: str, path) -> str:
@@ -501,22 +512,6 @@ def _header_int(lines: list[str], idx: int, tag: str, path) -> int:
         ) from None
 
 
-def _line_blocks(fh: TextIO, size: int = 1 << 14) -> Iterator[list[str]]:
-    """The lines of a text file, as ``str.splitlines`` cuts its whole text,
-    in lists of the whole lines of each ``size``-character read.
-
-    Not the file's own line iteration: ``splitlines`` also cuts at \\x1c,
-    \\x85, \\u2028 and the other Unicode line boundaries. ``fh`` must be
-    opened with universal newlines (the default), so that every line break
-    a read ends on is a complete one. A file that is not valid UTF-8 is a
-    WcmFormatError naming it.
-    """
-    try:
-        yield from map(str.splitlines, _whole_line_blocks(iter(partial(fh.read, size), ""), "\n"))
-    except UnicodeDecodeError as exc:
-        raise WcmFormatError(f"{fh.name}: invalid UTF-8: {exc.reason}") from None
-
-
 def _read_header(
     lines: list[str], path
 ) -> tuple[WcmConfig, int, frozenset[str], frozenset[str]]:
@@ -526,9 +521,10 @@ def _read_header(
         raise WcmFormatError(f"{path}: not a WCM file (missing '#wcm' header)")
     version = lines[0][len("#wcm") :].strip()
     if version != FORMAT_VERSION:
+        # Cut short: a first line that never ends would quote the whole file.
         raise WcmFormatError(
             f"{path}: unsupported WCM format version: expected "
-            f"{FORMAT_VERSION!r}, found {version!r}"
+            f"{FORMAT_VERSION!r}, found {reprlib.repr(version)}"
         )
     min_cooc = _header_int(lines, 1, "#min_cooccurrence", path)
     cutoff = _header_int(lines, 2, "#hifreq_cutoff", path)
@@ -550,16 +546,18 @@ def load_wcm(path) -> CooccurrenceMatrix:
 
     The loaded matrix is exactly the file: its rows and its exclusion sets.
     Corpus frequencies are not stored, and a pruned word and an unseen word
-    alike have no row. The file is read a block of lines at a time and each
-    entry is checked as it is read, so an entry error is reported before a
-    wrong declared entry count.
+    alike have no row. The file is read as a corpus file is (``corpus._runs``):
+    LF lines, CRLF and a leading BOM tolerated, a byte that is not UTF-8 an
+    EncodingError naming its line. Each entry is checked as it is read, and
+    its tokens, which hold no whitespace, once all are read, so an entry
+    error is reported before a wrong declared entry count.
     """
     rows: dict[str, dict[str, int]] = {}
     # Each target token string, kept once however many rows hold it.
     target_tokens: dict[str, str] = {}
     found = 0
-    with open(path, encoding="utf-8") as fh:
-        lines = chain.from_iterable(_line_blocks(fh))
+    with closing(_runs(path)) as runs:
+        lines = chain.from_iterable(map(str.split, runs, repeat("\n")))
         config, declared, excl_s, excl_t = _read_header(list(islice(lines, 7)), path)
         for found, line in enumerate(islice(lines, declared), 1):
             fields = line.split("\t")
@@ -588,6 +586,8 @@ def load_wcm(path) -> CooccurrenceMatrix:
             if t in row:
                 raise WcmFormatError(f"{path}: duplicate entry ({s!r}, {t!r})")
             row[target_tokens.setdefault(t, t)] = c
+        if (token := _spaced_token([*rows, *target_tokens])) is not None:
+            raise WcmFormatError(f"{path}: token {token!r} contains whitespace")
         trailing = sum(1 for _ in lines)
     if found < declared:
         raise WcmFormatError(

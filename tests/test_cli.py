@@ -168,10 +168,14 @@ def test_wcm_with_negative_entry_count_exit_2(tmp_path, toy_corpus, toy_wcm, cap
 def test_wcm_not_utf8_is_one_line_data_error(tmp_path, toy_corpus, toy_wcm, capsys, good, bad):
     src, tgt = toy_corpus
     path = tmp_path / "bad.wcm"
-    path.write_bytes(toy_wcm.read_bytes().replace(good, bad, 1))
+    data = toy_wcm.read_bytes()
+    lineno = data[: data.index(good)].count(b"\n") + 1
+    path.write_bytes(data.replace(good, bad, 1))
     rc = main(["score", "--wcm", str(path), "--source", str(src), "--hypothesis", str(tgt)])
     assert rc == 2
-    assert capsys.readouterr().err == f"de-qe: error: {path}: invalid UTF-8: invalid start byte\n"
+    assert capsys.readouterr().err == (
+        f"de-qe: error: {path}: invalid UTF-8 on line {lineno}: invalid start byte\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import pytest
 from deqe.analysis import BucketSpec
 from deqe.cli import main
 from deqe.corpus import CorpusFiles, TokenizerConfig, build_vocabulary
-from deqe.errors import DataError, VocabularyMismatchError, WcmFormatError
+from deqe.errors import DataError, EncodingError, VocabularyMismatchError, WcmFormatError
 from deqe.scoring import de_score
 from deqe.wcm import (
     COUNT_MODES,
@@ -572,14 +572,23 @@ _HEADER_2 = (
         ("a\tx\t6\na\tx\n", "line 9: expected 3 tab-separated fields, found 2"),
         ("a\tx\t6\nb\ty\tmany\n", "line 9: invalid count 'many'"),
         ("a\tx\t6\nb\ty\t3\n", "line 9: count 3 is below the declared min_cooccurrence 5"),
-        # \u2028 ends a line, as str.splitlines reads it
-        ("b\u2028c\ty\t6\n", "line 8: expected 3 tab-separated fields, found 1"),
+        # Only LF ends a line; a token holding whitespace is named once the
+        # entries are read, before the entry count is checked.
+        ("b\u2028c\ty\t6\n", "token 'b\\u2028c' contains whitespace"),
+        ("a b\tx\t6\nc\ty\t6\n", "token 'a b' contains whitespace"),
+        ("a\tx\xa0y\t6\nc\ty\t6\n", "token 'x\\xa0y' contains whitespace"),
+        ("a\tx\t6\nc\x1cd\ty\t6\n", "token 'c\\x1cd' contains whitespace"),
+        ("a\tx\ry\t6\nb\ty\t6\n", "token 'x\\ry' contains whitespace"),
+        ("z z\tx\t6\na\tx y\t6\n", "token 'x y' contains whitespace"),
         ("a\tx\t6\na\tx\t7\n", "duplicate entry ('a', 'x')"),
         ("a\tx\t6\n", "truncated WCM file: header declares 2 entries, found 1"),
         ("a\tx\t6\r\nb\ty\t6\r\nc\tz\t6\r\n", "trailing data: header declares 2 entries, found 3 lines"),
         ("a\tx\t6\nb\ty\t6\n\n\n", "trailing data: header declares 2 entries, found 4 lines"),
     ],
-    ids=["fields", "count", "below-min", "u2028", "duplicate", "truncated", "trailing-crlf", "trailing-blank"],
+    ids=[
+        "fields", "count", "below-min", "u2028", "space", "nbsp", "x1c", "lone-cr", "least",
+        "duplicate", "truncated", "trailing-crlf", "trailing-blank",
+    ],
 )
 def test_load_error_messages(tmp_path, entries, message):
     path = tmp_path / "bad.wcm"
@@ -590,18 +599,21 @@ def test_load_error_messages(tmp_path, entries, message):
 
 
 @pytest.mark.parametrize(
-    "good, bad",
-    [(b"#count_mode binary", b"#count_mode bin\xffary"), (b"e2999\t", b"e2999\xff\t")],
+    "good, bad, lineno",
+    [(b"#count_mode binary", b"#count_mode bin\xffary", 4), (b"e7999\t", b"e7999\xff\t", 8007)],
     ids=["header", "entry-in-a-later-read"],
 )
-def test_load_not_utf8_is_format_error(tmp_path, good, bad):
-    entries = "".join(f"e{i}\tx\t6\n" for i in range(3000))
-    text = _HEADER_2.replace("#entries 2", "#entries 3000") + entries
+def test_load_not_utf8_is_encoding_error(tmp_path, good, bad, lineno):
+    """A WCM is read as any other input: a byte that is not UTF-8 is the
+    EncodingError naming its line, also past the first block read."""
+    entries = "".join(f"e{i}\tx\t6\n" for i in range(8000))
+    text = _HEADER_2.replace("#entries 2", "#entries 8000") + entries
+    assert text.index("e7999") > 1 << 16
     path = tmp_path / "bad.wcm"
     path.write_bytes(text.encode("utf-8").replace(good, bad, 1))
-    with pytest.raises(WcmFormatError) as err:
+    with pytest.raises(EncodingError) as err:
         load_wcm(path)
-    assert str(err.value) == f"{path}: invalid UTF-8: invalid start byte"
+    assert str(err.value) == f"{path}: invalid UTF-8 on line {lineno}: invalid start byte"
 
 
 @pytest.mark.parametrize(
@@ -622,31 +634,29 @@ def test_load_reports_entry_error_before_entry_count(tmp_path, declared, entries
     assert str(err.value) == f"{path}: {message}"
 
 
-def test_line_blocks_cut_as_splitlines(tmp_path):
-    """load_wcm reads its lines in blocks. Joined, they are the lines that
-    str.splitlines cuts from the whole text, for any block size, with CRLF
-    and CR endings (also split across two reads), the other line boundaries
-    and lines longer than a block."""
-    rng = random.Random(31)
-    pieces = ["a", "bc", "\t", "\n", "\r\n", "\r", "\x1c", "\x85", "\u2028", "\ufeff", "x" * 40]
-    path = tmp_path / "lines.txt"
-    for _ in range(300):
-        path.write_bytes("".join(rng.choices(pieces, k=rng.randint(0, 60))).encode("utf-8"))
-        with open(path, encoding="utf-8") as fh:
-            want = fh.read().splitlines()
-        for size in (1, 2, 3, 7, 64):
-            with open(path, encoding="utf-8") as fh:
-                assert list(chain.from_iterable(deqe.wcm._line_blocks(fh, size))) == want
-
-
 def test_load_crlf_file_of_many_read_blocks(tmp_path):
-    matrix = make_matrix({(f"s{i}", f"t{i % 97}"): 20 + i for i in range(3000)})
+    matrix = make_matrix({(f"s{i}", f"t{i % 97}"): 20 + i for i in range(10_000)})
     path = tmp_path / "big.wcm"
     save_wcm(matrix, path)
-    text = path.read_text()
-    assert len(text) > 2 * (1 << 14)
-    path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    data = b"\xef\xbb\xbf" + path.read_bytes().replace(b"\n", b"\r\n")
+    assert len(data) > 2 * (1 << 16)
+    path.write_bytes(data)
     assert load_wcm(path) == matrix
+
+
+def test_load_refuses_a_cr_only_file_in_one_short_line(tmp_path):
+    """A file whose lines end in CR alone is one line, whose version is the
+    rest of the file; the error quotes only the start and end of it."""
+    matrix = make_matrix({(f"s{i}", f"t{i}"): 20 for i in range(1000)})
+    path = tmp_path / "cr.wcm"
+    save_wcm(matrix, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+    with pytest.raises(WcmFormatError) as err:
+        load_wcm(path)
+    assert str(err.value) == (
+        f"{path}: unsupported WCM format version: expected 'v1', "
+        "found 'v1\\r#min_coo...999\\tt999\\t20'"
+    )
 
 
 def test_save_rejects_whitespace_tokens(tmp_path):
@@ -680,9 +690,10 @@ def test_round_trip_random_matrices(tmp_path):
         assert load_wcm(path) == matrix
 
 
-# Characters that end a line for str.splitlines (which load_wcm cuts by) or
-# separate tokens for str.split (which tokenize cuts by), but not a line for
-# iter_lines; and words that carry a BOM or a decomposed accent.
+# Characters that end a line for str.splitlines or separate tokens for
+# str.split (which tokenize cuts by), but end no line of a file read a block
+# at a time (iter_lines, load_wcm); and words that carry a BOM or a decomposed
+# accent.
 _BOUNDARY_SEPARATORS = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\r", "\t", " "]
 _BOUNDARY_WORDS = ["a", "b\ufeffc", "\ufeffd", "e\u0301", "x", "y", "z"]
 
