@@ -3,7 +3,13 @@
 Exit codes: 0 success, 1 usage error (usage text on stderr), 2 data error
 (mismatched files, format violations, files that cannot be read or
 written). Diagnostics go to stderr; report data goes to stdout or --out.
-Output files are replaced only when the command succeeds; with no --out, a
+
+A handler, ``cmd_x(args, stack)``, returns its report's lines (after the
+header), or None when it writes no report; the lines may be a lazy
+iterator. It puts each side file it writes on ``stack``. ``main`` checks
+that no two file flags name one file, then writes the header and the lines
+to stdout or, through ``atomic_write``, to --out on that same stack, so
+output files are replaced only when the command succeeds; with no --out, a
 command that streams its rows (score, bleu --sentence-level) may already
 have written some to stdout when it meets a data error. Every report
 starts with '#' comment lines echoing the resolved run configuration, so a
@@ -31,7 +37,7 @@ from . import __version__
 from .errors import AlignmentError, DataError, UsageError
 
 if TYPE_CHECKING:
-    from typing import Callable, Iterable, Iterator, Sequence, TextIO
+    from typing import Callable, Iterable, Iterator, Sequence
 
     from .analysis import BucketSpec
     from .corpus import CorpusFiles, SegmentPair, TokenizerConfig
@@ -110,24 +116,6 @@ def config_header(args: argparse.Namespace) -> list[str]:
     return lines
 
 
-@contextlib.contextmanager
-def _open_out(path: str | None) -> Iterator[TextIO]:
-    if path is None:
-        yield sys.stdout
-    else:
-        from .corpus import atomic_write
-
-        with atomic_write(path) as fh:
-            yield fh
-
-
-def _write_report(fh: TextIO, args: argparse.Namespace, *parts: Iterable[str]) -> None:
-    """Write the config header, then the lines of each of ``parts`` in turn."""
-    for part in (config_header(args), *parts):
-        for line in part:
-            fh.write(line + "\n")
-
-
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -184,20 +172,31 @@ def _test_segments(args: argparse.Namespace, *paths: str) -> Iterator[tuple[list
 # The keys of the flags that name a file a subcommand reads.
 _INPUT_FLAGS = ("source", "target", "tsv", "wcm", "hypothesis", "reference", "x", "y", "scores")
 
+# The keys of the flags that name files a subcommand writes, each with the
+# suffixes that make its files' names from its value.
+_OUTPUT_FLAGS = {
+    "out": ("",),
+    "chart": ("",),
+    "kept_prefix": (".source", ".target"),
+    "dropped_prefix": (".source", ".target"),
+}
 
-def _distinct_outputs(args: argparse.Namespace, *outputs: tuple[str, str | None]) -> None:
-    """Raise UsageError if ``--out`` or one of the other (flag, path)
-    ``outputs`` names a file that one of the command's input flags names,
-    which writing it would replace, or the file another output names,
-    which both would write through one temporary file; a path of None is
-    stdout."""
+
+def _distinct_outputs(args: argparse.Namespace) -> None:
+    """Raise UsageError if an output flag names a file that one of the
+    command's input flags names, which writing it would replace, or the file
+    another output flag names, which both would write through one temporary
+    file; an unset output flag (--out of None is stdout) names no file."""
     flags = {
         os.path.realpath(path): f"--{key}"
         for key in _INPUT_FLAGS
         if (path := getattr(args, key, None)) is not None
     }
-    for flag, path in (("--out", args.out), *outputs):
-        if path is not None:
+    for key, suffixes in _OUTPUT_FLAGS.items():
+        if (prefix := getattr(args, key, None)) is None:
+            continue
+        flag = "--" + key.replace("_", "-")
+        for path in (prefix + suffix for suffix in suffixes):
             other = flags.setdefault(os.path.realpath(path), flag)
             if other != flag:
                 raise UsageError(f"{other} and {flag} name the same file: {path}")
@@ -306,10 +305,9 @@ def _bucket_list(text: str) -> list[BucketSpec]:
 # subcommand handlers
 
 
-def cmd_vocab_stats(args: argparse.Namespace) -> int:
+def cmd_vocab_stats(args: argparse.Namespace, stack: contextlib.ExitStack) -> list[str]:
     from .corpus import vocab_stats
 
-    _distinct_outputs(args)
     corpus = _corpus_files(args)
     with corpus.unchanged():
         # The strict read raises every input error; the count pass reports none.
@@ -340,15 +338,12 @@ def cmd_vocab_stats(args: argparse.Namespace) -> int:
             f"{stats.pct_of_vocab(len(stats.hifreq_types)):.2f}"
         )
         rows.append(f"{side}\thifreq_types\t{' '.join(stats.hifreq_types)}\t-")
-    with _open_out(args.out) as fh:
-        _write_report(fh, args, rows)
-    return 0
+    return rows
 
 
-def cmd_build_wcm(args: argparse.Namespace) -> int:
+def cmd_build_wcm(args: argparse.Namespace, stack: contextlib.ExitStack) -> None:
     from .wcm import WcmConfig, build_wcm_with_vocabularies, save_wcm
 
-    _distinct_outputs(args)
     threads = _resolve_threads(args.threads)
     corpus = _corpus_files(args)
     config = WcmConfig(
@@ -365,19 +360,18 @@ def cmd_build_wcm(args: argparse.Namespace) -> int:
         len(matrix.excluded_source_tokens()),
         len(matrix.excluded_target_tokens()),
     )
-    return 0
 
 
-def cmd_score(args: argparse.Namespace) -> int:
+def cmd_score(args: argparse.Namespace, stack: contextlib.ExitStack) -> Iterator[str]:
     from .corpus import PROGRESS_EVERY
     from .scoring import de_score, reverse_de_score
     from .wcm import load_wcm
 
-    _distinct_outputs(args)
     matrix = load_wcm(args.wcm)
     segments = _test_segments(args, args.source, args.hypothesis)
 
     def rows() -> Iterator[str]:
+        yield f"{_INDEX_COLUMNS} de eligible evidenced" + (" reverse_de" if args.reverse else "")
         for index, (src, hyp) in enumerate(segments):
             de = de_score(matrix, src, hyp, by_type=args.by_type)
             row = f"{index}\t{de.value:.6f}\t{de.eligible}\t{de.evidenced}"
@@ -387,43 +381,32 @@ def cmd_score(args: argparse.Namespace) -> int:
             if (index + 1) % PROGRESS_EVERY == 0:
                 log.info("score: %d segments scored", index + 1)
 
-    columns = f"{_INDEX_COLUMNS} de eligible evidenced" + (" reverse_de" if args.reverse else "")
-    with _open_out(args.out) as fh:
-        _write_report(fh, args, [columns], rows())
-    return 0
+    return rows()
 
 
-def cmd_bleu(args: argparse.Namespace) -> int:
+def cmd_bleu(args: argparse.Namespace, stack: contextlib.ExitStack) -> Iterable[str]:
     from .metrics import bleu_stats, pooled_bleu, sentence_bleu
 
-    _distinct_outputs(args)
     segments = _test_segments(args, args.hypothesis, args.reference)
     if args.sentence_level:
-        columns = f"{_INDEX_COLUMNS} bleu"
-        rows: Iterable[str] = (
-            f"{i}\t{sentence_bleu(h, r).score:.6f}" for i, (h, r) in enumerate(segments)
-        )
-    else:
-        result = pooled_bleu(bleu_stats(h, r) for h, r in segments)
-        columns = "# columns: bleu p1 p2 p3 p4 brevity_penalty hyp_len ref_len"
-        p1, p2, p3, p4 = result.precisions
-        rows = [
-            f"{result.score:.4f}\t{p1:.6f}\t{p2:.6f}\t{p3:.6f}\t{p4:.6f}\t"
-            f"{result.brevity_penalty:.6f}\t{result.hypothesis_length}\t"
-            f"{result.reference_length}"
-        ]
-    with _open_out(args.out) as fh:
-        _write_report(fh, args, [columns], rows)
-    return 0
+        rows = (f"{i}\t{sentence_bleu(h, r).score:.6f}" for i, (h, r) in enumerate(segments))
+        return itertools.chain([f"{_INDEX_COLUMNS} bleu"], rows)
+    result = pooled_bleu(bleu_stats(h, r) for h, r in segments)
+    p1, p2, p3, p4 = result.precisions
+    return [
+        "# columns: bleu p1 p2 p3 p4 brevity_penalty hyp_len ref_len",
+        f"{result.score:.4f}\t{p1:.6f}\t{p2:.6f}\t{p3:.6f}\t{p4:.6f}\t"
+        f"{result.brevity_penalty:.6f}\t{result.hypothesis_length}\t"
+        f"{result.reference_length}",
+    ]
 
 
-def cmd_correlate(args: argparse.Namespace) -> int:
+def cmd_correlate(args: argparse.Namespace, stack: contextlib.ExitStack) -> list[str]:
     from array import array
 
     from .corpus import _in_step
     from .metrics import pearson
 
-    _distinct_outputs(args)
     # Only the two value columns are kept.
     xs, ys = array("d"), array("d")
     rows = _in_step((_read_values(args.x), _read_values(args.y)), (args.x, args.y), "value")
@@ -438,22 +421,18 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     if len(xs) < 3:
         raise DataError(f"need at least 3 paired values, found {len(xs)}")
     result = pearson(xs, ys)
-    rows = [
+    return [
         "# columns: r t_statistic p_value n",
         f"{result.r:.6f}\t{result.t_statistic:.4f}\t{result.p_value:.6g}\t{result.n}",
     ]
-    with _open_out(args.out) as fh:
-        _write_report(fh, args, rows)
-    return 0
 
 
-def cmd_bucket_eval(args: argparse.Namespace) -> int:
+def cmd_bucket_eval(args: argparse.Namespace, stack: contextlib.ExitStack) -> list[str]:
     from .analysis import fold_buckets
     from .metrics import bleu_stats
     from .scoring import de_score
     from .wcm import load_wcm
 
-    _distinct_outputs(args)
     matrix = load_wcm(args.wcm)
     segments = _test_segments(args, args.source, args.hypothesis, args.reference)
     report = fold_buckets(
@@ -468,16 +447,13 @@ def cmd_bucket_eval(args: argparse.Namespace) -> int:
     for row in report.rows:
         bleu = f"{row.bleu.score:.2f}" if row.bleu is not None else "NA"
         rows.append(f"{row.spec.label}\t{row.segment_count}\t{bleu}")
-    with _open_out(args.out) as fh:
-        _write_report(fh, args, rows)
-    return 0
+    return rows
 
 
-def cmd_histogram(args: argparse.Namespace) -> int:
+def cmd_histogram(args: argparse.Namespace, stack: contextlib.ExitStack) -> list[str]:
     from .analysis import _float_text, histogram, render_histogram_svg
     from .corpus import atomic_write
 
-    _distinct_outputs(args, ("--chart", args.chart))
     values = []
     for lineno, _, value in _read_values(args.scores):
         if not 0.0 <= value <= 100.0:
@@ -485,57 +461,36 @@ def cmd_histogram(args: argparse.Namespace) -> int:
             raise DataError(f"{args.scores}: line {lineno}: score {score} outside [0, 100]")
         values.append(value)
     report = histogram(values, args.bin_width)
-    # One stack, so a failure before the end replaces neither file.
-    with contextlib.ExitStack() as stack:
-        fh = stack.enter_context(_open_out(args.out))
-        chart = stack.enter_context(atomic_write(args.chart)) if args.chart else None
-        bins = (f"{lower:g}\t{count}" for lower, count in report.bins)
-        _write_report(fh, args, ["# columns: bin_lower count"], bins)
-        if chart is not None:
-            chart.write(render_histogram_svg(report))
-    return 0
+    if args.chart:
+        stack.enter_context(atomic_write(args.chart)).write(render_histogram_svg(report))
+    return ["# columns: bin_lower count", *(f"{lower:g}\t{count}" for lower, count in report.bins)]
 
 
-def cmd_filter(args: argparse.Namespace) -> int:
+def cmd_filter(args: argparse.Namespace, stack: contextlib.ExitStack) -> list[str]:
     from .analysis import filter_corpus
     from .wcm import load_wcm
 
-    _distinct_outputs(
-        args,
-        ("--kept-prefix", f"{args.kept_prefix}.source"),
-        ("--kept-prefix", f"{args.kept_prefix}.target"),
-        ("--dropped-prefix", f"{args.dropped_prefix}.source"),
-        ("--dropped-prefix", f"{args.dropped_prefix}.target"),
-    )
     corpus = _corpus_files(args)
     matrix = load_wcm(args.wcm)
-    # One stack, so a failure before the end replaces none of the side files
-    # and not the report.
-    with contextlib.ExitStack() as stack:
-        kept = _pair_sink(stack, args.kept_prefix)
-        dropped = _pair_sink(stack, args.dropped_prefix)
-        fh = stack.enter_context(_open_out(args.out))
-        summary = filter_corpus(
-            matrix,
-            corpus.segments(),
-            args.min_de,
-            keep=kept,
-            drop=dropped,
-            tokenizer=corpus.tokenizer,
-            by_type=args.by_type,
-            bin_width=args.bin_width,
-        )
-        rows = [
-            "# columns: stat value",
-            f"total\t{summary.total}",
-            f"kept\t{summary.kept}",
-            f"dropped\t{summary.dropped}",
-            f"degenerate\t{summary.degenerate}",
-            "# columns: bin bin_lower count",
-        ]
-        rows += [f"bin\t{lower:g}\t{count}" for lower, count in summary.histogram.bins]
-        _write_report(fh, args, rows)
-    return 0
+    summary = filter_corpus(
+        matrix,
+        corpus.segments(),
+        args.min_de,
+        keep=_pair_sink(stack, args.kept_prefix),
+        drop=_pair_sink(stack, args.dropped_prefix),
+        tokenizer=corpus.tokenizer,
+        by_type=args.by_type,
+        bin_width=args.bin_width,
+    )
+    rows = [
+        "# columns: stat value",
+        f"total\t{summary.total}",
+        f"kept\t{summary.kept}",
+        f"dropped\t{summary.dropped}",
+        f"degenerate\t{summary.degenerate}",
+        "# columns: bin bin_lower count",
+    ]
+    return rows + [f"bin\t{lower:g}\t{count}" for lower, count in summary.histogram.bins]
 
 
 def _pair_sink(stack: contextlib.ExitStack, prefix: str) -> Callable[[SegmentPair], None]:
@@ -690,8 +645,21 @@ def build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        with _logging_to_stderr(args.quiet):
-            return args.handler(args)
+        _distinct_outputs(args)
+        # One stack holds every file the run writes, so a failure before the
+        # end replaces none of them.
+        with _logging_to_stderr(args.quiet), contextlib.ExitStack() as stack:
+            lines = args.handler(args, stack)
+            if lines is not None:
+                if args.out is None:
+                    fh = sys.stdout
+                else:
+                    from .corpus import atomic_write
+
+                    fh = stack.enter_context(atomic_write(args.out))
+                for line in itertools.chain(config_header(args), lines):
+                    fh.write(line + "\n")
+        return 0
     except SystemExit as exc:  # argparse --help / --version
         return int(exc.code or 0)
     except UsageError as err:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import logging
 import os
@@ -744,25 +745,37 @@ def test_empty_test_files_exit_2(tmp_path, toy_wcm, capsys, command):
     assert sorted(tmp_path.iterdir()) == before
 
 
-@pytest.mark.parametrize("command", ["bleu --sentence-level", "bucket-eval"])
+@pytest.mark.parametrize(
+    "command", ["bleu --sentence-level", "bucket-eval", "vocab-stats", "score", "correlate"]
+)
 def test_misaligned_files_leave_out_unchanged(tmp_path, toy_wcm, capsys, command):
     """The mismatch shows only at the end of the files, after rows have been
-    streamed; the report file is still left as it was."""
+    streamed or counted; the report file is still left as it was."""
     write_lines(tmp_path / "msrc", ["a b"] * 3)
     write_lines(tmp_path / "mhyp", ["x y"] * 3)
     write_lines(tmp_path / "mref", ["x y"] * 2)
+    write_lines(tmp_path / "x.tsv", ["# columns: index de", "0\t10", "1\t20", "2\t30"])
+    write_lines(tmp_path / "y.tsv", ["# columns: index bleu", "0\t1", "1\t2", "3\t3"])
     out = tmp_path / "report.tsv"
     out.write_bytes(b"old report\n")
     before = sorted(tmp_path.iterdir())
-    files = ["--hypothesis", str(tmp_path / "mhyp"), "--reference", str(tmp_path / "mref")]
-    if command == "bucket-eval":
-        args = ["bucket-eval", "--wcm", str(toy_wcm), "--source", str(tmp_path / "msrc"), *files]
-    else:
-        args = ["bleu", *files, "--sentence-level"]
+    d, wcm = str(tmp_path), str(toy_wcm)
+    files = ["--hypothesis", f"{d}/mhyp", "--reference", f"{d}/mref"]
+    args, expected = {
+        "bleu --sentence-level": (["bleu", *files, "--sentence-level"], "line count mismatch"),
+        "bucket-eval": (["bucket-eval", "--wcm", wcm, "--source", f"{d}/msrc", *files],
+                        "line count mismatch"),
+        "vocab-stats": (["vocab-stats", "--source", f"{d}/msrc", "--target", f"{d}/mref"],
+                        "line count mismatch"),
+        "score": (["score", "--wcm", wcm, "--source", f"{d}/msrc", "--hypothesis", f"{d}/mref"],
+                  "line count mismatch"),
+        "correlate": (["correlate", "--x", f"{d}/x.tsv", "--y", f"{d}/y.tsv"], "index mismatch"),
+    }[command]
     assert main([*args, "--out", str(out), "--quiet"]) == 2
-    assert "line count mismatch" in capsys.readouterr().err
+    assert expected in capsys.readouterr().err
     assert out.read_bytes() == b"old report\n"
     assert sorted(tmp_path.iterdir()) == before
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_bucket_eval_line_mismatch_exit_2(tmp_path, toy_corpus, toy_wcm):
@@ -987,6 +1000,22 @@ def test_output_naming_an_input_exit_1(tmp_path, toy_wcm, capsys, argv, flags):
     assert f"de-qe: error: {flags} name the same file: " in capsys.readouterr().err
     assert digests() == before
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_every_path_flag_is_registered():
+    """A flag that takes a plain string names a file, and only a registered
+    one is held to the same-file check; the tables name no other flag."""
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {
+        action.dest
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        if isinstance(action, argparse._StoreAction)
+        and action.type is None
+        and action.choices is None
+    }
+    assert dests == {*cli._INPUT_FLAGS, *cli._OUTPUT_FLAGS}
 
 
 def test_cli_import_loads_no_pool_or_tempfile_modules():
