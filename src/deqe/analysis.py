@@ -7,7 +7,6 @@ import itertools
 import logging
 import operator
 from bisect import bisect_right
-from collections import Counter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import PROGRESS_EVERY, SegmentPair, TokenizerConfig, _tokenized
@@ -146,9 +145,15 @@ class HistogramReport(NamedTuple):
         return sum(c for _, c in self.bins)
 
 
+# The most bins a histogram has; at this many, ``:g`` still writes each lower edge apart.
+MAX_BINS = 1_000_000
+
+
 def _bin_count(bin_width: float) -> int:
-    if bin_width <= 0:
+    if not bin_width > 0:  # NaN too
         raise ValueError(f"bin width must be positive, got {bin_width}")
+    if 100.0 / bin_width >= MAX_BINS + 0.5:
+        raise ValueError(f"bin width {bin_width} makes more than {MAX_BINS} bins")
     n_bins = round(100.0 / bin_width)
     if n_bins < 1 or abs(n_bins * bin_width - 100.0) > 1e-9:
         raise ValueError(f"bin width {bin_width} does not divide 100 evenly")
@@ -262,25 +267,20 @@ def filter_corpus(
     sinks partition the input and each sees it in order. The summary carries
     the counts and the DE histogram of the whole input.
     """
-    tally: Counter[str] = Counter()
+    kept = degenerate = 0
 
     def routed() -> Iterator[float]:
+        nonlocal kept, degenerate
         for n, decision in enumerate(
             iter_filter(matrix, pairs, min_de, tokenizer=tokenizer, by_type=by_type), start=1
         ):
             (keep if decision.kept else drop)(decision.pair)
-            tally["kept" if decision.kept else "dropped"] += 1
-            tally["degenerate"] += decision.de.degenerate
+            kept += decision.kept
+            degenerate += decision.de.degenerate
             if n % PROGRESS_EVERY == 0:
                 log.info("filter: %d segments scored", n)
             yield decision.de.value
 
     report = histogram(routed(), bin_width)
-    return FilterSummary(
-        total=report.total,
-        kept=tally["kept"],
-        dropped=tally["dropped"],
-        degenerate=tally["degenerate"],
-        min_de=min_de,
-        histogram=report,
-    )
+    dropped = report.total - kept
+    return FilterSummary(report.total, kept, dropped, degenerate, min_de, report)

@@ -116,28 +116,6 @@ def config_header(args: argparse.Namespace) -> list[str]:
     return lines
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _resolve_threads(value: int | None) -> int:
-    """--threads, else the usable CPUs; a request for more than the usable
-    CPUs is clamped to them with a warning."""
-    usable = _usable_cpus()
-    if value is None:
-        return usable
-    if value > usable:
-        log.warning(
-            "%d threads requested, but only %d CPUs are usable; using %d", value, usable, usable
-        )
-        return usable
-    return value
-
-
 def _tokenizer(args: argparse.Namespace) -> TokenizerConfig:
     from .corpus import TokenizerConfig
 
@@ -344,14 +322,13 @@ def cmd_vocab_stats(args: argparse.Namespace, stack: contextlib.ExitStack) -> li
 def cmd_build_wcm(args: argparse.Namespace, stack: contextlib.ExitStack) -> None:
     from .wcm import WcmConfig, build_wcm_with_vocabularies, save_wcm
 
-    threads = _resolve_threads(args.threads)
     corpus = _corpus_files(args)
     config = WcmConfig(
         min_cooccurrence=args.min_cooc,
         hifreq_cutoff=args.hifreq_cutoff,
         count_mode=args.count_mode,
     )
-    matrix = build_wcm_with_vocabularies(corpus, config, threads=threads)
+    matrix = build_wcm_with_vocabularies(corpus, config, threads=args.threads)
     save_wcm(matrix, args.out)
     log.info(
         "build-wcm: wrote %d entries to %s (excluded %d source / %d target types)",
@@ -560,7 +537,8 @@ def build_parser() -> _Parser:
     p.add_argument("--min-cooc", type=_positive_int, default=20)
     p.add_argument("--hifreq-cutoff", type=_positive_int, default=10_000)
     p.add_argument("--count-mode", choices=_COUNT_MODES, default="binary")
-    p.add_argument("--threads", type=_positive_int, default=None)
+    threads_help = "worker processes that count the matrix (default and cap: the usable CPUs)"
+    p.add_argument("--threads", type=_positive_int, help=threads_help)
     p.set_defaults(handler=cmd_build_wcm)
 
     p = sub.add_parser(

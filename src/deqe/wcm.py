@@ -19,7 +19,7 @@ import sys
 from collections import Counter
 from contextlib import closing
 from functools import partial
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat, zip_longest
 from operator import is_not, itemgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, NamedTuple
@@ -299,6 +299,29 @@ def _count_worker_rows(part: int) -> dict[int, dict[int, int]]:
     return _count_rows(postings, targets, floor, part, n_parts)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _resolve_threads(threads: int | None) -> int:
+    """The number of worker processes a build may use: ``threads``, or every
+    usable CPU for None. A request for more than the usable CPUs is clamped
+    to them with a warning; one below 1 raises ValueError."""
+    usable = _usable_cpus()
+    if threads is None:
+        return usable
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    if threads > usable:
+        log.warning(
+            "%d threads requested, but only %d CPUs are usable; using %d", threads, usable, usable
+        )
+    return min(threads, usable)
+
+
 def _place_on_cpu(part: int) -> None:
     """Move the worker counting ``part`` onto its own usable CPU, round robin.
 
@@ -319,7 +342,7 @@ def build_wcm(
     target_vocab: Vocabulary,
     config: WcmConfig | None = None,
     *,
-    threads: int = 1,
+    threads: int | None = 1,
     progress_every: int = PROGRESS_EVERY,
 ) -> CooccurrenceMatrix:
     """Count co-occurrences over a stream of tokenized segment pairs, with
@@ -338,10 +361,10 @@ def build_wcm(
     ``pairs`` may be any iterable; it is read once, in this process, and
     counted as ``build_wcm_with_vocabularies`` counts the strict read of its
     files, with the counted types of each vocabulary numbered in its token
-    order. With ``threads > 1`` and enough pair updates to pay for the pool,
-    the rows are counted in worker processes; the matrix is the same for
+    order and ``threads`` taken as it takes it; the matrix is the same for
     every thread count.
     """
+    threads = _resolve_threads(threads)
     if config is None:
         config = WcmConfig()
     vocabularies = (
@@ -370,7 +393,7 @@ def build_wcm_with_vocabularies(
     corpus: CorpusFiles,
     config: WcmConfig | None = None,
     *,
-    threads: int = 1,
+    threads: int | None = 1,
 ) -> CooccurrenceMatrix:
     """Build the matrix from the files of ``corpus`` in two passes.
 
@@ -383,7 +406,13 @@ def build_wcm_with_vocabularies(
     passes run under ``CorpusFiles.unchanged``: a path that is not a regular
     file, or a file that changes between them, is a DataError. A progress
     record is logged at INFO every ``PROGRESS_EVERY`` segments.
+
+    With ``threads > 1`` (None: every usable CPU) and enough pair updates to
+    pay for the pool, the rows are counted in that many worker processes. A
+    request for more than the usable CPUs is clamped to them with a warning
+    before the corpus is read, and one below 1 is a ValueError.
     """
+    threads = _resolve_threads(threads)
     if config is None:
         config = WcmConfig()
     sides, n_types = [], []
@@ -446,6 +475,15 @@ def _move_to_tokens(
         rows[source_token(sid)] = dict(zip(map(target_token, row), row.values()))
 
 
+# The header of a WCM file, one line per tag in file order: the tag, then
+# its value, or an exclusion set's tokens, each after one space. The three
+# config lines follow ``WcmConfig``'s field order.
+_HEADER_TAGS = (
+    "#wcm", "#min_cooccurrence", "#hifreq_cutoff", "#count_mode", "#entries",
+    "#excluded_source", "#excluded_target",
+)
+
+
 def save_wcm(matrix: CooccurrenceMatrix, path) -> None:
     """Write the matrix in the v1 text format.
 
@@ -462,21 +500,13 @@ def save_wcm(matrix: CooccurrenceMatrix, path) -> None:
     written.update(map(itemgetter(1), entries), excluded_source, excluded_target)
     if (token := _spaced_token(written)) is not None:
         raise ValueError(f"token {token!r} contains whitespace and cannot be serialized")
-    cfg = matrix.config
+    header = [[str(value)] for value in (FORMAT_VERSION, *matrix.config, len(entries))]
+    header += [sorted(excluded_source), sorted(excluded_target)]
     with atomic_write(path) as fh:
-        fh.write(f"#wcm {FORMAT_VERSION}\n")
-        fh.write(f"#min_cooccurrence {cfg.min_cooccurrence}\n")
-        fh.write(f"#hifreq_cutoff {cfg.hifreq_cutoff}\n")
-        fh.write(f"#count_mode {cfg.count_mode}\n")
-        fh.write(f"#entries {len(entries)}\n")
-        fh.write("#excluded_source" + _join_tokens(excluded_source) + "\n")
-        fh.write("#excluded_target" + _join_tokens(excluded_target) + "\n")
+        for tag, fields in zip(_HEADER_TAGS, header, strict=True):
+            fh.write(" ".join([tag, *fields]) + "\n")
         for s, t, c in entries:
             fh.write(f"{s}\t{t}\t{c}\n")
-
-
-def _join_tokens(tokens: frozenset[str]) -> str:
-    return "".join(" " + t for t in sorted(tokens))
 
 
 def _spaced_token(tokens: Collection[str]) -> str | None:
@@ -491,54 +521,43 @@ def _spaced_token(tokens: Collection[str]) -> str | None:
     return None
 
 
-def _header_rest(lines: list[str], idx: int, tag: str, path) -> str:
-    if idx >= len(lines):
-        raise WcmFormatError(f"{path}: truncated header, missing {tag!r} line")
-    line = lines[idx]
-    if line == tag:
-        return ""
-    if not line.startswith(tag + " "):
-        raise WcmFormatError(f"{path}: expected {tag!r} header on line {idx + 1}")
-    return line[len(tag) + 1 :]
-
-
-def _header_int(lines: list[str], idx: int, tag: str, path) -> int:
-    rest = _header_rest(lines, idx, tag, path)
-    try:
-        return int(rest)
-    except ValueError:
-        raise WcmFormatError(
-            f"{path}: invalid integer {rest!r} in {tag!r} header"
-        ) from None
-
-
 def _read_header(
     lines: list[str], path
 ) -> tuple[WcmConfig, int, frozenset[str], frozenset[str]]:
     """The config, the declared entry count and the two exclusion sets, from
-    a WCM file's first seven lines."""
-    if not lines or not (lines[0] == "#wcm" or lines[0].startswith("#wcm ")):
-        raise WcmFormatError(f"{path}: not a WCM file (missing '#wcm' header)")
-    version = lines[0][len("#wcm") :].strip()
-    if version != FORMAT_VERSION:
-        # Cut short: a first line that never ends would quote the whole file.
-        raise WcmFormatError(
-            f"{path}: unsupported WCM format version: expected "
-            f"{FORMAT_VERSION!r}, found {reprlib.repr(version)}"
-        )
-    min_cooc = _header_int(lines, 1, "#min_cooccurrence", path)
-    cutoff = _header_int(lines, 2, "#hifreq_cutoff", path)
-    mode = _header_rest(lines, 3, "#count_mode", path)
-    declared = _header_int(lines, 4, "#entries", path)
-    if not 0 <= declared <= sys.maxsize:
-        raise WcmFormatError(f"{path}: invalid entry count {declared} in '#entries' header")
-    excl_s = frozenset(_header_rest(lines, 5, "#excluded_source", path).split())
-    excl_t = frozenset(_header_rest(lines, 6, "#excluded_target", path).split())
+    a WCM file's header lines, checked in file order."""
+    values: list = []
+    for lineno, (tag, line) in enumerate(zip_longest(_HEADER_TAGS, lines), 1):
+        if line is not None and (line == tag or line.startswith(tag + " ")):
+            value = line[len(tag) + 1 :]
+        elif lineno == 1:
+            raise WcmFormatError(f"{path}: not a WCM file (missing '#wcm' header)")
+        elif line is None:
+            raise WcmFormatError(f"{path}: truncated header, missing {tag!r} line")
+        else:
+            raise WcmFormatError(f"{path}: expected {tag!r} header on line {lineno}")
+        if tag == "#wcm" and (version := value.strip()) != FORMAT_VERSION:
+            # Cut short: a first line that never ends would quote the whole file.
+            raise WcmFormatError(
+                f"{path}: unsupported WCM format version: expected "
+                f"{FORMAT_VERSION!r}, found {reprlib.repr(version)}"
+            )
+        if tag in ("#min_cooccurrence", "#hifreq_cutoff", "#entries"):
+            try:
+                value = int(value)
+            except ValueError:
+                raise WcmFormatError(
+                    f"{path}: invalid integer {value!r} in {tag!r} header"
+                ) from None
+            if tag == "#entries" and not 0 <= value <= sys.maxsize:
+                raise WcmFormatError(f"{path}: invalid entry count {value} in {tag!r} header")
+        values.append(value)
+    _, min_cooc, cutoff, mode, declared, excl_s, excl_t = values
     try:
-        config = WcmConfig(min_cooccurrence=min_cooc, hifreq_cutoff=cutoff, count_mode=mode)
+        config = WcmConfig(min_cooc, cutoff, mode)
     except ValueError as exc:
         raise WcmFormatError(f"{path}: {exc}") from None
-    return config, declared, excl_s, excl_t
+    return config, declared, frozenset(excl_s.split()), frozenset(excl_t.split())
 
 
 def load_wcm(path) -> CooccurrenceMatrix:
@@ -555,33 +574,33 @@ def load_wcm(path) -> CooccurrenceMatrix:
     rows: dict[str, dict[str, int]] = {}
     # Each target token string, kept once however many rows hold it.
     target_tokens: dict[str, str] = {}
-    found = 0
+    lineno = len(_HEADER_TAGS)
     with closing(_runs(path)) as runs:
         lines = chain.from_iterable(map(str.split, runs, repeat("\n")))
-        config, declared, excl_s, excl_t = _read_header(list(islice(lines, 7)), path)
-        for found, line in enumerate(islice(lines, declared), 1):
+        # Read whole before it is checked, so a byte in it that is not UTF-8
+        # is reported before a bad header line.
+        header = list(islice(lines, len(_HEADER_TAGS)))
+        config, declared, excl_s, excl_t = _read_header(header, path)
+        for lineno, line in enumerate(islice(lines, declared), lineno + 1):
             fields = line.split("\t")
             if len(fields) != 3:
                 raise WcmFormatError(
-                    f"{path}: line {found + 7}: expected 3 tab-separated fields, "
-                    f"found {len(fields)}"
+                    f"{path}: line {lineno}: expected 3 tab-separated fields, found {len(fields)}"
                 )
             s, t, raw_count = fields
             try:
                 c = int(raw_count)
             except ValueError:
                 raise WcmFormatError(
-                    f"{path}: line {found + 7}: invalid count {raw_count!r}"
+                    f"{path}: line {lineno}: invalid count {raw_count!r}"
                 ) from None
             if c < config.min_cooccurrence:
                 raise WcmFormatError(
-                    f"{path}: line {found + 7}: count {c} is below the declared "
+                    f"{path}: line {lineno}: count {c} is below the declared "
                     f"min_cooccurrence {config.min_cooccurrence}"
                 )
             if s in excl_s or t in excl_t:
-                raise WcmFormatError(
-                    f"{path}: entry ({s!r}, {t!r}) uses an excluded token"
-                )
+                raise WcmFormatError(f"{path}: entry ({s!r}, {t!r}) uses an excluded token")
             row = rows.setdefault(s, {})
             if t in row:
                 raise WcmFormatError(f"{path}: duplicate entry ({s!r}, {t!r})")
@@ -589,10 +608,10 @@ def load_wcm(path) -> CooccurrenceMatrix:
         if (token := _spaced_token([*rows, *target_tokens])) is not None:
             raise WcmFormatError(f"{path}: token {token!r} contains whitespace")
         trailing = sum(1 for _ in lines)
+    found = lineno - len(_HEADER_TAGS)
     if found < declared:
         raise WcmFormatError(
-            f"{path}: truncated WCM file: header declares {declared} entries, "
-            f"found {found}"
+            f"{path}: truncated WCM file: header declares {declared} entries, found {found}"
         )
     if trailing:
         raise WcmFormatError(

@@ -14,7 +14,6 @@ import time
 
 import pytest
 
-import deqe.cli
 import deqe.wcm
 from deqe.analysis import BucketSpec, bucket_eval, filter_corpus
 from deqe.cli import main as cli_main
@@ -101,7 +100,7 @@ def test_criterion_2_serialization(tmp_path, monkeypatch):
     lexicon = make_lexicon(40)
     pairs = gen_pairs(rng2, lexicon, 2_000, min_len=2, max_len=8)
     write_corpus(pairs, tmp_path / "c.src", tmp_path / "c.tgt")
-    monkeypatch.setattr(deqe.cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(deqe.wcm, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(deqe.wcm, "POOL_MIN_PAIR_UPDATES", 0)
     blobs = []
     for threads in ("1", "4"):

@@ -4,7 +4,9 @@ import pytest
 
 from deqe.analysis import (
     DEFAULT_BUCKETS,
+    MAX_BINS,
     BucketSpec,
+    _bin_count,
     bucket_eval,
     filter_corpus,
     fold_buckets,
@@ -164,6 +166,17 @@ def test_histogram_bad_widths():
             histogram([], bin_width=bad)
     # fractional widths that do divide 100 are fine
     assert len(histogram([], bin_width=2.5).bins) == 40
+
+
+def test_bin_count_bounded():
+    """A width finer than 100 / MAX_BINS is refused before any bin is made,
+    and a NaN width is not positive."""
+    assert _bin_count(0.0001) == MAX_BINS == 1_000_000
+    for fine in (0.00005, 1e-300, 5e-324):
+        with pytest.raises(ValueError, match=f"makes more than {MAX_BINS} bins"):
+            _bin_count(fine)
+    with pytest.raises(ValueError, match="bin width must be positive, got nan"):
+        _bin_count(float("nan"))
 
 
 @pytest.mark.parametrize("width", [0.1, 0.2, 0.4, 0.8, 1.25, 2.5, 5, 12.5])

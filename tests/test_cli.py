@@ -14,7 +14,7 @@ import deqe.wcm
 from deqe import cli
 from deqe.cli import main
 from deqe.corpus import CorpusFiles, build_vocabulary
-from deqe.errors import EncodingError
+from deqe.errors import EncodingError, UsageError
 from deqe.wcm import WcmConfig, build_wcm, save_wcm
 
 import oracles
@@ -222,6 +222,20 @@ def test_invalid_flag_values_exit_1(tmp_path, capsys):
     assert main(["build-wcm", "--source", "s", "--target", "t", "--out", "o", "--threads", "0"]) == 1
 
 
+def test_bin_width_bounded_at_parse():
+    """--bin-width is checked as it is parsed: a width that makes too many
+    bins, or NaN, is a usage error, and the finest allowed width parses."""
+    parser = cli.build_parser()
+    histogram = ["histogram", "--scores", "s"]
+    filter_ = ["filter", "--wcm", "w", "--source", "s", "--target", "t", "--min-de", "50",
+               "--kept-prefix", "k", "--dropped-prefix", "d"]
+    for command in (histogram, filter_):
+        assert parser.parse_args([*command, "--bin-width", "0.0001"]).bin_width == 0.0001
+        for bad, reason in (("1e-300", "more than 1000000 bins"), ("nan", "must be positive")):
+            with pytest.raises(UsageError, match=reason):
+                parser.parse_args([*command, "--bin-width", bad])
+
+
 # ---------------------------------------------------------------------------
 # vocab-stats
 
@@ -270,7 +284,7 @@ def test_build_wcm_writes_valid_artifact(toy_wcm):
 def test_build_wcm_byte_identical_across_threads(tmp_path, toy_corpus, monkeypatch):
     # four partitions in four workers, whatever this machine's CPU count
     # and however few pair updates the corpus takes
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(deqe.wcm, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(deqe.wcm, "POOL_MIN_PAIR_UPDATES", 0)
     src, tgt = toy_corpus
     outs = []
@@ -1084,27 +1098,6 @@ def test_parser_spells_out_library_defaults():
 
     assert cli._bucket_list(cli._DEFAULT_BUCKETS) == list(DEFAULT_BUCKETS)
     assert cli._COUNT_MODES == deqe.wcm.COUNT_MODES
-
-
-# ---------------------------------------------------------------------------
-# threads resolution
-
-
-def test_threads_default_is_usable_cpus(monkeypatch):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
-    assert cli._resolve_threads(3) == 3
-    assert cli._resolve_threads(None) == 8
-
-
-def test_usable_cpus_follow_affinity():
-    assert cli._usable_cpus() == len(os.sched_getaffinity(0))
-
-
-def test_threads_clamped_to_usable_cpus(caplog):
-    usable = cli._usable_cpus()
-    with caplog.at_level(logging.WARNING, logger="deqe.cli"):
-        assert cli._resolve_threads(1_000_000) == usable
-    assert any("1000000 threads requested" in rec.getMessage() for rec in caplog.records)
 
 
 def _echoed_settings(text):

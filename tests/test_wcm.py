@@ -176,6 +176,8 @@ def test_deterministic_across_threads_and_partitions(monkeypatch):
             )
             assert union == base
         with monkeypatch.context() as patch:
+            # four workers, whatever this machine's CPU count
+            patch.setattr(deqe.wcm, "_usable_cpus", lambda: 4)
             patch.setattr(deqe.wcm, "POOL_MIN_PAIR_UPDATES", 0)
             for threads in (2, 4):
                 assert build_wcm(pairs, source_vocab, target_vocab, config, threads=threads) == base
@@ -198,6 +200,7 @@ def test_pool_only_when_counting_pays(monkeypatch):
     # Workers count in processes of their own, so only in-process
     # counting shows up in calls_here.
     monkeypatch.setattr(deqe.wcm, "_count_rows", counted)
+    monkeypatch.setattr(deqe.wcm, "_usable_cpus", lambda: 4)
     small = build_wcm(pairs, source_vocab, target_vocab, config, threads=4)
     assert len(calls_here) == 1
     monkeypatch.setattr(deqe.wcm, "POOL_MIN_PAIR_UPDATES", 0)
@@ -205,6 +208,64 @@ def test_pool_only_when_counting_pays(monkeypatch):
     assert len(calls_here) == 1
     assert pooled == small
     assert entries_by_token(small) == brute_force_wcm(pairs, 2, 10**9, "binary")
+
+
+def test_threads_default_is_usable_cpus(monkeypatch):
+    monkeypatch.setattr(deqe.wcm, "_usable_cpus", lambda: 8)
+    assert deqe.wcm._resolve_threads(3) == 3
+    assert deqe.wcm._resolve_threads(None) == 8
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            deqe.wcm._resolve_threads(bad)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+def test_usable_cpus_follow_affinity():
+    assert deqe.wcm._usable_cpus() == len(os.sched_getaffinity(0))
+
+
+def test_threads_clamped_to_usable_cpus(caplog):
+    usable = deqe.wcm._usable_cpus()
+    with caplog.at_level(logging.WARNING, logger="deqe.wcm"):
+        assert deqe.wcm._resolve_threads(1_000_000) == usable
+    assert any("1000000 threads requested" in rec.getMessage() for rec in caplog.records)
+
+
+def test_library_build_clamps_threads_to_usable_cpus(tmp_path, monkeypatch, caplog):
+    """A library build asked for more workers than there are usable CPUs
+    warns once and starts a pool of only as many, and the matrix is the one
+    counted in process."""
+    import concurrent.futures
+
+    monkeypatch.setattr(deqe.wcm, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(deqe.wcm, "POOL_MIN_PAIR_UPDATES", 0)
+    pool_sizes = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def pool(max_workers, **kwargs):
+        pool_sizes.append(max_workers)
+        return real_pool(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    rng = random.Random(13)
+    pairs = random_corpus(rng, max_segments=200, max_vocab=12, max_len=8)
+    source_vocab = build_vocabulary([p[0] for p in pairs], "source")
+    target_vocab = build_vocabulary([p[1] for p in pairs], "target")
+    config = WcmConfig(2, 10**9, "binary")
+    expected = build_wcm(pairs, source_vocab, target_vocab, config, threads=1)
+    assert expected.n_entries and not pool_sizes
+    builds = (
+        lambda: build_wcm(pairs, source_vocab, target_vocab, config, threads=4),
+        lambda: build_wcm_with_vocabularies(_write_corpus(tmp_path, pairs), config, threads=4),
+    )
+    for build in builds:
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="deqe.wcm"):
+            assert build() == expected
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "4 threads requested, but only 2 CPUs are usable; using 2"
+        ]
+    assert pool_sizes == [2, 2]
 
 
 class _ReadCounter:
@@ -227,6 +288,7 @@ def test_build_reads_pairs_once(tmp_path, monkeypatch):
     source_vocab = build_vocabulary([p[0] for p in pairs], "source")
     target_vocab = build_vocabulary([p[1] for p in pairs], "target")
     config = WcmConfig(2, 10**9, "binary")
+    monkeypatch.setattr(deqe.wcm, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(deqe.wcm, "POOL_MIN_PAIR_UPDATES", 0)
     expected = brute_force_wcm(pairs, 2, 10**9, "binary")
     for threads in (1, 2, 4):
