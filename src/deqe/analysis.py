@@ -9,7 +9,7 @@ import operator
 from bisect import bisect_right
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import PROGRESS_EVERY, SegmentPair, TokenizerConfig, _tokenized
+from .corpus import PROGRESS_EVERY, SegmentPair, _tokenized
 from .metrics import BleuResult, bleu_stats, pooled_bleu
 from .scoring import DeScore, de_score
 
@@ -20,7 +20,9 @@ log = logging.getLogger(__name__)
 
 KIND_BELOW = "below"
 KIND_AT_OR_ABOVE = "at_or_above"
-_SVG_WIDTH, _SVG_HEIGHT = 640, 400  # the histogram chart's size, in pixels
+_SVG_WIDTH, _SVG_HEIGHT, _SVG_MARGIN = 640, 400, 40  # the histogram chart, in pixels
+# The most bins a chart draws: one per pixel of its plot's width.
+MAX_CHART_BINS = _SVG_WIDTH - 2 * _SVG_MARGIN
 
 
 def _float_text(value: float) -> str:
@@ -180,12 +182,15 @@ def histogram(scores: Iterable[float], bin_width: float = 5.0) -> HistogramRepor
 
 def render_histogram_svg(report: HistogramReport) -> str:
     """A minimal deterministic SVG bar chart; the TSV report remains the
-    data contract, this is a convenience rendering."""
-    margin = 40
+    data contract, this is a convenience rendering. A report of more than
+    ``MAX_CHART_BINS`` bins is a ValueError."""
+    n = len(report.bins)
+    if n > MAX_CHART_BINS:
+        raise ValueError(f"a chart draws at most {MAX_CHART_BINS} bins, found {n}")
+    margin = _SVG_MARGIN
     plot_w = _SVG_WIDTH - 2 * margin
     plot_h = _SVG_HEIGHT - 2 * margin
     peak = max((c for _, c in report.bins), default=0) or 1
-    n = len(report.bins)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}">',
         f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
@@ -232,19 +237,19 @@ def iter_filter(
     pairs: Iterable[SegmentPair],
     min_de: float,
     *,
-    tokenizer: TokenizerConfig = TokenizerConfig(),
     by_type: bool = False,
 ) -> Iterator[FilterDecision]:
     """Score each pair (target side as hypothesis) and decide keep/drop.
 
     Streams in input order; pairs with DE >= min_de are kept. ``pairs`` may be
     any objects with ``source`` and ``target`` texts, mapped through the
-    stages as one stream of line texts, as iterating ``CorpusFiles`` does.
+    stages of ``matrix.tokenizer`` as one stream of line texts, as iterating
+    ``CorpusFiles`` does.
     """
     if not 0.0 <= min_de <= 100.0:
         raise ValueError(f"min_de {min_de} outside [0, 100]")
     pairs, texts = itertools.tee(pairs)
-    tokens = _tokenized(map(operator.attrgetter("source", "target"), texts), 2, tokenizer)
+    tokens = _tokenized(map(operator.attrgetter("source", "target"), texts), 2, matrix.tokenizer)
     for pair, (source, target) in zip(pairs, tokens):
         de = de_score(matrix, source, target, by_type=by_type)
         yield FilterDecision(pair, de, de.value >= min_de)
@@ -257,7 +262,6 @@ def filter_corpus(
     *,
     keep: Callable[[SegmentPair], object],
     drop: Callable[[SegmentPair], object],
-    tokenizer: TokenizerConfig = TokenizerConfig(),
     by_type: bool = False,
     bin_width: float = 5.0,
 ) -> FilterSummary:
@@ -272,7 +276,7 @@ def filter_corpus(
     def routed() -> Iterator[float]:
         nonlocal kept, degenerate
         for n, decision in enumerate(
-            iter_filter(matrix, pairs, min_de, tokenizer=tokenizer, by_type=by_type), start=1
+            iter_filter(matrix, pairs, min_de, by_type=by_type), start=1
         ):
             (keep if decision.kept else drop)(decision.pair)
             kept += decision.kept

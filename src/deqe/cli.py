@@ -41,6 +41,7 @@ if TYPE_CHECKING:
 
     from .analysis import BucketSpec
     from .corpus import CorpusFiles, SegmentPair, TokenizerConfig
+    from .wcm import CooccurrenceMatrix
 
 log = logging.getLogger(__name__)
 
@@ -122,10 +123,14 @@ def _tokenizer(args: argparse.Namespace) -> TokenizerConfig:
     return TokenizerConfig(lowercase=args.lowercase, strip_punct=args.strip_punct)
 
 
-def _corpus_files(args: argparse.Namespace) -> CorpusFiles:
-    from .corpus import CorpusFiles
+def _corpus_files(
+    args: argparse.Namespace, tokenizer: TokenizerConfig | None = None
+) -> CorpusFiles:
+    """The corpus the corpus flags name, read with ``tokenizer`` (None: the
+    default one)."""
+    from .corpus import CorpusFiles, TokenizerConfig
 
-    tokenizer = _tokenizer(args)
+    tokenizer = tokenizer or TokenizerConfig()
     if args.tsv is not None:
         if args.source or args.target:
             raise UsageError("--tsv cannot be combined with --source/--target")
@@ -135,16 +140,27 @@ def _corpus_files(args: argparse.Namespace) -> CorpusFiles:
     return CorpusFiles((args.source, args.target), tokenizer=tokenizer)
 
 
-def _test_segments(args: argparse.Namespace, *paths: str) -> Iterator[tuple[list[str], ...]]:
-    """The tokenized lines of the aligned files ``paths``; no line is a
-    DataError, raised before any output is written."""
+def _test_segments(tokenizer: TokenizerConfig, *paths: str) -> Iterator[tuple[list[str], ...]]:
+    """The lines of the aligned files ``paths``, tokenized with
+    ``tokenizer``; no line is a DataError, raised before any output is
+    written."""
     from .corpus import CorpusFiles
 
-    segments = iter(CorpusFiles(paths, tokenizer=_tokenizer(args)))
+    segments = iter(CorpusFiles(paths, tokenizer=tokenizer))
     first = next(segments, None)
     if first is None:
         raise DataError(f"empty corpus: no segments in {', '.join(paths)}")
     return itertools.chain([first], segments)
+
+
+def _load_matrix(args: argparse.Namespace) -> CooccurrenceMatrix:
+    """The matrix --wcm names. Its tokenizer settings join ``args``, so the
+    report header echoes them as a tokenizer flag is echoed."""
+    from .wcm import load_wcm
+
+    matrix = load_wcm(args.wcm)
+    vars(args).update(matrix.tokenizer._asdict())
+    return matrix
 
 
 # The keys of the flags that name a file a subcommand reads.
@@ -286,7 +302,7 @@ def _bucket_list(text: str) -> list[BucketSpec]:
 def cmd_vocab_stats(args: argparse.Namespace, stack: contextlib.ExitStack) -> list[str]:
     from .corpus import vocab_stats
 
-    corpus = _corpus_files(args)
+    corpus = _corpus_files(args, _tokenizer(args))
     with corpus.unchanged():
         # The strict read raises every input error; the count pass reports none.
         log.info("vocab-stats: %d segments read", sum(1 for _ in corpus._texts()))
@@ -322,7 +338,7 @@ def cmd_vocab_stats(args: argparse.Namespace, stack: contextlib.ExitStack) -> li
 def cmd_build_wcm(args: argparse.Namespace, stack: contextlib.ExitStack) -> None:
     from .wcm import WcmConfig, build_wcm_with_vocabularies, save_wcm
 
-    corpus = _corpus_files(args)
+    corpus = _corpus_files(args, _tokenizer(args))
     config = WcmConfig(
         min_cooccurrence=args.min_cooc,
         hifreq_cutoff=args.hifreq_cutoff,
@@ -342,10 +358,9 @@ def cmd_build_wcm(args: argparse.Namespace, stack: contextlib.ExitStack) -> None
 def cmd_score(args: argparse.Namespace, stack: contextlib.ExitStack) -> Iterator[str]:
     from .corpus import PROGRESS_EVERY
     from .scoring import de_score, reverse_de_score
-    from .wcm import load_wcm
 
-    matrix = load_wcm(args.wcm)
-    segments = _test_segments(args, args.source, args.hypothesis)
+    matrix = _load_matrix(args)
+    segments = _test_segments(matrix.tokenizer, args.source, args.hypothesis)
 
     def rows() -> Iterator[str]:
         yield f"{_INDEX_COLUMNS} de eligible evidenced" + (" reverse_de" if args.reverse else "")
@@ -364,7 +379,7 @@ def cmd_score(args: argparse.Namespace, stack: contextlib.ExitStack) -> Iterator
 def cmd_bleu(args: argparse.Namespace, stack: contextlib.ExitStack) -> Iterable[str]:
     from .metrics import bleu_stats, pooled_bleu, sentence_bleu
 
-    segments = _test_segments(args, args.hypothesis, args.reference)
+    segments = _test_segments(_tokenizer(args), args.hypothesis, args.reference)
     if args.sentence_level:
         rows = (f"{i}\t{sentence_bleu(h, r).score:.6f}" for i, (h, r) in enumerate(segments))
         return itertools.chain([f"{_INDEX_COLUMNS} bleu"], rows)
@@ -408,10 +423,9 @@ def cmd_bucket_eval(args: argparse.Namespace, stack: contextlib.ExitStack) -> li
     from .analysis import fold_buckets
     from .metrics import bleu_stats
     from .scoring import de_score
-    from .wcm import load_wcm
 
-    matrix = load_wcm(args.wcm)
-    segments = _test_segments(args, args.source, args.hypothesis, args.reference)
+    matrix = _load_matrix(args)
+    segments = _test_segments(matrix.tokenizer, args.source, args.hypothesis, args.reference)
     report = fold_buckets(
         ((de_score(matrix, s, h, by_type=args.by_type), bleu_stats(h, r)) for s, h, r in segments),
         args.buckets,
@@ -428,9 +442,14 @@ def cmd_bucket_eval(args: argparse.Namespace, stack: contextlib.ExitStack) -> li
 
 
 def cmd_histogram(args: argparse.Namespace, stack: contextlib.ExitStack) -> list[str]:
-    from .analysis import _float_text, histogram, render_histogram_svg
+    from .analysis import MAX_CHART_BINS, _bin_count, _float_text, histogram, render_histogram_svg
     from .corpus import atomic_write
 
+    if args.chart and (n_bins := _bin_count(args.bin_width)) > MAX_CHART_BINS:
+        raise UsageError(
+            f"--chart draws at most {MAX_CHART_BINS} bins, one per pixel, and "
+            f"--bin-width {_float_text(args.bin_width)} makes {n_bins}"
+        )
     values = []
     for lineno, _, value in _read_values(args.scores):
         if not 0.0 <= value <= 100.0:
@@ -445,17 +464,15 @@ def cmd_histogram(args: argparse.Namespace, stack: contextlib.ExitStack) -> list
 
 def cmd_filter(args: argparse.Namespace, stack: contextlib.ExitStack) -> list[str]:
     from .analysis import filter_corpus
-    from .wcm import load_wcm
 
     corpus = _corpus_files(args)
-    matrix = load_wcm(args.wcm)
+    matrix = _load_matrix(args)
     summary = filter_corpus(
         matrix,
         corpus.segments(),
         args.min_de,
         keep=_pair_sink(stack, args.kept_prefix),
         drop=_pair_sink(stack, args.dropped_prefix),
-        tokenizer=corpus.tokenizer,
         by_type=args.by_type,
         bin_width=args.bin_width,
     )
@@ -547,7 +564,6 @@ def build_parser() -> _Parser:
     p.add_argument("--wcm", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--hypothesis", required=True)
-    _add_tokenizer_args(p)
     p.add_argument("--reverse", action="store_true", help="add reverse (TL-to-SL) scores")
     p.add_argument("--by-type", action="store_true", help="count types, not tokens")
     p.add_argument("--out")
@@ -579,7 +595,6 @@ def build_parser() -> _Parser:
     p.add_argument("--source", required=True)
     p.add_argument("--hypothesis", required=True)
     p.add_argument("--reference", required=True)
-    _add_tokenizer_args(p)
     p.add_argument(
         "--buckets",
         type=_bucket_list,
@@ -606,7 +621,6 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--wcm", required=True)
     _add_corpus_args(p)
-    _add_tokenizer_args(p)
     p.add_argument("--min-de", type=_score_value, required=True)
     p.add_argument("--kept-prefix", required=True)
     p.add_argument("--dropped-prefix", required=True)

@@ -19,12 +19,12 @@ import sys
 from collections import Counter
 from contextlib import closing
 from functools import partial
-from itertools import chain, compress, count, islice, repeat, zip_longest
+from itertools import chain, compress, count, islice, product, repeat, zip_longest
 from operator import is_not, itemgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, NamedTuple
 
-from .corpus import PROGRESS_EVERY, _runs, atomic_write
+from .corpus import _DEFAULT_TOKENIZER, PROGRESS_EVERY, TokenizerConfig, _runs, atomic_write
 from .errors import VocabularyMismatchError, WcmFormatError
 
 if TYPE_CHECKING:
@@ -34,7 +34,7 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = "v1"
+FORMAT_VERSION = "v2"
 COUNT_MODE_BINARY = "binary"
 COUNT_MODE_PRODUCT = "product"
 COUNT_MODES = (COUNT_MODE_BINARY, COUNT_MODE_PRODUCT)
@@ -84,6 +84,8 @@ class CooccurrenceMatrix:
     for concurrent lookups. Types whose raw frequency exceeded the
     high-frequency cutoff were skipped at build time and are recorded in
     the exclusion sets. A pruned word and an unseen word alike have no row.
+    ``tokenizer`` is the config the training corpus was tokenized with; a
+    text scored against the matrix must be tokenized with it too.
     """
 
     def __init__(
@@ -92,8 +94,10 @@ class CooccurrenceMatrix:
         rows: dict[str, dict[str, int]],
         excluded_source: Iterable[str] = (),
         excluded_target: Iterable[str] = (),
+        tokenizer: TokenizerConfig = _DEFAULT_TOKENIZER,
     ):
         self.config = config
+        self.tokenizer = tokenizer
         self._rows = rows
         self._excluded_source = frozenset(excluded_source)
         self._excluded_target = frozenset(excluded_target)
@@ -131,7 +135,7 @@ class CooccurrenceMatrix:
                         rows_t[t] = col = {}
                     col[s] = c
             flipped = CooccurrenceMatrix(
-                self.config, rows_t, self._excluded_target, self._excluded_source
+                self.config, rows_t, self._excluded_target, self._excluded_source, self.tokenizer
             )
             flipped._transposed = self
             self._transposed = flipped
@@ -142,6 +146,7 @@ class CooccurrenceMatrix:
             return NotImplemented
         return (
             self.config == other.config
+            and self.tokenizer == other.tokenizer
             and self._excluded_source == other._excluded_source
             and self._excluded_target == other._excluded_target
             and self._rows == other._rows
@@ -344,6 +349,7 @@ def build_wcm(
     *,
     threads: int | None = 1,
     progress_every: int = PROGRESS_EVERY,
+    tokenizer: TokenizerConfig = _DEFAULT_TOKENIZER,
 ) -> CooccurrenceMatrix:
     """Count co-occurrences over a stream of tokenized segment pairs, with
     vocabularies the caller built.
@@ -362,7 +368,8 @@ def build_wcm(
     counted as ``build_wcm_with_vocabularies`` counts the strict read of its
     files, with the counted types of each vocabulary numbered in its token
     order and ``threads`` taken as it takes it; the matrix is the same for
-    every thread count.
+    every thread count. It carries ``tokenizer``, which should be the config
+    the caller tokenized ``pairs`` with.
     """
     threads = _resolve_threads(threads)
     if config is None:
@@ -386,7 +393,7 @@ def build_wcm(
     source = _side(source_vocab.tokens, source_vocab.frequencies, config)
     target = _side(target_vocab.tokens, target_vocab.frequencies, config)
     encoded, _ = _encode(checked(), source, target, config, progress_every)
-    return _count(encoded, source, target, config, threads)
+    return _count(encoded, source, target, config, threads, tokenizer)
 
 
 def build_wcm_with_vocabularies(
@@ -402,10 +409,11 @@ def build_wcm_with_vocabularies(
     first-occurrence order. The second is the strict read of ``corpus``,
     which raises every input error, and derives what counting needs from
     each segment. The matrix is the one ``build_wcm`` counts with the
-    vocabularies ``build_vocabulary`` makes from the same corpus. Both
-    passes run under ``CorpusFiles.unchanged``: a path that is not a regular
-    file, or a file that changes between them, is a DataError. A progress
-    record is logged at INFO every ``PROGRESS_EVERY`` segments.
+    vocabularies ``build_vocabulary`` makes from the same corpus, and
+    carries ``corpus.tokenizer``. Both passes run under
+    ``CorpusFiles.unchanged``: a path that is not a regular file, or a file
+    that changes between them, is a DataError. A progress record is logged
+    at INFO every ``PROGRESS_EVERY`` segments.
 
     With ``threads > 1`` (None: every usable CPU) and enough pair updates to
     pay for the pool, the rows are counted in that many worker processes. A
@@ -425,7 +433,7 @@ def build_wcm_with_vocabularies(
         source, target = sides
         encoded, segments = _encode(corpus, source, target, config, PROGRESS_EVERY)
     log.info("build-wcm: read %d segments, %d source types, %d target types", segments, *n_types)
-    return _count(encoded, source, target, config, threads)
+    return _count(encoded, source, target, config, threads, corpus.tokenizer)
 
 
 def _count(
@@ -434,12 +442,14 @@ def _count(
     target: _Side,
     config: WcmConfig,
     threads: int,
+    tokenizer: TokenizerConfig,
 ) -> CooccurrenceMatrix:
     """Count and prune each row of ``encoded`` on its own, and key the
-    survivors by token. With ``threads > 1`` and enough pair updates to pay
-    for the pool, the rows are split by source id modulo ``threads`` among
-    worker processes; the survivors are disjoint, so the matrix is the same
-    for every thread count."""
+    survivors by token, in a matrix that carries ``tokenizer``. With
+    ``threads > 1`` and enough pair updates to pay for the pool, the rows
+    are split by source id modulo ``threads`` among worker processes; the
+    survivors are disjoint, so the matrix is the same for every thread
+    count."""
     postings, targets, pair_updates = encoded
     floor = config.min_cooccurrence
     rows: dict[str, dict[str, int]] = {}
@@ -453,7 +463,7 @@ def _count(
                 _move_to_tokens(part_rows, source.tokens, target.tokens, rows)
     else:
         _move_to_tokens(_count_rows(postings, targets, floor), source.tokens, target.tokens, rows)
-    return CooccurrenceMatrix(config, rows, source.excluded, target.excluded)
+    return CooccurrenceMatrix(config, rows, source.excluded, target.excluded, tokenizer)
 
 
 def _move_to_tokens(
@@ -477,15 +487,24 @@ def _move_to_tokens(
 
 # The header of a WCM file, one line per tag in file order: the tag, then
 # its value, or an exclusion set's tokens, each after one space. The three
-# config lines follow ``WcmConfig``'s field order.
+# config lines follow ``WcmConfig``'s field order. A v1 file has every line
+# but the last, as it records no tokenizer.
 _HEADER_TAGS = (
     "#wcm", "#min_cooccurrence", "#hifreq_cutoff", "#count_mode", "#entries",
-    "#excluded_source", "#excluded_target",
+    "#excluded_source", "#excluded_target", "#tokenizer",
 )
+_V1 = "v1"
+
+# The '#tokenizer' line's value for each tokenizer config, and back.
+_TOKENIZER_TEXT = {
+    config: " ".join(f"{key}={str(on).lower()}" for key, on in zip(config._fields, config))
+    for config in map(TokenizerConfig._make, product((False, True), repeat=2))
+}
+_TEXT_TOKENIZER = {text: config for config, text in _TOKENIZER_TEXT.items()}
 
 
 def save_wcm(matrix: CooccurrenceMatrix, path) -> None:
-    """Write the matrix in the v1 text format.
+    """Write the matrix in the v2 text format.
 
     Entries are sorted by (source token, target token) so identical
     matrices serialize to identical bytes. The file is replaced only once it
@@ -502,6 +521,7 @@ def save_wcm(matrix: CooccurrenceMatrix, path) -> None:
         raise ValueError(f"token {token!r} contains whitespace and cannot be serialized")
     header = [[str(value)] for value in (FORMAT_VERSION, *matrix.config, len(entries))]
     header += [sorted(excluded_source), sorted(excluded_target)]
+    header.append([_TOKENIZER_TEXT[matrix.tokenizer]])
     with atomic_write(path) as fh:
         for tag, fields in zip(_HEADER_TAGS, header, strict=True):
             fh.write(" ".join([tag, *fields]) + "\n")
@@ -523,11 +543,15 @@ def _spaced_token(tokens: Collection[str]) -> str | None:
 
 def _read_header(
     lines: list[str], path
-) -> tuple[WcmConfig, int, frozenset[str], frozenset[str]]:
-    """The config, the declared entry count and the two exclusion sets, from
-    a WCM file's header lines, checked in file order."""
+) -> tuple[WcmConfig, TokenizerConfig | None, int, frozenset[str], frozenset[str]]:
+    """The config, the tokenizer (None in a v1 file, which records none),
+    the declared entry count and the two exclusion sets, from a WCM file's
+    first lines, checked in file order."""
     values: list = []
     for lineno, (tag, line) in enumerate(zip_longest(_HEADER_TAGS, lines), 1):
+        if tag == "#tokenizer" and values[0] == _V1:
+            values.append(None)
+            break
         if line is not None and (line == tag or line.startswith(tag + " ")):
             value = line[len(tag) + 1 :]
         elif lineno == 1:
@@ -536,11 +560,11 @@ def _read_header(
             raise WcmFormatError(f"{path}: truncated header, missing {tag!r} line")
         else:
             raise WcmFormatError(f"{path}: expected {tag!r} header on line {lineno}")
-        if tag == "#wcm" and (version := value.strip()) != FORMAT_VERSION:
+        if tag == "#wcm" and (value := value.strip()) not in (FORMAT_VERSION, _V1):
             # Cut short: a first line that never ends would quote the whole file.
             raise WcmFormatError(
                 f"{path}: unsupported WCM format version: expected "
-                f"{FORMAT_VERSION!r}, found {reprlib.repr(version)}"
+                f"{FORMAT_VERSION!r} or {_V1!r}, found {reprlib.repr(value)}"
             )
         if tag in ("#min_cooccurrence", "#hifreq_cutoff", "#entries"):
             try:
@@ -551,19 +575,28 @@ def _read_header(
                 ) from None
             if tag == "#entries" and not 0 <= value <= sys.maxsize:
                 raise WcmFormatError(f"{path}: invalid entry count {value} in {tag!r} header")
+        if tag == "#tokenizer":
+            if value not in _TEXT_TOKENIZER:
+                raise WcmFormatError(
+                    f"{path}: line {lineno}: invalid '#tokenizer' header {value!r}; "
+                    "expected 'lowercase=<true|false> strip_punct=<true|false>'"
+                )
+            value = _TEXT_TOKENIZER[value]
         values.append(value)
-    _, min_cooc, cutoff, mode, declared, excl_s, excl_t = values
+    _, min_cooc, cutoff, mode, declared, excl_s, excl_t, tokenizer = values
     try:
         config = WcmConfig(min_cooc, cutoff, mode)
     except ValueError as exc:
         raise WcmFormatError(f"{path}: {exc}") from None
-    return config, declared, frozenset(excl_s.split()), frozenset(excl_t.split())
+    return config, tokenizer, declared, frozenset(excl_s.split()), frozenset(excl_t.split())
 
 
 def load_wcm(path) -> CooccurrenceMatrix:
-    """Read a matrix from the v1 text format.
+    """Read a matrix from the v2 text format, or from v1.
 
-    The loaded matrix is exactly the file: its rows and its exclusion sets.
+    The loaded matrix is exactly the file: its rows, its exclusion sets and
+    its tokenizer. A v1 file records no tokenizer, so it is read as one
+    built with the default tokenizer, with a warning naming the file.
     Corpus frequencies are not stored, and a pruned word and an unseen word
     alike have no row. The file is read as a corpus file is (``corpus._runs``):
     LF lines, CRLF and a leading BOM tolerated, a byte that is not UTF-8 an
@@ -574,13 +607,16 @@ def load_wcm(path) -> CooccurrenceMatrix:
     rows: dict[str, dict[str, int]] = {}
     # Each target token string, kept once however many rows hold it.
     target_tokens: dict[str, str] = {}
-    lineno = len(_HEADER_TAGS)
     with closing(_runs(path)) as runs:
         lines = chain.from_iterable(map(str.split, runs, repeat("\n")))
         # Read whole before it is checked, so a byte in it that is not UTF-8
         # is reported before a bad header line.
         header = list(islice(lines, len(_HEADER_TAGS)))
-        config, declared, excl_s, excl_t = _read_header(header, path)
+        config, tokenizer, declared, excl_s, excl_t = _read_header(header, path)
+        # A v1 header is a line shorter: give back the line read after it.
+        header_lines = len(_HEADER_TAGS) - (tokenizer is None)
+        lines = chain(header[header_lines:], lines)
+        lineno = header_lines
         for lineno, line in enumerate(islice(lines, declared), lineno + 1):
             fields = line.split("\t")
             if len(fields) != 3:
@@ -608,7 +644,7 @@ def load_wcm(path) -> CooccurrenceMatrix:
         if (token := _spaced_token([*rows, *target_tokens])) is not None:
             raise WcmFormatError(f"{path}: token {token!r} contains whitespace")
         trailing = sum(1 for _ in lines)
-    found = lineno - len(_HEADER_TAGS)
+    found = lineno - header_lines
     if found < declared:
         raise WcmFormatError(
             f"{path}: truncated WCM file: header declares {declared} entries, found {found}"
@@ -618,4 +654,11 @@ def load_wcm(path) -> CooccurrenceMatrix:
             f"{path}: trailing data: header declares {declared} entries, "
             f"found {found + trailing} lines"
         )
-    return CooccurrenceMatrix(config, rows, excl_s, excl_t)
+    if tokenizer is None:
+        log.warning(
+            "%s: a v1 WCM file records no tokenizer, so it is read as built with the "
+            "default one; rebuild it if it was built with --lowercase or --strip-punct",
+            path,
+        )
+        tokenizer = _DEFAULT_TOKENIZER
+    return CooccurrenceMatrix(config, rows, excl_s, excl_t, tokenizer)

@@ -6,7 +6,7 @@ import os
 import random
 import tempfile
 
-from deqe.corpus import CorpusFiles, SegmentPair
+from deqe.corpus import CorpusFiles, SegmentPair, TokenizerConfig
 from deqe.wcm import CooccurrenceMatrix, WcmConfig, build_wcm_with_vocabularies
 
 
@@ -39,6 +39,7 @@ def make_matrix(
     min_cooccurrence: int = 20,
     hifreq_cutoff: int = 10_000,
     count_mode: str = "binary",
+    tokenizer: TokenizerConfig = TokenizerConfig(),
 ) -> CooccurrenceMatrix:
     """Assemble a matrix directly from token-level entries (all counts must
     already sit at or above the threshold)."""
@@ -50,6 +51,7 @@ def make_matrix(
         rows,
         excluded_source,
         excluded_target,
+        tokenizer,
     )
 
 
@@ -96,11 +98,11 @@ def zipf_corpus(
 
 
 def random_matrix(
-    rng: random.Random, max_vocab: int = 12
+    rng: random.Random, max_vocab: int = 12, tokenizer: TokenizerConfig = TokenizerConfig()
 ) -> tuple[CooccurrenceMatrix, list[str], list[str]]:
-    """A structurally valid random matrix built directly (not via counting),
-    with the source and target tokens it was drawn from; some of them are
-    excluded and some have no row."""
+    """A structurally valid random matrix of ``tokenizer`` built directly
+    (not via counting), with the source and target tokens it was drawn
+    from; some of them are excluded and some have no row."""
     min_cooc = rng.randint(1, 30)
     n_src = rng.randint(0, max_vocab)
     n_tgt = rng.randint(0, max_vocab)
@@ -118,7 +120,7 @@ def random_matrix(
         rows.setdefault(s, {})[t] = min_cooc + rng.randint(0, 50)
     mode = rng.choice(["binary", "product"])
     matrix = CooccurrenceMatrix(
-        WcmConfig(min_cooc, rng.randint(1, 10**6), mode), rows, excl_s, excl_t
+        WcmConfig(min_cooc, rng.randint(1, 10**6), mode), rows, excl_s, excl_t, tokenizer
     )
     return matrix, src_tokens, tgt_tokens
 

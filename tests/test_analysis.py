@@ -5,6 +5,7 @@ import pytest
 from deqe.analysis import (
     DEFAULT_BUCKETS,
     MAX_BINS,
+    MAX_CHART_BINS,
     BucketSpec,
     _bin_count,
     bucket_eval,
@@ -205,6 +206,13 @@ def test_histogram_permutation_invariant_and_total():
     assert base.total == 500
 
 
+def test_render_histogram_svg_draws_at_most_one_bin_per_pixel():
+    assert MAX_CHART_BINS == 560  # the 640-pixel chart less two 40-pixel margins
+    assert render_histogram_svg(histogram([50.0], 100 / MAX_CHART_BINS)).count("<rect") == 561
+    with pytest.raises(ValueError, match="a chart draws at most 560 bins, found 1000"):
+        render_histogram_svg(histogram([50.0], 0.1))
+
+
 def test_render_histogram_svg_deterministic():
     report = histogram([5, 5, 60, 99.9], 10)
     svg = render_histogram_svg(report)
@@ -281,14 +289,16 @@ _TOKENIZERS = [TokenizerConfig(lower, strip) for lower in (False, True) for stri
     "tokenizer", _TOKENIZERS, ids=["default", "strip-punct", "lowercase", "lowercase-strip-punct"]
 )
 def test_iter_filter_scores_each_pair_as_tokenize_does(tokenizer):
-    """``iter_filter`` tokenizes its pairs as one stream of texts; each
-    decision is the one ``tokenize`` gives its pair alone, in input order,
-    on texts of NFD accents, case pairs, edge punctuation, BOMs inside words
-    and separators that ``str.split`` cuts at."""
+    """``iter_filter`` tokenizes its pairs with the matrix's tokenizer as one
+    stream of texts; each decision is the one ``tokenize`` gives its pair
+    alone, in input order, on texts of NFD accents, case pairs, edge
+    punctuation, BOMs inside words and separators that ``str.split`` cuts
+    at."""
     rng = random.Random(2000)
     pairs = tokenizer_pairs(rng, 200)
     tokens = sorted({t for p in pairs for text in p[1:] for t in tokenize(text, tokenizer)})
-    matrix = make_matrix({(s, t): 20 for s in tokens for t in tokens if rng.random() < 0.3})
+    entries = {(s, t): 20 for s in tokens for t in tokens if rng.random() < 0.3}
+    matrix = make_matrix(entries, tokenizer=tokenizer)
     for by_type in (False, True):
         expected = [
             de_score(
@@ -299,9 +309,7 @@ def test_iter_filter_scores_each_pair_as_tokenize_does(tokenizer):
             )
             for p in pairs
         ]
-        decisions = list(
-            iter_filter(matrix, iter(pairs), 40.0, tokenizer=tokenizer, by_type=by_type)
-        )
+        decisions = list(iter_filter(matrix, iter(pairs), 40.0, by_type=by_type))
         assert [d.pair for d in decisions] == pairs
         assert [d.de for d in decisions] == expected
         assert [d.kept for d in decisions] == [de.value >= 40.0 for de in expected]

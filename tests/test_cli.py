@@ -161,6 +161,19 @@ def test_wcm_with_negative_entry_count_exit_2(tmp_path, toy_corpus, toy_wcm, cap
     )
 
 
+def test_wcm_with_bad_tokenizer_line_exit_2(tmp_path, toy_corpus, toy_wcm, capsys):
+    src, tgt = toy_corpus
+    path = tmp_path / "bad.wcm"
+    path.write_text(toy_wcm.read_text().replace("lowercase=false", "lowercase=maybe", 1))
+    rc = main(["score", "--wcm", str(path), "--source", str(src), "--hypothesis", str(tgt)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"de-qe: error: {path}: line 8: invalid '#tokenizer' header "
+        "'lowercase=maybe strip_punct=false'; "
+        "expected 'lowercase=<true|false> strip_punct=<true|false>'\n"
+    )
+
+
 @pytest.mark.parametrize(
     "good, bad",
     [(b"#count_mode binary", b"#count_mode bin\xffary"), (b"a\tx\t", b"a\t\xffx\t")],
@@ -276,8 +289,9 @@ def test_vocab_stats_tsv_variant(tmp_path, capsys):
 
 def test_build_wcm_writes_valid_artifact(toy_wcm):
     text = toy_wcm.read_text()
-    assert text.startswith("#wcm v1\n")
+    assert text.startswith("#wcm v2\n")
     assert "#min_cooccurrence 5\n" in text
+    assert "#excluded_target\n#tokenizer lowercase=false strip_punct=false\na\tx\t" in text
     assert "a\tx\t10" in text
 
 
@@ -397,13 +411,14 @@ def test_build_wcm_refuses_a_pipe(tmp_path, toy_corpus, flag):
 
 # The golden bytes below are what the build and the score report were before
 # binary builds skipped rare types: "rare" occurs once, under --min-cooc 5.
-RARE_WCM = """#wcm v1
+RARE_WCM = """#wcm v2
 #min_cooccurrence 5
 #hifreq_cutoff 10000
 #count_mode binary
 #entries 4
 #excluded_source
 #excluded_target
+#tokenizer lowercase=false strip_punct=false
 a\tx\t7
 a\ty\t6
 b\tx\t6
@@ -437,6 +452,56 @@ def test_rare_source_word_stays_eligible(tmp_path, monkeypatch):
     assert main(["score", "--wcm", "r.wcm", "--source", "test.src", "--hypothesis", "test.hyp",
                  "--reverse", "--out", "s.tsv", "--quiet"]) == 0
     assert (tmp_path / "s.tsv").read_text() == RARE_SCORES
+
+
+def test_v1_wcm_scores_as_the_default_tokenizer_with_one_warning(tmp_path, monkeypatch, capsys):
+    """A v1 file, which records no tokenizer, is scored as a v2 file of the
+    default tokenizer is, and the command warns once, naming the file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.wcm").write_text(
+        RARE_WCM.replace("#wcm v2", "#wcm v1").replace(
+            "#tokenizer lowercase=false strip_punct=false\n", ""
+        )
+    )
+    write_lines("test.src", ["a rare", "rare", "rare rare b"])
+    write_lines("test.hyp", ["x z", "z", "y"])
+    assert main(["score", "--wcm", "r.wcm", "--source", "test.src", "--hypothesis", "test.hyp",
+                 "--reverse", "--out", "s.tsv", "--quiet"]) == 0
+    assert (tmp_path / "s.tsv").read_text() == RARE_SCORES
+    assert capsys.readouterr().err == (
+        "de-qe: r.wcm: a v1 WCM file records no tokenizer, so it is read as built with the "
+        "default one; rebuild it if it was built with --lowercase or --strip-punct\n"
+    )
+
+
+_MATRIX_COMMANDS = {
+    "score": ["--wcm", "w", "--source", "s", "--hypothesis", "h"],
+    "bucket-eval": ["--wcm", "w", "--source", "s", "--hypothesis", "h", "--reference", "r"],
+    "filter": ["--wcm", "w", "--tsv", "c", "--min-de", "50", "--kept-prefix", "k",
+               "--dropped-prefix", "d"],
+}
+_CORPUS_COMMANDS = {
+    "bleu": ["--hypothesis", "h", "--reference", "r"],
+    "vocab-stats": ["--tsv", "c"],
+    "build-wcm": ["--tsv", "c", "--out", "o"],
+}
+
+
+@pytest.mark.parametrize("flag", ["--lowercase", "--strip-punct"])
+@pytest.mark.parametrize("command", _MATRIX_COMMANDS)
+def test_matrix_commands_take_no_tokenizer_flag(capsys, command, flag):
+    """The commands that read a matrix tokenize with the matrix's own
+    tokenizer, so a tokenizer flag is a usage error, raised before any file
+    is opened (none of these exists)."""
+    assert main([command, *_MATRIX_COMMANDS[command], flag]) == 1
+    assert capsys.readouterr().err.endswith(f"de-qe: error: unrecognized arguments: {flag}\n")
+
+
+@pytest.mark.parametrize("command", _CORPUS_COMMANDS)
+def test_corpus_commands_keep_the_tokenizer_flags(command):
+    argv = [command, *_CORPUS_COMMANDS[command], "--lowercase", "--strip-punct"]
+    args = cli.build_parser().parse_args(argv)
+    assert (args.lowercase, args.strip_punct) == (True, True)
 
 
 def test_score_report(tmp_path, toy_corpus, toy_wcm, capsys):
@@ -946,6 +1011,24 @@ def test_failed_chart_leaves_earlier_report_untouched(tmp_path):
     assert rc == 2
     assert (tmp_path / "h.tsv").read_text() == "earlier report\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["h.tsv", "v.txt"]
+
+
+def test_chart_draws_at_most_one_bin_per_pixel(tmp_path, capsys):
+    """--chart refuses more bins than its 560-pixel plot is wide, before any
+    file is opened (the scores file does not exist yet), and draws 500."""
+    scores, chart = tmp_path / "v.txt", tmp_path / "c.svg"
+    argv = ["histogram", "--scores", str(scores), "--chart", str(chart), "--quiet"]
+    assert main([*argv, "--bin-width", "0.1"]) == 1
+    assert capsys.readouterr().err.endswith(
+        "de-qe: error: --chart draws at most 560 bins, one per pixel, "
+        "and --bin-width 0.1 makes 1000\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+    write_lines(scores, ["10", "20", "100"])
+    assert main([*argv, "--bin-width", "0.2", "--out", str(tmp_path / "h.tsv")]) == 0
+    assert chart.read_text().count("<rect") == 500 + 1  # bars and background
+    # without --chart, the finer width is only a report
+    assert main(["histogram", "--scores", str(scores), "--bin-width", "0.1", "--quiet"]) == 0
 
 
 @pytest.mark.parametrize(

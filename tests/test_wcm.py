@@ -556,11 +556,13 @@ def test_load_trailing_data(tmp_path):
 
 
 def test_load_version_mismatch(tmp_path):
-    path = tmp_path / "v2.wcm"
-    path.write_text("#wcm v2\n")
+    path = tmp_path / "v3.wcm"
+    path.write_text("#wcm v3\n")
     with pytest.raises(WcmFormatError) as err:
         load_wcm(path)
-    assert "v1" in str(err.value) and "v2" in str(err.value)
+    assert str(err.value) == (
+        f"{path}: unsupported WCM format version: expected 'v2' or 'v1', found 'v3'"
+    )
 
 
 def test_load_not_a_wcm_file(tmp_path):
@@ -716,8 +718,8 @@ def test_load_refuses_a_cr_only_file_in_one_short_line(tmp_path):
     with pytest.raises(WcmFormatError) as err:
         load_wcm(path)
     assert str(err.value) == (
-        f"{path}: unsupported WCM format version: expected 'v1', "
-        "found 'v1\\r#min_coo...999\\tt999\\t20'"
+        f"{path}: unsupported WCM format version: expected 'v2' or 'v1', "
+        "found 'v2\\r#min_coo...999\\tt999\\t20'"
     )
 
 
@@ -750,6 +752,106 @@ def test_round_trip_random_matrices(tmp_path):
         path = tmp_path / f"m{i}.wcm"
         save_wcm(matrix, path)
         assert load_wcm(path) == matrix
+
+
+_TOKENIZERS = [TokenizerConfig(lower, strip) for lower in (False, True) for strip in (False, True)]
+_TOKENIZER_IDS = ["default", "strip-punct", "lowercase", "lowercase-strip-punct"]
+
+
+@pytest.mark.parametrize("tokenizer", _TOKENIZERS, ids=_TOKENIZER_IDS)
+def test_round_trip_keeps_the_tokenizer(tmp_path, tokenizer):
+    """A matrix's tokenizer is the last header line of its v2 file, reads
+    back, and is kept by ``transposed()``; ``__eq__`` tells apart two
+    matrices that differ only in it."""
+    path = tmp_path / "m.wcm"
+    lowercase, strip_punct = (str(on).lower() for on in tokenizer)
+    line = f"#tokenizer lowercase={lowercase} strip_punct={strip_punct}"
+    same = [t == tokenizer for t in _TOKENIZERS]
+    for trial in range(12):
+        # One seed gives one matrix, here under each tokenizer in turn.
+        alike = [random_matrix(random.Random(trial), tokenizer=t)[0] for t in _TOKENIZERS]
+        save_wcm(alike[same.index(True)], path)
+        lines = path.read_text().splitlines()
+        assert (lines[0], lines[7]) == ("#wcm v2", line)
+        loaded = load_wcm(path)
+        assert loaded.tokenizer == tokenizer
+        assert [loaded == other for other in alike] == same
+        flipped = loaded.transposed()
+        assert flipped.tokenizer == tokenizer and flipped.transposed() is loaded
+        assert [flipped == other.transposed() for other in alike] == same
+
+
+_V2_HEADER = (
+    "#wcm v2\n#min_cooccurrence 5\n#hifreq_cutoff 10\n#count_mode binary\n"
+    "#entries 1\n#excluded_source\n#excluded_target\n"
+)
+_EXPECTED_TOKENIZER = "expected 'lowercase=<true|false> strip_punct=<true|false>'"
+
+
+@pytest.mark.parametrize(
+    "tokenizer_line, message",
+    [
+        ("#tokenizer lowercase=maybe strip_punct=false\n",
+         "line 8: invalid '#tokenizer' header 'lowercase=maybe strip_punct=false'; "
+         + _EXPECTED_TOKENIZER),
+        ("#tokenizer lowercase=true\n",
+         "line 8: invalid '#tokenizer' header 'lowercase=true'; " + _EXPECTED_TOKENIZER),
+        ("#tokenizer lowercase=true lowercase=true strip_punct=false\n",
+         "line 8: invalid '#tokenizer' header 'lowercase=true lowercase=true strip_punct=false'; "
+         + _EXPECTED_TOKENIZER),
+        ("#tokenizer strip_punct=false lowercase=false\n",
+         "line 8: invalid '#tokenizer' header 'strip_punct=false lowercase=false'; "
+         + _EXPECTED_TOKENIZER),
+        ("#tokenizer\n", "line 8: invalid '#tokenizer' header ''; " + _EXPECTED_TOKENIZER),
+        ("", "expected '#tokenizer' header on line 8"),
+    ],
+    ids=["maybe", "missing-key", "repeated-key", "reordered", "empty", "no-line"],
+)
+def test_load_rejects_a_bad_tokenizer_line(tmp_path, tokenizer_line, message):
+    path = tmp_path / "bad.wcm"
+    path.write_text(_V2_HEADER + tokenizer_line + "a\tx\t6\n")
+    with pytest.raises(WcmFormatError) as err:
+        load_wcm(path)
+    assert str(err.value) == f"{path}: {message}"
+    path.write_text(_V2_HEADER.replace("#entries 1", "#entries 0"))
+    with pytest.raises(WcmFormatError, match="truncated header, missing '#tokenizer' line"):
+        load_wcm(path)
+
+
+def _as_v1(path) -> None:
+    """Rewrite the v2 file ``path`` as v1 wrote it: no '#tokenizer' line."""
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[0] == "#wcm v2\n" and lines[7].startswith("#tokenizer ")
+    path.write_text("#wcm v1\n" + "".join(lines[1:7] + lines[8:]))
+
+
+@pytest.mark.parametrize("entries", [0, 3])
+def test_v1_file_loads_with_the_default_tokenizer_and_one_warning(tmp_path, caplog, entries):
+    matrix = make_matrix({("a", f"x{i}"): 20 + i for i in range(entries)}, excluded_source=("the",))
+    path = tmp_path / "old.wcm"
+    save_wcm(matrix, path)
+    _as_v1(path)
+    with caplog.at_level(logging.INFO, logger="deqe"):
+        loaded = load_wcm(path)
+    assert loaded == matrix and loaded.tokenizer == TokenizerConfig()
+    (record,) = caplog.records
+    assert record.levelno == logging.WARNING
+    assert record.getMessage() == (
+        f"{path}: a v1 WCM file records no tokenizer, so it is read as built with the "
+        "default one; rebuild it if it was built with --lowercase or --strip-punct"
+    )
+
+
+def test_bad_v1_file_is_refused_without_the_warning(tmp_path, caplog):
+    matrix = make_matrix({("a", "x"): 20, ("b", "y"): 21})
+    path = tmp_path / "old.wcm"
+    save_wcm(matrix, path)
+    _as_v1(path)
+    path.write_text(path.read_text().replace("#entries 2", "#entries 3"))
+    with caplog.at_level(logging.INFO, logger="deqe"), pytest.raises(WcmFormatError) as err:
+        load_wcm(path)
+    assert str(err.value) == f"{path}: truncated WCM file: header declares 3 entries, found 2"
+    assert caplog.records == []
 
 
 # Characters that end a line for str.splitlines or separate tokens for
@@ -814,7 +916,9 @@ def test_file_build_equals_caller_vocabulary_build_and_oracle(tmp_path, monkeypa
         min_cooc, cutoff = rng.choice([1, 2, 3]), rng.choice([6, 12, 10**9])
         for mode in COUNT_MODES:
             config = WcmConfig(min_cooc, cutoff, mode)
-            expected = build_wcm(pairs, source_vocab, target_vocab, config, progress_every=0)
+            expected = build_wcm(
+                pairs, source_vocab, target_vocab, config, progress_every=0, tokenizer=tokenizer
+            )
             assert entries_by_token(expected) == brute_force_wcm(pairs, min_cooc, cutoff, mode)
             assert (expected.excluded_source_tokens(), expected.excluded_target_tokens()) == (
                 brute_force_excluded(pairs, cutoff)
@@ -822,6 +926,7 @@ def test_file_build_equals_caller_vocabulary_build_and_oracle(tmp_path, monkeypa
             for threads in (1, 2):
                 built = build_wcm_with_vocabularies(corpus, config, threads=threads)
                 assert built == expected, (trial, mode, threads)
+                assert built.tokenizer == tokenizer
             saw_entries += expected.n_entries > 0
             saw_exclusion += bool(expected.excluded_source_tokens())
     assert saw_entries > 20 and saw_exclusion > 5
