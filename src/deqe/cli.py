@@ -7,11 +7,12 @@ written). Diagnostics go to stderr; report data goes to stdout or --out.
 A handler, ``cmd_x(args, stack)``, returns its report's lines (after the
 header), or None when it writes no report; the lines may be a lazy
 iterator. It puts each side file it writes on ``stack``. ``main`` checks
-that no two file flags name one file, then writes the header and the lines
-to stdout or, through ``atomic_write``, to --out on that same stack, so
-output files are replaced only when the command succeeds; with no --out, a
-command that streams its rows (score, bleu --sentence-level) may already
-have written some to stdout when it meets a data error. Every report
+that no two file flags name one file and that each output's directory
+exists, then writes the header and the lines to stdout or, through
+``atomic_write``, to --out on that same stack, so output files are
+replaced only when the command succeeds; with no --out, a command that
+streams its rows (score, bleu --sentence-level) may already have written
+some to stdout when it meets a data error. Every report
 starts with '#' comment lines echoing the resolved run configuration, so a
 run can be reproduced from its output; execution-only knobs (--threads,
 --quiet, --out) are left out so thread count and destination never change
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import itertools
 import logging
 import math
@@ -180,7 +182,10 @@ def _distinct_outputs(args: argparse.Namespace) -> None:
     """Raise UsageError if an output flag names a file that one of the
     command's input flags names, which writing it would replace, or the file
     another output flag names, which both would write through one temporary
-    file; an unset output flag (--out of None is stdout) names no file."""
+    file, and the OSError that opening it would raise naming an output file
+    whose directory does not exist or is not a directory, so that no input
+    is read for a report that cannot be written; an unset output flag
+    (--out of None is stdout) names no file."""
     flags = {
         os.path.realpath(path): f"--{key}"
         for key in _INPUT_FLAGS
@@ -191,7 +196,12 @@ def _distinct_outputs(args: argparse.Namespace) -> None:
             continue
         flag = "--" + key.replace("_", "-")
         for path in (prefix + suffix for suffix in suffixes):
-            other = flags.setdefault(os.path.realpath(path), flag)
+            real = os.path.realpath(path)
+            if not os.path.isdir(directory := os.path.dirname(real)):
+                code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+                # OSError makes FileNotFoundError or NotADirectoryError of it.
+                raise OSError(code, os.strerror(code), path)
+            other = flags.setdefault(real, flag)
             if other != flag:
                 raise UsageError(f"{other} and {flag} name the same file: {path}")
 

@@ -177,7 +177,9 @@ def atomic_write(path) -> Iterator[TextIO]:
             yield fh
         os.replace(tmp, path)
     except BaseException as exc:
-        with contextlib.suppress(FileNotFoundError):
+        # The stand-in may never have been made, and failing to remove it
+        # must not hide the error that ended the write.
+        with contextlib.suppress(OSError):
             os.remove(tmp)
         if isinstance(exc, OSError) and exc.filename == tmp:
             # Name the file the caller asked for, not its stand-in.

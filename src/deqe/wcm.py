@@ -257,25 +257,30 @@ def _count_rows(
     postings: list[array],
     targets: list[tuple[int, ...]],
     floor: int,
+    source_tokens: list[str],
+    target_tokens: list[str],
     part: int = 0,
     n_parts: int = 1,
-) -> dict[int, dict[int, int]]:
+) -> dict[str, dict[str, int]]:
     """Count and prune, one row at a time, the rows of the source ids with
-    ``sid % n_parts == part``; return the survivors as {sid: {tid: count}}.
+    ``sid % n_parts == part``; return the survivors as {source token:
+    {target token: count}}, with the tokens the ids number.
 
-    Only one row's unpruned counts exist at a time, and a counted cell
-    costs one dict slot.
+    Only one row's unpruned counts exist at a time, and each row is keyed by
+    token as it survives, so no id-keyed copy of the survivors is held. The
+    tokens are the build's own strings, so a cell costs one dict slot.
     """
     segment_targets = targets.__getitem__
+    target_token = target_tokens.__getitem__
     at_floor = floor.__le__
-    survivors: dict[int, dict[int, int]] = {}
+    survivors: dict[str, dict[str, int]] = {}
     for sid in range(part, len(postings), n_parts):
         segs = postings[sid]
         if segs:
             row = Counter(chain.from_iterable(map(segment_targets, segs)))
             kept = dict(compress(row.items(), map(at_floor, row.values())))
             if kept:
-                survivors[sid] = kept
+                survivors[source_tokens[sid]] = dict(zip(map(target_token, kept), kept.values()))
     return survivors
 
 
@@ -289,7 +294,8 @@ POOL_MIN_PAIR_UPDATES = 2_000_000
 
 # The arguments of _count_rows except the partition number, set in each
 # worker process by its initializer. Under the fork start method (the Linux
-# default) workers inherit them, so the encoded corpus is not pickled.
+# default) workers inherit them, so neither the encoded corpus nor the
+# tokens are pickled; only the token-keyed rows a worker returns are.
 _worker_args: tuple = ()
 
 
@@ -298,10 +304,10 @@ def _init_worker(*args) -> None:
     _worker_args = args
 
 
-def _count_worker_rows(part: int) -> dict[int, dict[int, int]]:
-    postings, targets, floor, n_parts = _worker_args
+def _count_worker_rows(part: int) -> dict[str, dict[str, int]]:
+    *job, n_parts = _worker_args
     _place_on_cpu(part)
-    return _count_rows(postings, targets, floor, part, n_parts)
+    return _count_rows(*job, part, n_parts)
 
 
 def _usable_cpus() -> int:
@@ -444,45 +450,26 @@ def _count(
     threads: int,
     tokenizer: TokenizerConfig,
 ) -> CooccurrenceMatrix:
-    """Count and prune each row of ``encoded`` on its own, and key the
-    survivors by token, in a matrix that carries ``tokenizer``. With
-    ``threads > 1`` and enough pair updates to pay for the pool, the rows
-    are split by source id modulo ``threads`` among worker processes; the
-    survivors are disjoint, so the matrix is the same for every thread
-    count."""
+    """Count and prune each row of ``encoded`` on its own, keyed by token,
+    in a matrix that carries ``tokenizer``. With ``threads > 1`` and enough
+    pair updates to pay for the pool, the rows are split by source id
+    modulo ``threads`` among worker processes; the survivors are disjoint,
+    so the matrix is the same for every thread count."""
     postings, targets, pair_updates = encoded
-    floor = config.min_cooccurrence
-    rows: dict[str, dict[str, int]] = {}
+    job = (postings, targets, config.min_cooccurrence, source.tokens, target.tokens)
     if threads > 1 and pair_updates >= POOL_MIN_PAIR_UPDATES:
         # Imported here, as importing it costs every CLI command start-up time.
         from concurrent.futures import ProcessPoolExecutor
 
-        job = (postings, targets, floor, threads)
-        with ProcessPoolExecutor(threads, initializer=_init_worker, initargs=job) as pool:
+        rows: dict[str, dict[str, int]] = {}
+        with ProcessPoolExecutor(
+            threads, initializer=_init_worker, initargs=(*job, threads)
+        ) as pool:
             for part_rows in pool.map(_count_worker_rows, range(threads)):
-                _move_to_tokens(part_rows, source.tokens, target.tokens, rows)
+                rows.update(part_rows)
     else:
-        _move_to_tokens(_count_rows(postings, targets, floor), source.tokens, target.tokens, rows)
+        rows = _count_rows(*job)
     return CooccurrenceMatrix(config, rows, source.excluded, target.excluded, tokenizer)
-
-
-def _move_to_tokens(
-    id_rows: dict[int, dict[int, int]],
-    source_tokens: list[str],
-    target_tokens: list[str],
-    rows: dict[str, dict[str, int]],
-) -> None:
-    """Move each row of ``id_rows`` into ``rows``, keyed by the tokens the
-    ids number.
-
-    ``id_rows`` is emptied one row at a time, so the survivors are never
-    held twice. The tokens are the build's own strings, so a cell still
-    costs one dict slot.
-    """
-    source_token, target_token = source_tokens.__getitem__, target_tokens.__getitem__
-    while id_rows:
-        sid, row = id_rows.popitem()
-        rows[source_token(sid)] = dict(zip(map(target_token, row), row.values()))
 
 
 # The header of a WCM file, one line per tag in file order: the tag, then

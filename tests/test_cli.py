@@ -203,8 +203,14 @@ def test_wcm_not_utf8_is_one_line_data_error(tmp_path, toy_corpus, toy_wcm, caps
         (["bleu", "--hypothesis", "{tmp}", "--reference", "{tgt}"], "{tmp}"),
         (["bleu", "--hypothesis", "{src}", "--reference", "{tgt}", "--out", "{tmp}/no/out.tsv"],
          "{tmp}/no/out.tsv"),
+        # named before any input is opened: the source here is a directory
+        (["build-wcm", "--source", "{tmp}", "--target", "{tgt}", "--out", "{tmp}/no/o.wcm"],
+         "{tmp}/no/o.wcm"),
+        (["build-wcm", "--source", "{tmp}", "--target", "{tgt}", "--out", "{src}/o.wcm"],
+         "{src}/o.wcm"),
     ],
-    ids=["missing-wcm", "missing-source", "directory-as-input", "output-in-missing-directory"],
+    ids=["missing-wcm", "missing-source", "directory-as-input", "output-in-missing-directory",
+         "output-directory-checked-first", "output-under-a-file"],
 )
 def test_unopenable_file_is_one_line_data_error(tmp_path, toy_corpus, argv, named, capsys):
     src, tgt = toy_corpus

@@ -176,6 +176,11 @@ def test_atomic_write_replaces_only_on_success(tmp_path):
         fh.write("new\n")
     assert target.read_bytes() == b"new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    # A path under a file is named as given, not as its stand-in.
+    with pytest.raises(NotADirectoryError) as err:
+        with atomic_write(target / "under"):
+            pass
+    assert err.value.filename == str(target / "under")
 
 
 def test_load_tsv(tmp_path):

@@ -1,7 +1,9 @@
 """The package namespace resolves each public name from its submodule on
 first access, and the result records are immutable."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -50,3 +52,12 @@ def test_records_are_immutable(record, field):
         setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
         record.extra = 1
+
+
+def test_sources_parse_as_python_3_10():
+    """pyproject.toml declares requires-python >= 3.10, so each module must
+    parse with 3.10's grammar, whatever Python runs the tests."""
+    sources = sorted(Path(deqe.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

@@ -163,16 +163,16 @@ def test_deterministic_across_threads_and_partitions(monkeypatch):
         # pair_updates is the number of increments the rows take
         assert pair_updates == sum(len(targets[n]) for segs in postings for n in segs)
         assert segments == len(pairs)
+        source_id = {tok: sid for sid, tok in enumerate(source.tokens)}
+        job = (postings, targets, 2, source.tokens, target.tokens)
         for n_parts in (1, 2, 3, 7):
             rows: dict = {}
             for part in range(n_parts):
-                part_rows = deqe.wcm._count_rows(postings, targets, 2, part, n_parts)
-                assert all(sid % n_parts == part for sid in part_rows)
+                part_rows = deqe.wcm._count_rows(*job, part, n_parts)
+                assert all(source_id[tok] % n_parts == part for tok in part_rows)
                 rows.update(part_rows)
-            token_rows: dict = {}
-            deqe.wcm._move_to_tokens(rows, source.tokens, target.tokens, token_rows)
             union = CooccurrenceMatrix(
-                config, token_rows, base.excluded_source_tokens(), base.excluded_target_tokens()
+                config, rows, base.excluded_source_tokens(), base.excluded_target_tokens()
             )
             assert union == base
         with monkeypatch.context() as patch:
@@ -410,6 +410,17 @@ def test_file_build_matches_caller_vocabularies(mode, tmp_path, monkeypatch, cap
         assert entries_by_token(matrix) == brute_force_wcm(pairs, 3, cutoff, mode)
         assert matrix.excluded_source_tokens() == excl_s
         assert matrix.excluded_target_tokens() == excl_t
+
+
+def test_file_build_shares_each_target_token(tmp_path):
+    """A cell of a built matrix costs one dict slot: every row holding a
+    target token holds the one string the build numbered."""
+    pairs = zipf_corpus(random.Random(601))
+    matrix = build_wcm_with_vocabularies(_write_corpus(tmp_path, pairs), WcmConfig(2, 10**9))
+    ts = [t for _, t, _ in matrix.entries()]
+    # some target token is in more than one row, so sharing is tested
+    assert len(ts) > len(set(ts))
+    assert len(set(map(id, ts))) == len(set(ts))
 
 
 @pytest.mark.parametrize("min_cooc", [1, 2, 5, 20])
