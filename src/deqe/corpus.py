@@ -58,11 +58,27 @@ def _without_edge_punct(tokens: list[str]) -> list[str]:
     return [t for t in map(_strip_edge_punct, tokens) if t]
 
 
+class _PunctuationMemo(dict):
+    """Whether a character is punctuation (a Unicode P category), each
+    character classified on its first lookup: classifying every code point
+    up front costs a quarter of a second per process."""
+
+    def __missing__(self, char: str) -> bool:
+        self[char] = punct = unicodedata.category(char).startswith("P")
+        return punct
+
+
+_is_punct = _PunctuationMemo().__getitem__
+
+
 def _strip_edge_punct(token: str) -> str:
+    # Most tokens have no punctuation at either end, and return at once.
+    if not (_is_punct(token[0]) or _is_punct(token[-1])):
+        return token
     start, end = 0, len(token)
-    while start < end and unicodedata.category(token[start]).startswith("P"):
+    while start < end and _is_punct(token[start]):
         start += 1
-    while end > start and unicodedata.category(token[end - 1]).startswith("P"):
+    while end > start and _is_punct(token[end - 1]):
         end -= 1
     return token[start:end]
 

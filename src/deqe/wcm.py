@@ -304,10 +304,12 @@ def _init_worker(*args) -> None:
     _worker_args = args
 
 
-def _count_worker_rows(part: int) -> dict[str, dict[str, int]]:
+def _count_worker_rows(part: int) -> bytes:
+    """The rows of partition ``part``, pickled; ``_count`` unpickles them."""
+    import pickle
+
     *job, n_parts = _worker_args
-    _place_on_cpu(part)
-    return _count_rows(*job, part, n_parts)
+    return pickle.dumps(_count_rows(*job, part, n_parts))
 
 
 def _usable_cpus() -> int:
@@ -331,20 +333,6 @@ def _resolve_threads(threads: int | None) -> int:
             "%d threads requested, but only %d CPUs are usable; using %d", threads, usable, usable
         )
     return min(threads, usable)
-
-
-def _place_on_cpu(part: int) -> None:
-    """Move the worker counting ``part`` onto its own usable CPU, round robin.
-
-    Linux does not always move a forked worker off the CPU its parent ran
-    on, and two partitions left there share that CPU for their whole run.
-    The full CPU set is restored at once, so the scheduler stays free to
-    move the worker later.
-    """
-    if hasattr(os, "sched_setaffinity"):
-        cpus = sorted(os.sched_getaffinity(0))
-        os.sched_setaffinity(0, {cpus[part % len(cpus)]})
-        os.sched_setaffinity(0, cpus)
 
 
 def build_wcm(
@@ -458,15 +446,23 @@ def _count(
     postings, targets, pair_updates = encoded
     job = (postings, targets, config.min_cooccurrence, source.tokens, target.tokens)
     if threads > 1 and pair_updates >= POOL_MIN_PAIR_UPDATES:
-        # Imported here, as importing it costs every CLI command start-up time.
+        # Imported here, as importing them costs every CLI command start-up time.
+        import pickle
         from concurrent.futures import ProcessPoolExecutor
 
+        # A partition brings its own copies of the target strings; its rows
+        # are re-keyed by the build's own as they are taken out, so a token
+        # is held once. It is unpickled in this thread, as rows rebuilt here
+        # would not reuse memory freed in another thread's malloc arena.
+        own = {token: token for token in target.tokens}.__getitem__
         rows: dict[str, dict[str, int]] = {}
         with ProcessPoolExecutor(
             threads, initializer=_init_worker, initargs=(*job, threads)
         ) as pool:
-            for part_rows in pool.map(_count_worker_rows, range(threads)):
-                rows.update(part_rows)
+            for part_rows in map(pickle.loads, pool.map(_count_worker_rows, range(threads))):
+                while part_rows:
+                    source_token, row = part_rows.popitem()
+                    rows[source_token] = dict(zip(map(own, row), row.values()))
     else:
         rows = _count_rows(*job)
     return CooccurrenceMatrix(config, rows, source.excluded, target.excluded, tokenizer)

@@ -1,5 +1,7 @@
 import pickle
 import random
+import sys
+import unicodedata
 import weakref
 from collections import Counter
 from itertools import chain
@@ -598,6 +600,46 @@ def test_tokenize_equals_the_per_line_oracle(tokenizer):
         per_line = chain.from_iterable(oracles.per_line_tokens(line, *tokenizer) for line in lines)
         assert tokenize(text, tokenizer) == oracles.per_line_tokens(text, *tokenizer), trial
         assert tokenize(text, tokenizer) == list(per_line), trial
+
+
+_PUNCT_CATEGORIES = ("Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po")
+
+
+@pytest.mark.parametrize("lowercase", [False, True], ids=["strip-punct", "lowercase-strip-punct"])
+def test_strip_punct_at_token_edges_equals_the_oracle(lowercase):
+    """Seeded characters of every punctuation category, and every character
+    ``str.isspace`` accepts, stand at tokens' edges, beside symbols, digits
+    and combining marks that are not punctuation and so stay; ``tokenize``
+    strips what the oracle's walk over each character strips."""
+    rng = random.Random(2700)
+    chars = list(map(chr, range(sys.maxunicode + 1)))
+    spaces = [c for c in chars if c.isspace()]
+    punct = [
+        c
+        for category in _PUNCT_CATEGORIES
+        for c in rng.sample([c for c in chars if unicodedata.category(c) == category], 3)
+    ]
+    kept = ["$", "+", "5", "\u0301", "\u00a9", "\ufeff", "a", "\u00c9"]
+    edge = punct + kept
+    config = TokenizerConfig(lowercase, strip_punct=True)
+    for trial in range(200):
+        # every punctuation character leads and trails some token, and every
+        # space character stands beside one
+        lead = punct[trial % len(punct)]
+        trail = punct[-1 - trial % len(punct)]
+        words = [
+            "".join(rng.choices(edge, k=rng.randint(0, 3)))
+            + rng.choice(["w", "É", "a.b", "x" + lead + "y", ""])
+            + "".join(rng.choices(edge, k=rng.randint(0, 3)))
+            for _ in range(rng.randint(1, 6))
+        ]
+        words[0] = lead + words[0]
+        words[-1] += trail
+        text = "".join(
+            word + spaces[(trial + i) % len(spaces)] + rng.choice(["", *spaces])
+            for i, word in enumerate(words)
+        )
+        assert tokenize(text, config) == oracles.per_line_tokens(text, *config), trial
 
 
 # ---------------------------------------------------------------------------

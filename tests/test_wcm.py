@@ -412,11 +412,18 @@ def test_file_build_matches_caller_vocabularies(mode, tmp_path, monkeypatch, cap
         assert matrix.excluded_target_tokens() == excl_t
 
 
-def test_file_build_shares_each_target_token(tmp_path):
+@pytest.mark.parametrize("pool", [False, True], ids=["in-process", "pool"])
+def test_file_build_shares_each_target_token(tmp_path, monkeypatch, pool):
     """A cell of a built matrix costs one dict slot: every row holding a
-    target token holds the one string the build numbered."""
+    target token holds the one string the build numbered, also when the
+    rows were counted by two worker processes."""
+    if pool:
+        monkeypatch.setattr(deqe.wcm, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(deqe.wcm, "POOL_MIN_PAIR_UPDATES", 0)
     pairs = zipf_corpus(random.Random(601))
-    matrix = build_wcm_with_vocabularies(_write_corpus(tmp_path, pairs), WcmConfig(2, 10**9))
+    matrix = build_wcm_with_vocabularies(
+        _write_corpus(tmp_path, pairs), WcmConfig(2, 10**9), threads=2 if pool else 1
+    )
     ts = [t for _, t, _ in matrix.entries()]
     # some target token is in more than one row, so sharing is tested
     assert len(ts) > len(set(ts))
