@@ -487,22 +487,24 @@ def vocab_stats(
     """
     if not thresholds:
         raise ValueError("thresholds must be non-empty")
-    freqs = counts.values()
+    # The number of types at each frequency: far fewer entries than types,
+    # so each threshold sums over these, and the types are listed only when
+    # some type is over the cutoff.
+    types_at = Counter(counts.values())
     rows = []
     for t in thresholds:
-        ge = sum(1 for f in freqs if f >= t)
-        rows.append(ThresholdCount(t, ge, len(freqs) - ge))
-    singletons = sum(1 for f in freqs if f == 1)
+        ge = sum(n for f, n in types_at.items() if f >= t)
+        rows.append(ThresholdCount(t, ge, len(counts) - ge))
     hifreq: tuple[str, ...] = ()
-    if hifreq_cutoff is not None:
+    if hifreq_cutoff is not None and max(types_at, default=0) > hifreq_cutoff:
         over = [(tok, f) for tok, f in counts.items() if f > hifreq_cutoff]
         over.sort(key=lambda pair: (-pair[1], pair[0]))
         hifreq = tuple(tok for tok, _ in over)
     return VocabStats(
         side=side,
         vocab_size=len(counts),
-        token_count=sum(freqs),
-        singleton_types=singletons,
+        token_count=sum(map(operator.mul, types_at, types_at.values())),
+        singleton_types=types_at[1],
         thresholds=tuple(rows),
         hifreq_cutoff=hifreq_cutoff,
         hifreq_types=hifreq,

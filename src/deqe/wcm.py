@@ -17,7 +17,7 @@ import os
 import reprlib
 import sys
 from collections import Counter
-from contextlib import closing
+from contextlib import ExitStack, closing
 from functools import partial
 from itertools import chain, compress, count, islice, product, repeat, zip_longest
 from operator import is_not, itemgetter
@@ -259,8 +259,8 @@ def _count_rows(
     floor: int,
     source_tokens: list[str],
     target_tokens: list[str],
-    part: int = 0,
-    n_parts: int = 1,
+    part: int,
+    n_parts: int,
 ) -> dict[str, dict[str, int]]:
     """Count and prune, one row at a time, the rows of the source ids with
     ``sid % n_parts == part``; return the survivors as {source token:
@@ -287,15 +287,14 @@ def _count_rows(
 # Below this many pair updates a build counts in process whatever
 # ``threads`` is. Measured on a 2-vCPU VM (Python 3.11): importing the pool
 # modules took 35-50 ms, and forking two workers and collecting their rows
-# 40-80 ms more, while row counting ran at 7-12M pair updates/s. Two workers
-# save half the counting time, so they pay only once counting takes about
-# 0.2 s, some 2M pair updates.
+# 40-80 ms more, while row counting ran at 7-12M pair updates/s. Counting
+# the second of two partitions in a worker saves half the counting time, so
+# the pool pays only once counting takes about 0.2 s, some 2M pair updates.
 POOL_MIN_PAIR_UPDATES = 2_000_000
 
-# The arguments of _count_rows except the partition number, set in each
-# worker process by its initializer. Under the fork start method (the Linux
-# default) workers inherit them, so neither the encoded corpus nor the
-# tokens are pickled; only the token-keyed rows a worker returns are.
+# The arguments of _count_rows but the partition number, set in each worker
+# by its initializer. Under fork (the Linux default) workers inherit them, so
+# only the token-keyed rows a worker returns are pickled.
 _worker_args: tuple = ()
 
 
@@ -409,8 +408,8 @@ def build_wcm_with_vocabularies(
     that changes between them, is a DataError. A progress record is logged
     at INFO every ``PROGRESS_EVERY`` segments.
 
-    With ``threads > 1`` (None: every usable CPU) and enough pair updates to
-    pay for the pool, the rows are counted in that many worker processes. A
+    With ``threads > 1`` (None: every usable CPU) and enough pair updates,
+    the rows are counted in that many partitions, all but one in workers. A
     request for more than the usable CPUs is clamped to them with a warning
     before the corpus is read, and one below 1 is a ValueError.
     """
@@ -439,32 +438,33 @@ def _count(
     tokenizer: TokenizerConfig,
 ) -> CooccurrenceMatrix:
     """Count and prune each row of ``encoded`` on its own, keyed by token,
-    in a matrix that carries ``tokenizer``. With ``threads > 1`` and enough
-    pair updates to pay for the pool, the rows are split by source id
-    modulo ``threads`` among worker processes; the survivors are disjoint,
-    so the matrix is the same for every thread count."""
+    in a matrix that carries ``tokenizer``, the same for every split: this
+    process counts part 0 of the rows split by source id modulo ``threads``
+    (one part if the pool would not pay), and a worker each of the others."""
     postings, targets, pair_updates = encoded
     job = (postings, targets, config.min_cooccurrence, source.tokens, target.tokens)
-    if threads > 1 and pair_updates >= POOL_MIN_PAIR_UPDATES:
-        # Imported here, as importing them costs every CLI command start-up time.
-        import pickle
-        from concurrent.futures import ProcessPoolExecutor
+    n_parts = threads if pair_updates >= POOL_MIN_PAIR_UPDATES else 1
+    others: Iterable[dict[str, dict[str, int]]] = ()
+    with ExitStack() as stack:
+        if n_parts > 1:
+            # Imported here, as importing them costs every CLI command start-up time.
+            import pickle
+            from concurrent.futures import ProcessPoolExecutor
 
-        # A partition brings its own copies of the target strings; its rows
-        # are re-keyed by the build's own as they are taken out, so a token
-        # is held once. It is unpickled in this thread, as rows rebuilt here
-        # would not reuse memory freed in another thread's malloc arena.
-        own = {token: token for token in target.tokens}.__getitem__
-        rows: dict[str, dict[str, int]] = {}
-        with ProcessPoolExecutor(
-            threads, initializer=_init_worker, initargs=(*job, threads)
-        ) as pool:
-            for part_rows in map(pickle.loads, pool.map(_count_worker_rows, range(threads))):
-                while part_rows:
-                    source_token, row = part_rows.popitem()
-                    rows[source_token] = dict(zip(map(own, row), row.values()))
-    else:
-        rows = _count_rows(*job)
+            pool = stack.enter_context(
+                ProcessPoolExecutor(n_parts - 1, initializer=_init_worker, initargs=(*job, n_parts))
+            )
+            # Submitted now, so the workers count while this process does. Their
+            # rows are unpickled in this thread, as rows rebuilt here would not
+            # reuse memory freed in another thread's malloc arena, and re-keyed
+            # by the build's own target strings, so a token is held once.
+            others = map(pickle.loads, pool.map(_count_worker_rows, range(1, n_parts)))
+            own = {token: token for token in target.tokens}.__getitem__
+        rows = _count_rows(*job, 0, n_parts)
+        for part_rows in others:
+            while part_rows:
+                source_token, row = part_rows.popitem()
+                rows[source_token] = dict(zip(map(own, row), row.values()))
     return CooccurrenceMatrix(config, rows, source.excluded, target.excluded, tokenizer)
 
 

@@ -95,7 +95,7 @@ def test_criterion_2_serialization(tmp_path, monkeypatch):
 
     # byte-identical builds across --threads {1, 4}, with four usable CPUs
     # assumed and the pool forced so that the 4-thread run genuinely counts
-    # four partitions in four workers
+    # four partitions, three of them in workers
     rng2 = random.Random(1003)
     lexicon = make_lexicon(40)
     pairs = gen_pairs(rng2, lexicon, 2_000, min_len=2, max_len=8)

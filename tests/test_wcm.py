@@ -184,7 +184,9 @@ def test_deterministic_across_threads_and_partitions(monkeypatch):
 
 
 def test_pool_only_when_counting_pays(monkeypatch):
-    """A build with few pair updates counts in process even with threads."""
+    """A build with few pair updates counts in process even with threads,
+    as one partition; a pooled build of four partitions counts partition 0
+    in process and the other three in workers."""
     rng = random.Random(11)
     pairs = random_corpus(rng, max_segments=200, max_vocab=12, max_len=8)
     source_vocab = build_vocabulary([p[0] for p in pairs], "source")
@@ -202,10 +204,10 @@ def test_pool_only_when_counting_pays(monkeypatch):
     monkeypatch.setattr(deqe.wcm, "_count_rows", counted)
     monkeypatch.setattr(deqe.wcm, "_usable_cpus", lambda: 4)
     small = build_wcm(pairs, source_vocab, target_vocab, config, threads=4)
-    assert len(calls_here) == 1
+    assert [args[-2:] for args in calls_here] == [(0, 1)]
     monkeypatch.setattr(deqe.wcm, "POOL_MIN_PAIR_UPDATES", 0)
     pooled = build_wcm(pairs, source_vocab, target_vocab, config, threads=4)
-    assert len(calls_here) == 1
+    assert [args[-2:] for args in calls_here] == [(0, 1), (0, 4)]
     assert pooled == small
     assert entries_by_token(small) == brute_force_wcm(pairs, 2, 10**9, "binary")
 
@@ -233,7 +235,8 @@ def test_threads_clamped_to_usable_cpus(caplog):
 
 def test_library_build_clamps_threads_to_usable_cpus(tmp_path, monkeypatch, caplog):
     """A library build asked for more workers than there are usable CPUs
-    warns once and starts a pool of only as many, and the matrix is the one
+    warns once and splits the rows into only as many partitions, one counted
+    in process and one by the pool's one worker, and the matrix is the one
     counted in process."""
     import concurrent.futures
 
@@ -265,7 +268,7 @@ def test_library_build_clamps_threads_to_usable_cpus(tmp_path, monkeypatch, capl
         assert [rec.getMessage() for rec in caplog.records] == [
             "4 threads requested, but only 2 CPUs are usable; using 2"
         ]
-    assert pool_sizes == [2, 2]
+    assert pool_sizes == [1, 1]
 
 
 class _ReadCounter:
