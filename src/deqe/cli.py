@@ -182,10 +182,10 @@ def _distinct_outputs(args: argparse.Namespace) -> None:
     """Raise UsageError if an output flag names a file that one of the
     command's input flags names, which writing it would replace, or the file
     another output flag names, which both would write through one temporary
-    file, and the OSError that opening it would raise naming an output file
-    whose directory does not exist or is not a directory, so that no input
-    is read for a report that cannot be written; an unset output flag
-    (--out of None is stdout) names no file."""
+    file, and the OSError that writing it would raise naming an output file
+    that is a directory, or whose directory does not exist or is not a
+    directory, so that no input is read for a report that cannot be
+    written; an unset output flag (--out of None is stdout) names no file."""
     flags = {
         os.path.realpath(path): f"--{key}"
         for key in _INPUT_FLAGS
@@ -197,6 +197,9 @@ def _distinct_outputs(args: argparse.Namespace) -> None:
         flag = "--" + key.replace("_", "-")
         for path in (prefix + suffix for suffix in suffixes):
             real = os.path.realpath(path)
+            if os.path.isdir(real):
+                # os.replace could not put the finished file in its place.
+                raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             if not os.path.isdir(directory := os.path.dirname(real)):
                 code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
                 # OSError makes FileNotFoundError or NotADirectoryError of it.

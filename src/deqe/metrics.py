@@ -166,6 +166,10 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
         raise ValueError(f"need at least 3 paired values, got {n}")
     if not all(map(math.isfinite, itertools.chain(xs, ys))):
         raise ValueError("correlation needs finite values; found nan or inf")
+    # r is unchanged by scaling either vector, and scaling by a power of two
+    # is exact: each vector's largest magnitude is brought into [0.5, 1), so
+    # no square or product below overflows or underflows to zero.
+    xs, ys = _scaled(xs), _scaled(ys)
     mean_x = math.fsum(xs) / n
     mean_y = math.fsum(ys) / n
     sxx = math.fsum((x - mean_x) * (x - mean_x) for x in xs)
@@ -186,6 +190,13 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
     t = r * math.sqrt(df / (1.0 - r * r))
     method = "exact" if n <= EXACT_T_MAX_N else "normal"
     return CorrelationResult(r, n, t, student_t_two_tailed(t, df, method=method))
+
+
+def _scaled(values: Sequence[float]) -> list[float]:
+    """``values`` times the power of two that brings the largest magnitude
+    into [0.5, 1)."""
+    _, exponent = math.frexp(max(map(abs, values)))
+    return [math.ldexp(v, -exponent) for v in values]
 
 
 def student_t_two_tailed(t: float, df: int, method: str = "exact") -> float:

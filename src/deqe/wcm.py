@@ -20,7 +20,7 @@ from collections import Counter
 from contextlib import ExitStack, closing
 from functools import partial
 from itertools import chain, compress, count, islice, product, repeat, zip_longest
-from operator import is_not, itemgetter
+from operator import is_not
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, NamedTuple
 
@@ -489,27 +489,27 @@ _TEXT_TOKENIZER = {text: config for config, text in _TOKENIZER_TEXT.items()}
 def save_wcm(matrix: CooccurrenceMatrix, path) -> None:
     """Write the matrix in the v2 text format.
 
-    Entries are sorted by (source token, target token) so identical
-    matrices serialize to identical bytes. The file is replaced only once it
-    is complete (see ``corpus.atomic_write``). Only the tokens the file
-    holds, those of the entries and the exclusion sets, must be free of
-    whitespace.
+    Entries are written one row at a time, sorted by (source token, target
+    token), so identical matrices serialize to identical bytes. The file is
+    replaced only once it is complete (see ``corpus.atomic_write``). Only
+    the tokens the file holds, those of the entries and the exclusion sets,
+    must be free of whitespace.
     """
-    entries = sorted(matrix.entries())
+    rows = matrix._rows
     excluded_source = matrix.excluded_source_tokens()
     excluded_target = matrix.excluded_target_tokens()
-    written = set(map(itemgetter(0), entries))
-    written.update(map(itemgetter(1), entries), excluded_source, excluded_target)
-    if (token := _spaced_token(written)) is not None:
+    targets = set(chain.from_iterable(rows.values()))
+    if (token := _spaced_token([*rows, *targets, *excluded_source, *excluded_target])) is not None:
         raise ValueError(f"token {token!r} contains whitespace and cannot be serialized")
-    header = [[str(value)] for value in (FORMAT_VERSION, *matrix.config, len(entries))]
+    header = [[str(value)] for value in (FORMAT_VERSION, *matrix.config, matrix.n_entries)]
     header += [sorted(excluded_source), sorted(excluded_target)]
     header.append([_TOKENIZER_TEXT[matrix.tokenizer]])
     with atomic_write(path) as fh:
         for tag, fields in zip(_HEADER_TAGS, header, strict=True):
             fh.write(" ".join([tag, *fields]) + "\n")
-        for s, t, c in entries:
-            fh.write(f"{s}\t{t}\t{c}\n")
+        for s in sorted(rows):
+            row = rows[s]
+            fh.write("".join([f"{s}\t{t}\t{row[t]}\n" for t in sorted(row)]))
 
 
 def _spaced_token(tokens: Collection[str]) -> str | None:

@@ -208,9 +208,12 @@ def test_wcm_not_utf8_is_one_line_data_error(tmp_path, toy_corpus, toy_wcm, caps
          "{tmp}/no/o.wcm"),
         (["build-wcm", "--source", "{tmp}", "--target", "{tgt}", "--out", "{src}/o.wcm"],
          "{src}/o.wcm"),
+        # an output that is a directory is named before any input is read
+        (["build-wcm", "--source", "{tmp}/nope.src", "--target", "{tgt}", "--out", "{tmp}"],
+         "{tmp}"),
     ],
     ids=["missing-wcm", "missing-source", "directory-as-input", "output-in-missing-directory",
-         "output-directory-checked-first", "output-under-a-file"],
+         "output-directory-checked-first", "output-under-a-file", "output-is-a-directory"],
 )
 def test_unopenable_file_is_one_line_data_error(tmp_path, toy_corpus, argv, named, capsys):
     src, tgt = toy_corpus
@@ -705,6 +708,15 @@ def test_correlate_count_mismatch_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"de-qe: error: value count mismatch: {x} has {n_x} values, {y} has {n_y} values\n"
         )
+
+
+def test_correlate_extreme_finite_values(tmp_path, capsys):
+    """Values whose squares overflow a float still correlate."""
+    write_lines(tmp_path / "x", ["1e200", "-1e200", "1e200"])
+    write_lines(tmp_path / "y", ["1e200", "1e200", "-1e200"])
+    rc = main(["correlate", "--x", str(tmp_path / "x"), "--y", str(tmp_path / "y")])
+    assert rc == 0
+    assert _data_lines(capsys.readouterr().out)[0].split("\t")[0] == "-0.500000"
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

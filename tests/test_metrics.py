@@ -299,6 +299,22 @@ def test_pearson_symmetry_exact():
     assert pearson(xs, ys).r == pearson(ys, xs).r
 
 
+@pytest.mark.parametrize("exponent", [-600, 600])
+def test_pearson_exact_under_power_of_two_scaling(exponent):
+    """Scaling both vectors by 2**600 or 2**-600 is exact, and so is the
+    result: no square or product overflows or underflows on the way."""
+    rng = random.Random(19)
+    for _ in range(50):
+        n = rng.choice([3, 5, 20, 250])
+        xs = [rng.gauss(0, 1) for _ in range(n)]
+        ys = [x * rng.uniform(-2, 2) + rng.gauss(0, 1) for x in xs]
+        scaled = pearson([math.ldexp(x, exponent) for x in xs],
+                         [math.ldexp(y, exponent) for y in ys])
+        assert scaled == pearson(xs, ys)
+    assert pearson([1e100, 2e100, 3e100], [1e100, 2e100, 4e100]).r == pytest.approx(0.98198)
+    assert pearson([1e-170, 2e-170, 4e-170], [1, 2, 3]).r == pytest.approx(0.98198)
+
+
 def test_pearson_errors():
     with pytest.raises(ValueError):
         pearson([1, 2], [1, 2, 3])

@@ -533,6 +533,42 @@ def test_save_load_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_save_writes_row_by_row_in_entry_order(tmp_path, monkeypatch):
+    """Rows, and the targets within a row, inserted out of sorted order, as
+    the pool merge's ``popitem`` leaves them, are written row by row without
+    ``entries()``, in the bytes of a writer that sorts every entry."""
+    rng = random.Random(29)
+    words = ["a", "ab", "a-b", "b", "Z", "é", "ß", "x1", "x10", "x2"]
+    entries = {
+        (s, t): rng.randint(20, 99) for s in words for t in words if rng.random() < 0.6
+    }
+    shuffled = list(entries.items())
+    rng.shuffle(shuffled)
+    matrix = make_matrix(
+        dict(shuffled), excluded_source=("the", "of"), excluded_target=("le",),
+        hifreq_cutoff=500, count_mode="product", tokenizer=TokenizerConfig(lowercase=True),
+    )
+    rows = matrix._rows
+    assert list(rows) != sorted(rows)
+    assert any(list(row) != sorted(row) for row in rows.values())
+    expected = "".join(
+        [
+            "#wcm v2\n#min_cooccurrence 20\n#hifreq_cutoff 500\n#count_mode product\n",
+            f"#entries {len(entries)}\n#excluded_source of the\n#excluded_target le\n",
+            "#tokenizer lowercase=true strip_punct=false\n",
+            *(f"{s}\t{t}\t{c}\n" for (s, t), c in sorted(entries.items())),
+        ]
+    )
+
+    def no_entries(self):
+        raise AssertionError("save_wcm listed every entry")
+
+    monkeypatch.setattr(CooccurrenceMatrix, "entries", no_entries)
+    path = tmp_path / "rows.wcm"
+    save_wcm(matrix, path)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 def test_save_load_empty_matrix(tmp_path):
     matrix = build_from_raw(TOY, min_cooccurrence=99)
     assert matrix.n_entries == 0
