@@ -10,10 +10,10 @@ from bisect import bisect_right
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import PROGRESS_EVERY, SegmentPair, _tokenized
-from .metrics import BleuResult, bleu_stats, pooled_bleu
-from .scoring import DeScore, de_score
 
 if TYPE_CHECKING:
+    from .metrics import BleuResult
+    from .scoring import DeScore
     from .wcm import CooccurrenceMatrix
 
 log = logging.getLogger(__name__)
@@ -103,6 +103,8 @@ def fold_buckets(
     the running sum of its members' statistics, not the segments. Degenerate
     (no eligible token) segments take part at value 0 and are also counted
     apart. An empty bucket reports no BLEU; an empty input is a ValueError."""
+    from .metrics import pooled_bleu
+
     counts = [0] * len(buckets)
     sums: list[Sequence[int] | None] = [None] * len(buckets)
     total = degenerate = 0
@@ -130,6 +132,8 @@ def bucket_eval(
 ) -> BucketReport:
     """``fold_buckets`` over aligned iterables, read once in step; unequal
     lengths raise ValueError."""
+    from .metrics import bleu_stats
+
     stats = itertools.starmap(bleu_stats, zip(hypotheses, references, strict=True))
     return fold_buckets(zip(scores, stats, strict=True), buckets)
 
@@ -246,6 +250,8 @@ def iter_filter(
     stages of ``matrix.tokenizer`` as one stream of line texts, as iterating
     ``CorpusFiles`` does.
     """
+    from .scoring import de_score
+
     if not 0.0 <= min_de <= 100.0:
         raise ValueError(f"min_de {min_de} outside [0, 100]")
     pairs, texts = itertools.tee(pairs)

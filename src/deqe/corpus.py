@@ -8,7 +8,7 @@ import operator
 import os
 import stat
 import unicodedata
-from collections import Counter, deque
+from collections import Counter
 from functools import partial
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
@@ -215,49 +215,25 @@ def iter_aligned(*paths) -> Iterator[tuple[str, ...]]:
 
 
 def _in_step(readers: Sequence[Iterator], names: Sequence, unit: str) -> Iterator[tuple]:
-    """One tuple of the items of ``readers`` per position, zipped in C. A
-    reader that ends early is an AlignmentError naming each one's count of
-    ``unit``s, raised after the last full tuple.
+    """One tuple of the items of ``readers`` per position. A reader that
+    ends early is an AlignmentError naming each one's count of ``unit``s,
+    raised after the last full tuple.
 
     An error a reader raises wins as it would in a read that takes one item
-    from every reader at each position: the readers that ``zip`` did not
-    reach at the position where it stopped are read at it, and then the
-    rest of each is consumed, in order, to count it.
+    from every reader at each position, then consumes the rest of each, in
+    order, to count it. No reader yields None, ``zip_longest``'s fill.
     """
-    counters = [itertools.count() for _ in readers]
-    # ``zip`` takes from a counter only what its reader yields.
-    counted = [
-        map(_first, zip(reader, counter)) for reader, counter in zip(readers, counters)
-    ]
-    return itertools.chain(zip(*counted), _same_lengths(counted, counters, names, unit))
-
-
-_first = operator.itemgetter(0)
-
-
-def _same_lengths(
-    readers: Sequence[Iterator], counters: Sequence[Iterator[int]], names: Sequence, unit: str
-) -> Iterator[tuple]:
-    """Yield nothing; raise AlignmentError if the ``readers`` that ``zip``
-    stopped on differ in length. ``zip`` ended at the first reader to end,
-    having taken one item more from each reader before it."""
-    # Each counter yields the count of items its reader gave, and is then
-    # one ahead of it.
-    taken = [next(counter) for counter in counters]
-    shortest = min(taken)
-    for reader, n in zip(readers, taken):
-        if n == shortest:
-            next(reader, None)
-    for reader in readers:
-        deque(reader, maxlen=0)
-    totals = [next(counter) - 1 for counter in counters]
-    if len(set(totals)) > 1:
-        raise AlignmentError(
-            f"{unit} count mismatch: "
-            + ", ".join(f"{name} has {n} {unit}s" for name, n in zip(names, totals))
-        )
-    return
-    yield
+    for index, items in enumerate(itertools.zip_longest(*readers)):
+        if None in items:
+            totals = [
+                index + (item is not None) + sum(1 for _ in reader)
+                for item, reader in zip(items, readers)
+            ]
+            raise AlignmentError(
+                f"{unit} count mismatch: "
+                + ", ".join(f"{name} has {n} {unit}s" for name, n in zip(names, totals))
+            )
+        yield items
 
 
 def load_parallel_corpus(source_path, target_path) -> Iterator[SegmentPair]:
@@ -292,7 +268,7 @@ def _tsv_columns(path, runs: Iterable[str]) -> Iterator[tuple[list[str], list[st
         lineno += len(lines)
 
 
-_second, _third = operator.itemgetter(1), operator.itemgetter(2)
+_first, _second, _third = operator.itemgetter(0), operator.itemgetter(1), operator.itemgetter(2)
 
 
 def _normalized(texts: Iterable[str], config: TokenizerConfig) -> Iterator[str]:

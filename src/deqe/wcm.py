@@ -292,9 +292,15 @@ def _count_rows(
 # the pool pays only once counting takes about 0.2 s, some 2M pair updates.
 POOL_MIN_PAIR_UPDATES = 2_000_000
 
+# The pool forks, on Linux only: under spawn or forkserver (the default from
+# Python 3.14) the initializer's arguments, the whole numbered corpus, would
+# be pickled into each worker, and macOS's fork is not safe. Elsewhere a build
+# counts one partition, in process.
+_POOL_FORKS = sys.platform == "linux"
+
 # The arguments of _count_rows but the partition number, set in each worker
-# by its initializer. Under fork (the Linux default) workers inherit them, so
-# only the token-keyed rows a worker returns are pickled.
+# by its initializer. Forked workers inherit them, so only the token-keyed
+# rows a worker returns are pickled.
 _worker_args: tuple = ()
 
 
@@ -409,9 +415,10 @@ def build_wcm_with_vocabularies(
     at INFO every ``PROGRESS_EVERY`` segments.
 
     With ``threads > 1`` (None: every usable CPU) and enough pair updates,
-    the rows are counted in that many partitions, all but one in workers. A
-    request for more than the usable CPUs is clamped to them with a warning
-    before the corpus is read, and one below 1 is a ValueError.
+    the rows are counted in that many partitions, all but one in forked
+    workers, on Linux. A request for more than the usable CPUs is clamped to
+    them with a warning before the corpus is read, and one below 1 is a
+    ValueError.
     """
     threads = _resolve_threads(threads)
     if config is None:
@@ -440,19 +447,26 @@ def _count(
     """Count and prune each row of ``encoded`` on its own, keyed by token,
     in a matrix that carries ``tokenizer``, the same for every split: this
     process counts part 0 of the rows split by source id modulo ``threads``
-    (one part if the pool would not pay), and a worker each of the others."""
+    (one part if the pool would not pay, or cannot fork), and a worker each
+    of the others."""
     postings, targets, pair_updates = encoded
     job = (postings, targets, config.min_cooccurrence, source.tokens, target.tokens)
-    n_parts = threads if pair_updates >= POOL_MIN_PAIR_UPDATES else 1
+    n_parts = threads if _POOL_FORKS and pair_updates >= POOL_MIN_PAIR_UPDATES else 1
     others: Iterable[dict[str, dict[str, int]]] = ()
     with ExitStack() as stack:
         if n_parts > 1:
             # Imported here, as importing them costs every CLI command start-up time.
+            import multiprocessing
             import pickle
             from concurrent.futures import ProcessPoolExecutor
 
             pool = stack.enter_context(
-                ProcessPoolExecutor(n_parts - 1, initializer=_init_worker, initargs=(*job, n_parts))
+                ProcessPoolExecutor(
+                    n_parts - 1,
+                    mp_context=multiprocessing.get_context("fork"),
+                    initializer=_init_worker,
+                    initargs=(*job, n_parts),
+                )
             )
             # Submitted now, so the workers count while this process does. Their
             # rows are unpickled in this thread, as rows rebuilt here would not

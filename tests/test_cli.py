@@ -710,6 +710,20 @@ def test_correlate_count_mismatch_exit_2(tmp_path, capsys):
         )
 
 
+@pytest.mark.parametrize("bad_file", ["x", "y"])
+def test_correlate_bad_value_past_the_shorter_file_wins(tmp_path, capsys, bad_file):
+    """A bad value in the longer file, just past the shorter one's end, is
+    read at that position, so its error wins over the count mismatch."""
+    good_file = "y" if bad_file == "x" else "x"
+    write_lines(tmp_path / good_file, ["1", "2"])
+    write_lines(tmp_path / bad_file, ["2", "1", "nan"])
+    rc = main(["correlate", "--x", str(tmp_path / "x"), "--y", str(tmp_path / "y")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"de-qe: error: {tmp_path / bad_file}: line 3: not a finite number: 'nan'\n"
+    )
+
+
 def test_correlate_extreme_finite_values(tmp_path, capsys):
     """Values whose squares overflow a float still correlate."""
     write_lines(tmp_path / "x", ["1e200", "-1e200", "1e200"])
@@ -1168,13 +1182,15 @@ def test_cli_import_loads_no_pool_or_tempfile_modules():
 def test_cold_start_imports_only_what_the_command_runs(tmp_path, command):
     """Start-up cost, in a fresh interpreter: no command here loads
     ``dataclasses`` (which pulls in ``inspect`` and ``ast``) or the WCM
-    module, and ``correlate`` and ``bleu`` load neither scoring nor
-    analysis."""
+    module, ``correlate`` and ``bleu`` load neither scoring nor analysis,
+    and ``histogram`` loads neither metrics nor scoring."""
     write_lines(tmp_path / "x", ["10", "20", "35"])
     write_lines(tmp_path / "y", ["1", "3", "2"])
     unwanted = {"dataclasses", "deqe.wcm"}
     if command[0] in ("correlate", "bleu"):
         unwanted |= {"deqe.scoring", "deqe.analysis"}
+    if command[0] == "histogram":
+        unwanted |= {"deqe.metrics", "deqe.scoring"}
     code = (
         "import sys; from deqe.cli import main; rc = main(sys.argv[1:]); "
         "print('loaded', rc, *sorted(sys.modules))"

@@ -271,6 +271,50 @@ def test_library_build_clamps_threads_to_usable_cpus(tmp_path, monkeypatch, capl
     assert pool_sizes == [1, 1]
 
 
+_SPAWN_DEFAULT_POOL = """
+import concurrent.futures, multiprocessing, sys
+multiprocessing.set_start_method("spawn", force=True)
+import deqe.wcm
+from deqe.corpus import CorpusFiles
+from deqe.wcm import WcmConfig, build_wcm_with_vocabularies
+
+corpus, config = CorpusFiles(tuple(sys.argv[1:])), WcmConfig(2, 10**9, "binary")
+expected = build_wcm_with_vocabularies(corpus, config, threads=1)
+deqe.wcm._usable_cpus = lambda: 2
+deqe.wcm.POOL_MIN_PAIR_UPDATES = 0
+methods, real_pool = [], concurrent.futures.ProcessPoolExecutor
+
+def pool(*args, mp_context=None, **kwargs):
+    methods.append(mp_context and mp_context.get_start_method())
+    return real_pool(*args, mp_context=mp_context, **kwargs)
+
+concurrent.futures.ProcessPoolExecutor = pool
+pooled = build_wcm_with_vocabularies(corpus, config, threads=2)
+print(pooled == expected and pooled.n_entries > 0, *methods)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
+def test_pool_forks_whatever_the_default_start_method(tmp_path):
+    """A forced pool, in a process whose default start method is spawn, is
+    given a fork context, so its worker inherits the numbered corpus rather
+    than being sent a pickled copy, and builds the in-process matrix."""
+    import subprocess
+
+    pairs = random_corpus(random.Random(14), max_segments=200, max_vocab=12, max_len=8)
+    corpus = _write_corpus(tmp_path, pairs)
+    src_dir = os.path.dirname(os.path.dirname(deqe.wcm.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", _SPAWN_DEFAULT_POOL, *map(str, corpus.paths)],
+        env={**os.environ, "PYTHONPATH": src_dir},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["True", "fork"]
+
+
 class _ReadCounter:
     """Re-iterable pairs that log each read to a file, which worker
     processes share with this one."""
