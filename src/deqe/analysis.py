@@ -4,7 +4,6 @@ corpus filtering."""
 from __future__ import annotations
 
 import itertools
-import logging
 import operator
 from bisect import bisect_right
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -15,8 +14,6 @@ if TYPE_CHECKING:
     from .metrics import BleuResult
     from .scoring import DeScore
     from .wcm import CooccurrenceMatrix
-
-log = logging.getLogger(__name__)
 
 KIND_BELOW = "below"
 KIND_AT_OR_ABOVE = "at_or_above"
@@ -288,7 +285,9 @@ def filter_corpus(
             kept += decision.kept
             degenerate += decision.de.degenerate
             if n % PROGRESS_EVERY == 0:
-                log.info("filter: %d segments scored", n)
+                import logging
+
+                logging.getLogger(__name__).info("filter: %d segments scored", n)
             yield decision.de.value
 
     report = histogram(routed(), bin_width)

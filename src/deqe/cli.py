@@ -6,7 +6,8 @@ written). Diagnostics go to stderr; report data goes to stdout or --out.
 
 A handler, ``cmd_x(args, stack)``, returns its report's lines (after the
 header), or None when it writes no report; the lines may be a lazy
-iterator. It puts each side file it writes on ``stack``. ``main`` checks
+iterator. It puts each side file it writes on ``stack``, and a handler
+whose run can log enters ``_logging_to_stderr`` there first. ``main`` checks
 that no two file flags name one file and that each output's directory
 exists, then writes the header and the lines to stdout or, through
 ``atomic_write``, to --out on that same stack, so output files are
@@ -20,7 +21,8 @@ report bytes.
 
 Only what parsing and error handling need is imported here; each handler
 imports the library modules it runs, so a command pays start-up time for
-no module it does not use.
+no module it does not use, and a run builds the flags of its own
+subcommand alone.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import argparse
 import contextlib
 import errno
 import itertools
-import logging
 import math
 import os
 import sys
@@ -39,13 +40,12 @@ from . import __version__
 from .errors import AlignmentError, DataError, UsageError
 
 if TYPE_CHECKING:
+    from logging import Logger
     from typing import Callable, Iterable, Iterator, Sequence
 
     from .analysis import BucketSpec
     from .corpus import CorpusFiles, SegmentPair, TokenizerConfig
     from .wcm import CooccurrenceMatrix
-
-log = logging.getLogger(__name__)
 
 PROG = "de-qe"
 
@@ -72,14 +72,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextlib.contextmanager
-def _logging_to_stderr(quiet: bool) -> Iterator[None]:
-    """Send the package's log records to stderr for one invocation.
+def _logging_to_stderr(quiet: bool) -> Iterator[Logger]:
+    """Send the package's log records to stderr for one invocation, and
+    yield this module's logger. Only a handler whose run logs enters it, so
+    no other run imports ``logging``.
 
     The handler writes to the ``sys.stderr`` of this invocation, so a
     stream a caller put in its place receives the records. The handler and
     level are removed again on exit, so library callers and later
     invocations in the same process see the logger as it was.
     """
+    import logging
+
     logger = logging.getLogger("deqe")
     level = logging.WARNING if quiet else logging.INFO
     handler = logging.StreamHandler(sys.stderr)
@@ -88,7 +92,7 @@ def _logging_to_stderr(quiet: bool) -> Iterator[None]:
     logger.setLevel(level)
     logger.addHandler(handler)
     try:
-        yield
+        yield logging.getLogger(__name__)
     finally:
         logger.removeHandler(handler)
         logger.setLevel(saved_level)
@@ -165,19 +169,6 @@ def _load_matrix(args: argparse.Namespace) -> CooccurrenceMatrix:
     return matrix
 
 
-# The keys of the flags that name a file a subcommand reads.
-_INPUT_FLAGS = ("source", "target", "tsv", "wcm", "hypothesis", "reference", "x", "y", "scores")
-
-# The keys of the flags that name files a subcommand writes, each with the
-# suffixes that make its files' names from its value.
-_OUTPUT_FLAGS = {
-    "out": ("",),
-    "chart": ("",),
-    "kept_prefix": (".source", ".target"),
-    "dropped_prefix": (".source", ".target"),
-}
-
-
 def _distinct_outputs(args: argparse.Namespace) -> None:
     """Raise UsageError if an output flag names a file that one of the
     command's input flags names, which writing it would replace, or the file
@@ -186,16 +177,22 @@ def _distinct_outputs(args: argparse.Namespace) -> None:
     that is a directory, or whose directory does not exist or is not a
     directory, so that no input is read for a report that cannot be
     written; an unset output flag (--out of None is stdout) names no file."""
-    flags = {
-        os.path.realpath(path): f"--{key}"
-        for key in _INPUT_FLAGS
-        if (path := getattr(args, key, None)) is not None
-    }
-    for key, suffixes in _OUTPUT_FLAGS.items():
-        if (prefix := getattr(args, key, None)) is None:
+    # The running subcommand's file flags, inputs first, each in the order
+    # the table first declares it: of two inputs naming one file, the one
+    # declared later is named, and --out is the first output.
+    order = [flag for *_, flags in _SUBCOMMANDS.values() for flag, _, _ in flags]
+    named = sorted(
+        ((flag, names) for flag, names, _ in _SUBCOMMANDS[args.subcommand][2] if names),
+        key=lambda item: (item[1] != _READS, order.index(item[0])),
+    )
+    flags = {}
+    for flag, names in named:
+        if (value := getattr(args, flag[2:].replace("-", "_"))) is None:
             continue
-        flag = "--" + key.replace("_", "-")
-        for path in (prefix + suffix for suffix in suffixes):
+        if names == _READS:
+            flags[os.path.realpath(value)] = flag
+            continue
+        for path in (value + suffix for suffix in names):
             real = os.path.realpath(path)
             if os.path.isdir(real):
                 # os.replace could not put the finished file in its place.
@@ -315,6 +312,7 @@ def _bucket_list(text: str) -> list[BucketSpec]:
 def cmd_vocab_stats(args: argparse.Namespace, stack: contextlib.ExitStack) -> list[str]:
     from .corpus import vocab_stats
 
+    log = stack.enter_context(_logging_to_stderr(args.quiet))
     corpus = _corpus_files(args, _tokenizer(args))
     with corpus.unchanged():
         # The strict read raises every input error; the count pass reports none.
@@ -351,6 +349,7 @@ def cmd_vocab_stats(args: argparse.Namespace, stack: contextlib.ExitStack) -> li
 def cmd_build_wcm(args: argparse.Namespace, stack: contextlib.ExitStack) -> None:
     from .wcm import WcmConfig, build_wcm_with_vocabularies, save_wcm
 
+    log = stack.enter_context(_logging_to_stderr(args.quiet))
     corpus = _corpus_files(args, _tokenizer(args))
     config = WcmConfig(
         min_cooccurrence=args.min_cooc,
@@ -372,6 +371,7 @@ def cmd_score(args: argparse.Namespace, stack: contextlib.ExitStack) -> Iterator
     from .corpus import PROGRESS_EVERY
     from .scoring import de_score, reverse_de_score
 
+    log = stack.enter_context(_logging_to_stderr(args.quiet))
     matrix = _load_matrix(args)
     segments = _test_segments(matrix.tokenizer, args.source, args.hypothesis)
 
@@ -437,6 +437,7 @@ def cmd_bucket_eval(args: argparse.Namespace, stack: contextlib.ExitStack) -> li
     from .metrics import bleu_stats
     from .scoring import de_score
 
+    stack.enter_context(_logging_to_stderr(args.quiet))
     matrix = _load_matrix(args)
     segments = _test_segments(matrix.tokenizer, args.source, args.hypothesis, args.reference)
     report = fold_buckets(
@@ -478,6 +479,7 @@ def cmd_histogram(args: argparse.Namespace, stack: contextlib.ExitStack) -> list
 def cmd_filter(args: argparse.Namespace, stack: contextlib.ExitStack) -> list[str]:
     from .analysis import filter_corpus
 
+    stack.enter_context(_logging_to_stderr(args.quiet))
     corpus = _corpus_files(args)
     matrix = _load_matrix(args)
     summary = filter_corpus(
@@ -520,140 +522,118 @@ def _pair_sink(stack: contextlib.ExitStack, prefix: str) -> Callable[[SegmentPai
 # ---------------------------------------------------------------------------
 # parser assembly
 
-
-def _add_tokenizer_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lowercase", action="store_true", help="case-fold tokens")
-    p.add_argument(
-        "--strip-punct",
-        action="store_true",
-        help="strip leading/trailing punctuation from tokens",
-    )
+# What a flag's value names: no file (None), a file the command reads, or
+# the files it writes, by the suffixes that make their names from the value.
+_READS = "reads"
+_WRITES = ("",)
 
 
-def _add_corpus_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--source", help="source-side file, one segment per line")
-    p.add_argument("--target", help="target-side file, one segment per line")
-    p.add_argument("--tsv", help="single corpus file, source TAB target per line")
+def _flag(flag: str, names: str | tuple[str, ...] | None = None, **kwargs: object) -> tuple:
+    return flag, names, kwargs
 
 
-def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--quiet", action="store_true", help="suppress progress messages")
+_CORPUS_FLAGS = (
+    _flag("--source", _READS, help="source-side file, one segment per line"),
+    _flag("--target", _READS, help="target-side file, one segment per line"),
+    _flag("--tsv", _READS, help="single corpus file, source TAB target per line"),
+)
+_TOKENIZER_FLAGS = (
+    _flag("--lowercase", action="store_true", help="case-fold tokens"),
+    _flag("--strip-punct", action="store_true",
+          help="strip leading/trailing punctuation from tokens"),
+)
+_WCM = _flag("--wcm", _READS, required=True)
+_SOURCE = _flag("--source", _READS, required=True)
+_HYPOTHESIS = _flag("--hypothesis", _READS, required=True)
+_REFERENCE = _flag("--reference", _READS, required=True)
+_OUT = _flag("--out", _WRITES)
+_HIFREQ_CUTOFF = _flag("--hifreq-cutoff", type=_positive_int, default=10_000)
+_BY_TYPE = _flag("--by-type", action="store_true")
+_BIN_WIDTH = _flag("--bin-width", type=_bin_width, default=5.0)
+_VALUES_HELP = "report with index, value in fields 1-2 (score, bleu), or one real per line"
 
+# Each subcommand's help, handler and flags after --quiet, which all take.
+_SUBCOMMANDS = {
+    "vocab-stats": ("per-side vocabulary frequency statistics", cmd_vocab_stats, (
+        *_CORPUS_FLAGS, *_TOKENIZER_FLAGS,
+        _flag("--thresholds", type=_threshold_list, default=(1, 5, 10, 20)),
+        _HIFREQ_CUTOFF,
+        _flag("--out", _WRITES, help="write report here instead of stdout"),
+    )),
+    "build-wcm": ("build and serialize the co-occurrence matrix", cmd_build_wcm, (
+        *_CORPUS_FLAGS, *_TOKENIZER_FLAGS,
+        _flag("--out", _WRITES, required=True, help="output WCM file"),
+        _flag("--min-cooc", type=_positive_int, default=20),
+        _HIFREQ_CUTOFF,
+        _flag("--count-mode", choices=_COUNT_MODES, default="binary"),
+        _flag("--threads", type=_positive_int,
+              help="worker processes that count the matrix (default and cap: the usable CPUs)"),
+    )),
+    "score": ("per-segment Direct Evidence scores", cmd_score, (
+        _WCM, _SOURCE, _HYPOTHESIS,
+        _flag("--reverse", action="store_true", help="add reverse (TL-to-SL) scores"),
+        _flag("--by-type", action="store_true", help="count types, not tokens"),
+        _OUT,
+    )),
+    "bleu": ("corpus or sentence-level BLEU", cmd_bleu, (
+        _HYPOTHESIS, _REFERENCE, *_TOKENIZER_FLAGS,
+        _flag("--sentence-level", action="store_true"), _OUT,
+    )),
+    "correlate": ("Pearson correlation of two value files", cmd_correlate, (
+        _flag("--x", _READS, required=True, help=_VALUES_HELP),
+        _flag("--y", _READS, required=True, help=_VALUES_HELP),
+        _OUT,
+    )),
+    "bucket-eval": ("per-DE-bucket segment counts and BLEU", cmd_bucket_eval, (
+        _WCM, _SOURCE, _HYPOTHESIS, _REFERENCE,
+        _flag("--buckets", type=_bucket_list, default=_DEFAULT_BUCKETS,
+              help='comma-separated specs like "<20,<50,>=50,>=80"'),
+        _BY_TYPE, _OUT,
+    )),
+    "histogram": ("DE score histogram", cmd_histogram, (
+        _flag("--scores", _READS, required=True,
+              help="score report (DE in field 2) or one real per line"),
+        _BIN_WIDTH,
+        _flag("--chart", _WRITES, help="also render an SVG bar chart here"),
+        _OUT,
+    )),
+    "filter": ("split a corpus into kept/dropped by DE", cmd_filter, (
+        _WCM, *_CORPUS_FLAGS,
+        _flag("--min-de", type=_score_value, required=True),
+        _flag("--kept-prefix", (".source", ".target"), required=True),
+        _flag("--dropped-prefix", (".source", ".target"), required=True),
+        _BY_TYPE, _BIN_WIDTH,
+        _flag("--out", _WRITES, help="write the summary report here instead of stdout"),
+    )),
+}
+
+
+def build_parser(subcommand: str | None = None) -> _Parser:
+    """The parser of every subcommand, each with its flags, or only
+    ``subcommand`` with its flags when one is named."""
     parser = _Parser(prog=PROG, description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"{PROG} {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
-
-    p = sub.add_parser(
-        "vocab-stats",
-        parents=[common],
-        help="per-side vocabulary frequency statistics",
-    )
-    _add_corpus_args(p)
-    _add_tokenizer_args(p)
-    p.add_argument("--thresholds", type=_threshold_list, default=[1, 5, 10, 20])
-    p.add_argument("--hifreq-cutoff", type=_positive_int, default=10_000)
-    p.add_argument("--out", help="write report here instead of stdout")
-    p.set_defaults(handler=cmd_vocab_stats)
-
-    p = sub.add_parser(
-        "build-wcm",
-        parents=[common],
-        help="build and serialize the co-occurrence matrix",
-    )
-    _add_corpus_args(p)
-    _add_tokenizer_args(p)
-    p.add_argument("--out", required=True, help="output WCM file")
-    p.add_argument("--min-cooc", type=_positive_int, default=20)
-    p.add_argument("--hifreq-cutoff", type=_positive_int, default=10_000)
-    p.add_argument("--count-mode", choices=_COUNT_MODES, default="binary")
-    threads_help = "worker processes that count the matrix (default and cap: the usable CPUs)"
-    p.add_argument("--threads", type=_positive_int, help=threads_help)
-    p.set_defaults(handler=cmd_build_wcm)
-
-    p = sub.add_parser(
-        "score", parents=[common], help="per-segment Direct Evidence scores"
-    )
-    p.add_argument("--wcm", required=True)
-    p.add_argument("--source", required=True)
-    p.add_argument("--hypothesis", required=True)
-    p.add_argument("--reverse", action="store_true", help="add reverse (TL-to-SL) scores")
-    p.add_argument("--by-type", action="store_true", help="count types, not tokens")
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_score)
-
-    p = sub.add_parser("bleu", parents=[common], help="corpus or sentence-level BLEU")
-    p.add_argument("--hypothesis", required=True)
-    p.add_argument("--reference", required=True)
-    _add_tokenizer_args(p)
-    p.add_argument("--sentence-level", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_bleu)
-
-    p = sub.add_parser(
-        "correlate", parents=[common], help="Pearson correlation of two value files"
-    )
-    values_help = "report with index, value in fields 1-2 (score, bleu), or one real per line"
-    p.add_argument("--x", required=True, help=values_help)
-    p.add_argument("--y", required=True, help=values_help)
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_correlate)
-
-    p = sub.add_parser(
-        "bucket-eval",
-        parents=[common],
-        help="per-DE-bucket segment counts and BLEU",
-    )
-    p.add_argument("--wcm", required=True)
-    p.add_argument("--source", required=True)
-    p.add_argument("--hypothesis", required=True)
-    p.add_argument("--reference", required=True)
-    p.add_argument(
-        "--buckets",
-        type=_bucket_list,
-        default=_DEFAULT_BUCKETS,
-        help='comma-separated specs like "<20,<50,>=50,>=80"',
-    )
-    p.add_argument("--by-type", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_bucket_eval)
-
-    p = sub.add_parser("histogram", parents=[common], help="DE score histogram")
-    p.add_argument(
-        "--scores",
-        required=True,
-        help="score report (DE in field 2) or one real per line",
-    )
-    p.add_argument("--bin-width", type=_bin_width, default=5.0)
-    p.add_argument("--chart", help="also render an SVG bar chart here")
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_histogram)
-
-    p = sub.add_parser(
-        "filter", parents=[common], help="split a corpus into kept/dropped by DE"
-    )
-    p.add_argument("--wcm", required=True)
-    _add_corpus_args(p)
-    p.add_argument("--min-de", type=_score_value, required=True)
-    p.add_argument("--kept-prefix", required=True)
-    p.add_argument("--dropped-prefix", required=True)
-    p.add_argument("--by-type", action="store_true")
-    p.add_argument("--bin-width", type=_bin_width, default=5.0)
-    p.add_argument("--out", help="write the summary report here instead of stdout")
-    p.set_defaults(handler=cmd_filter)
-
-    for sp in sub.choices.values():
-        sp.set_defaults(parser=sp)
+    for name, (summary, handler, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler, parser=p)
+        if subcommand in (None, name):
+            p.add_argument("--quiet", action="store_true", help="suppress progress messages")
+            for flag, _, kwargs in flags:
+                p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        # A run builds the flags of its own subcommand alone.
+        subcommand = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+        args = build_parser(subcommand).parse_args(argv)
         _distinct_outputs(args)
         # One stack holds every file the run writes, so a failure before the
         # end replaces none of them.
-        with _logging_to_stderr(args.quiet), contextlib.ExitStack() as stack:
+        with contextlib.ExitStack() as stack:
             lines = args.handler(args, stack)
             if lines is not None:
                 if args.out is None:

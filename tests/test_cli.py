@@ -463,20 +463,39 @@ def test_rare_source_word_stays_eligible(tmp_path, monkeypatch):
     assert (tmp_path / "s.tsv").read_text() == RARE_SCORES
 
 
-def test_v1_wcm_scores_as_the_default_tokenizer_with_one_warning(tmp_path, monkeypatch, capsys):
+_V1_RUNS = {
+    "score": ["--source", "test.src", "--hypothesis", "test.hyp", "--reverse"],
+    "bucket-eval": ["--source", "test.src", "--hypothesis", "test.hyp", "--reference", "test.hyp"],
+    "filter": ["--source", "test.src", "--target", "test.hyp", "--min-de", "50",
+               "--kept-prefix", "k", "--dropped-prefix", "d"],
+}
+
+
+@pytest.mark.parametrize("command", _V1_RUNS)
+def test_v1_wcm_scores_as_the_default_tokenizer_with_one_warning(
+    tmp_path, monkeypatch, capsys, command
+):
     """A v1 file, which records no tokenizer, is scored as a v2 file of the
-    default tokenizer is, and the command warns once, naming the file."""
+    default tokenizer is, and every command that reads a matrix warns once,
+    naming the file, even with --quiet."""
     monkeypatch.chdir(tmp_path)
+    write_lines("test.src", ["a rare", "rare", "rare rare b"])
+    write_lines("test.hyp", ["x z", "z", "y"])
+    argv = [command, "--wcm", "r.wcm", *_V1_RUNS[command], "--out", "s.tsv", "--quiet"]
+    (tmp_path / "r.wcm").write_text(RARE_WCM)
+    assert main(argv) == 0
+    v2_outputs = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert capsys.readouterr().err == ""
     (tmp_path / "r.wcm").write_text(
         RARE_WCM.replace("#wcm v2", "#wcm v1").replace(
             "#tokenizer lowercase=false strip_punct=false\n", ""
         )
     )
-    write_lines("test.src", ["a rare", "rare", "rare rare b"])
-    write_lines("test.hyp", ["x z", "z", "y"])
-    assert main(["score", "--wcm", "r.wcm", "--source", "test.src", "--hypothesis", "test.hyp",
-                 "--reverse", "--out", "s.tsv", "--quiet"]) == 0
-    assert (tmp_path / "s.tsv").read_text() == RARE_SCORES
+    assert main(argv) == 0
+    del v2_outputs["r.wcm"]
+    assert {name: (tmp_path / name).read_bytes() for name in v2_outputs} == v2_outputs
+    if command == "score":
+        assert (tmp_path / "s.tsv").read_text() == RARE_SCORES
     assert capsys.readouterr().err == (
         "de-qe: r.wcm: a v1 WCM file records no tokenizer, so it is read as built with the "
         "default one; rebuild it if it was built with --lowercase or --strip-punct\n"
@@ -1131,20 +1150,43 @@ def test_output_naming_an_input_exit_1(tmp_path, toy_wcm, capsys, argv, flags):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
 def test_every_path_flag_is_registered():
-    """A flag that takes a plain string names a file, and only a registered
-    one is held to the same-file check; the tables name no other flag."""
-    parser = cli.build_parser()
-    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    dests = {
-        action.dest
-        for sub in subparsers.choices.values()
-        for action in sub._actions
-        if isinstance(action, argparse._StoreAction)
-        and action.type is None
-        and action.choices is None
-    }
-    assert dests == {*cli._INPUT_FLAGS, *cli._OUTPUT_FLAGS}
+    """A flag that takes a plain string names a file, and only a flag whose
+    table entry says which file (one the command reads, or the ones it
+    writes) is held to the same-file check; no other flag names one."""
+    subparsers = _subparsers(cli.build_parser())
+    for name, (_, _, flags) in cli._SUBCOMMANDS.items():
+        names = {flag: files for flag, files, _ in flags}
+        for action in subparsers[name]._actions[2:]:  # after -h and --quiet
+            plain = (
+                isinstance(action, argparse._StoreAction)
+                and action.type is None
+                and action.choices is None
+            )
+            assert plain == (names[action.option_strings[0]] is not None), (name, action.dest)
+
+
+@pytest.mark.parametrize("name", cli._SUBCOMMANDS)
+def test_a_run_builds_only_its_own_flags(monkeypatch, name):
+    """The parser a run builds gives `de-qe -h`, and the named subcommand's
+    help and usage, as the parser with every flag does; the other
+    subcommands get no flag but -h."""
+    monkeypatch.setenv("COLUMNS", "80")
+    own, every = cli.build_parser(name), cli.build_parser()
+    assert own.format_help() == every.format_help()
+    own_subs, every_subs = _subparsers(own), _subparsers(every)
+    assert own_subs.keys() == every_subs.keys()
+    for other, sub in own_subs.items():
+        if other == name:
+            texts = sub.format_help(), sub.format_usage()
+            assert texts == (every_subs[name].format_help(), every_subs[name].format_usage())
+        else:
+            assert [action.dest for action in sub._actions] == ["help"]
 
 
 def test_cli_import_loads_no_pool_or_tempfile_modules():
@@ -1181,12 +1223,13 @@ def test_cli_import_loads_no_pool_or_tempfile_modules():
 )
 def test_cold_start_imports_only_what_the_command_runs(tmp_path, command):
     """Start-up cost, in a fresh interpreter: no command here loads
-    ``dataclasses`` (which pulls in ``inspect`` and ``ast``) or the WCM
-    module, ``correlate`` and ``bleu`` load neither scoring nor analysis,
-    and ``histogram`` loads neither metrics nor scoring."""
+    ``dataclasses`` (which pulls in ``inspect`` and ``ast``), ``logging``
+    (none of them logs) or the WCM module, ``correlate`` and ``bleu`` load
+    neither scoring nor analysis, and ``histogram`` loads neither metrics
+    nor scoring."""
     write_lines(tmp_path / "x", ["10", "20", "35"])
     write_lines(tmp_path / "y", ["1", "3", "2"])
-    unwanted = {"dataclasses", "deqe.wcm"}
+    unwanted = {"dataclasses", "deqe.wcm", "logging"}
     if command[0] in ("correlate", "bleu"):
         unwanted |= {"deqe.scoring", "deqe.analysis"}
     if command[0] == "histogram":
